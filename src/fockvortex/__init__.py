@@ -7,6 +7,8 @@ quantifies the output: transverse quadrature fields with phase-winding
 detection, Wigner functions with negativity volume, and logarithmic
 negativity across the splitter.
 """
+__version__ = "0.2.0"
+
 from .beamsplitter import (
     apply_beam_splitter,
     closed_form_deviation,
@@ -69,8 +71,6 @@ from .wigner import (
     wigner_slice,
     wigner_state,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "FockPair",

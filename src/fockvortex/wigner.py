@@ -17,20 +17,50 @@ keeps only squared coefficient weights; it is implemented as a
 comparison view (``wigner_diagonal_form``) and its pointwise difference
 from the exact Wigner function is a reported diagnostic, not an
 assertion.
+
+Negativity volume
+-----------------
+NV = (integral of |W| - integral of W) / 2 over the 4-D phase space.  Two
+exact facts reduce that integral to three dimensions for every state the
+pipelines build:
+
+* NV is invariant under passive Gaussian unitaries, which act on phase
+  space as rotations: W_out(z) = W_in(S^-1 z).  The 50:50 splitter is one,
+  and applying it twice only re-phases and swaps pair states
+  (|j, k> -> i^(j+k) |k, j>).
+* A state whose amplitudes sit on one n_a - n_b = d diagonal has kernel
+  products |n><m| x |n-d><m-d|, whose angular phases combine to
+  e^{-i s (phi_a + phi_b)} with s = n - m.  Its Wigner function is
+  W = sum_s [Re G_s cos(s theta) + Im G_s sin(s theta)] e^{-2(rho_a^2 + rho_b^2)}
+  with theta = phi_a + phi_b and real-polynomial radial profiles G_s; the
+  sine terms vanish when the amplitudes are real up to a global phase.
+
+``negativity_volume`` therefore dispatches on the input: a pure
+``TwoModeState`` that, directly or after one more splitter pass, carries
+all but ``TOL.norm`` of its weight on one diagonal is integrated on
+order^2 radial nodes in (u_a, u_b), u = 2 rho^2 (Gauss-Laguerre in
+u_a + u_b times Gauss-Legendre in the ratio u_b / (u_a + u_b), see
+``_radial_pair_rule``), times a trapezoid rule in theta with
+``max(order, s_max + 1)`` nodes, which is exact for the trigonometric
+polynomial in theta.  Density matrices, states without that symmetry and
+the ``uniform-box`` scheme take the 4-D tensor-product engine, which also
+serves as the oracle for the reduced pass in the tests and the selftest.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lgamma
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.special
 
+from .beamsplitter import apply_beam_splitter
 from .config import BOX_WIDTH_SCALE, GH_ORDER, MAX_REFINEMENTS, TOL
 from .errors import InvalidParameterError, InvariantError, NonConvergenceError
-from .states import DensityMatrix, SqueezeParams, TwoModeState
+from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -227,9 +257,6 @@ def diagonal_form_deviation(
     Sampled on a lattice_points^4 cube; reported, never asserted - the
     closed form drops the interference terms a pure state carries.
     """
-    from .beamsplitter import apply_beam_splitter
-    from .states import make_tmss
-
     axis = np.linspace(-half_width, half_width, lattice_points)
     gx, gpx, gy, gpy = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     state = apply_beam_splitter(make_tmss(params))
@@ -306,6 +333,7 @@ class NegativityResult:
     resolution_history: List[Tuple[int, float]] = field(default_factory=list)
     converged: bool = True
     under_resolved: bool = False
+    engine: str = "tensor-4d"
 
     def to_json_dict(self) -> dict:
         return {
@@ -315,6 +343,7 @@ class NegativityResult:
             "resolution_history": [[o, v] for o, v in self.resolution_history],
             "converged": self.converged,
             "under_resolved": self.under_resolved,
+            "engine": self.engine,
         }
 
 
@@ -346,6 +375,110 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: WignerGrid) -> Tuple[float, float]
     return total_abs, total_w
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights from a Jacobi matrix; finite at any order, where
+    ``scipy.special.roots_laguerre`` overflows to NaN (order 384)."""
+    from scipy.linalg import eigh_tridiagonal  # deferred: a module-level import costs ~70 ms
+
+    nodes, vectors = eigh_tridiagonal(diag, off)
+    weights = mass * vectors[0] ** 2
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise NonConvergenceError(
+            f"Gauss rule of order {len(diag)} produced non-finite nodes/weights"
+        )
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u_a, u_b, weights) for the integral of e^{-u_a - u_b} f(u_a, u_b) over u >= 0.
+
+    In v = u_a + u_b and t = u_b / v the measure is v e^{-v} dv dt, so the rule
+    is Gauss-Laguerre (alpha = 1) in v times Gauss-Legendre on [0, 1] in t;
+    both are exact for the polynomial part of W.  A tensor rule in
+    (u_a, u_b) would put the zero lines u = const of a Fock-pair W on the
+    grid axes, where the kink errors of |W| add up instead of averaging out.
+    """
+    k = np.arange(order, dtype=float)
+    v, wv = _golub_welsch(2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0)
+    x, wx = _golub_welsch(np.zeros(order), k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0), 2.0)
+    t = 0.5 * (x + 1.0)
+    rule = (np.outer(v, 1.0 - t).ravel(), np.outer(v, t).ravel(), 0.5 * np.outer(wv, wx).ravel())
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
+    """(c, n_a0, n_b0) when all but TOL.norm of the weight lies on one
+    n_a - n_b diagonal; c[k] is the amplitude of |n_a0 + k, n_b0 + k>."""
+    m = dense.shape[0]
+    weight = np.abs(dense) ** 2
+    offsets = range(1 - m, m)  # n_b - n_a
+    per_diag = [float(np.trace(weight, offset=k)) for k in offsets]
+    best = int(np.argmax(per_diag))
+    if float(weight.sum()) - per_diag[best] > TOL.norm:
+        return None
+    k = offsets[best]
+    c = np.diagonal(dense, offset=k)
+    nz = np.flatnonzero(c)
+    return c[nz[0]:nz[-1] + 1], int(nz[0]) + max(0, -k), int(nz[0]) + max(0, k)
+
+
+def _pair_diagonal(state_or_rho) -> Optional[Tuple[np.ndarray, int, int]]:
+    """The diagonal of a pure state or of its splitter image, if it has one.
+
+    The splitter is passive, so NV is the same for the state and its image.
+    """
+    if not isinstance(state_or_rho, TwoModeState):
+        return None
+    found = _single_diagonal(state_or_rho.to_dense())
+    if found is None:
+        found = _single_diagonal(apply_beam_splitter(state_or_rho).to_dense())
+    return found
+
+
+def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float, float]:
+    """One pass of the 3-D rule: (integral of |W|, integral of W).
+
+    Nodes: ``_radial_pair_rule(order)`` in u = 2 rho^2 per mode times a
+    trapezoid rule in theta = phi_a + phi_b.  The volume element
+    d^4z = rho_a drho_a rho_b drho_b dphi_a dphi_b integrates to
+    (pi^2 / 4) / n_theta times the weighted node sum.  Per block of radial
+    nodes, the real profiles K[n, m](rho, 0) give the coefficient table
+    [Re G_s, Im G_s], and one GEMM against [cos(s theta); sin(s theta)]
+    gives W.
+    """
+    ua, ub, wr = _radial_pair_rule(order)
+    span = len(c)
+    dim = max(na0, nb0) + span
+    pairs = [(2.0 if s else 1.0) * c[s:] * np.conj(c[:span - s]) for s in range(span)]
+    n_theta = max(order, span)
+    theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
+    harmonics = np.arange(span)[:, None] * theta
+    basis = np.concatenate([np.cos(harmonics), np.sin(harmonics[1:])])
+    total_abs = 0.0
+    total_w = 0.0
+    block = max(1, (1 << 22) // max(n_theta, 2 * dim * dim))  # W block and profiles alike
+    for start in range(0, len(wr), block):
+        sl = slice(start, start + block)
+        rho_a, rho_b = np.sqrt(0.5 * ua[sl]), np.sqrt(0.5 * ub[sl])
+        prof_a = _kernel_polys(dim, rho_a, np.zeros_like(rho_a)).real
+        prof_b = _kernel_polys(dim, rho_b, np.zeros_like(rho_b)).real
+        coef = np.empty((len(rho_a), 2 * span - 1))
+        for s in range(span):
+            k = np.arange(s, span)
+            g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])
+            coef[:, s] = g.real
+            if s:
+                coef[:, span - 1 + s] = g.imag
+        w = coef @ basis
+        total_w += float(wr[sl] @ w.sum(axis=1))
+        total_abs += float(wr[sl] @ np.abs(w).sum(axis=1))
+    scale = 0.25 * math.pi ** 2 / n_theta
+    return scale * total_abs, scale * total_w
+
+
 def negativity_volume(
     state_or_rho,
     rule: Optional[WignerRule] = None,
@@ -354,6 +487,9 @@ def negativity_volume(
 ) -> NegativityResult:
     """NV = (integral of |W| - integral of W) / 2 with order-doubling refinement.
 
+    A pure state on one n_a - n_b diagonal (directly or after the splitter)
+    takes the 3-D reduced rule; density matrices, other states and the
+    ``uniform-box`` scheme take the 4-D tensor rule (see the module notes).
     Refinement stops when successive NV estimates differ by < tol; after
     ``max_refinements`` doublings the best estimate is returned flagged
     non-converged.  The computed integral of W stands in for the exact 1;
@@ -362,16 +498,27 @@ def negativity_volume(
     if tol <= 0:
         raise InvalidParameterError(f"tol must be > 0, got {tol}")
     rule = rule or WignerRule()
-    rho_p, m = _pair_matrix(state_or_rho)
-    cutoff = 2 * (m - 1)
+    diagonal = _pair_diagonal(state_or_rho) if rule.scheme == "tensor-gauss-hermite" else None
+    if diagonal is not None:
+        engine = "reduced-3d"
+
+        def run_pass(order: int) -> Tuple[float, float]:
+            return _reduced_pass(*diagonal, order)
+    else:
+        engine = "tensor-4d"
+        rho_p, m = _pair_matrix(state_or_rho)
+        cutoff = 2 * (m - 1)
+
+        def run_pass(order: int) -> Tuple[float, float]:
+            return _nv_pass(rho_p, m, build_wigner_grid(rule, cutoff, order=order))
+
     history: List[Tuple[int, float]] = []
     prev = None
     converged = False
     integral_abs = total_w = 0.0
     order = rule.order
     for _ in range(max_refinements + 1):
-        grid = build_wigner_grid(rule, cutoff, order=order)
-        integral_abs, total_w = _nv_pass(rho_p, m, grid)
+        integral_abs, total_w = run_pass(order)
         nv = 0.5 * (integral_abs - total_w)
         history.append((order, nv))
         if prev is not None and abs(nv - prev) < tol:
@@ -386,6 +533,7 @@ def negativity_volume(
         resolution_history=history,
         converged=converged,
         under_resolved=abs(total_w - 1.0) > 10.0 * tol,
+        engine=engine,
     )
 
 
@@ -417,14 +565,19 @@ class WignerSlice:
             fh.write("\n".join(lines) + "\n")
 
 
-def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
-    """Evaluate W on the plane that fixes exactly two of (x, px, y, py)."""
+def plane_free_coords(plane: dict) -> List[str]:
+    """The two free coordinates of a plane that fixes exactly two of (x, px, y, py)."""
     bad = set(plane) - set(_COORD_NAMES)
     if bad:
         raise InvalidParameterError(f"unknown coordinates in plane: {sorted(bad)}")
     if len(plane) != 2:
         raise InvalidParameterError("plane must fix exactly two of x, px, y, py")
-    free = [n for n in _COORD_NAMES if n not in plane]
+    return [n for n in _COORD_NAMES if n not in plane]
+
+
+def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
+    """Evaluate W on the plane that fixes exactly two of (x, px, y, py)."""
+    free = plane_free_coords(plane)
     c1, c2 = np.meshgrid(grid2d.x_axis(), grid2d.y_axis(), indexing="ij")
     coords = {}
     for name in _COORD_NAMES:

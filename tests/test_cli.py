@@ -235,6 +235,25 @@ def test_figure_pipeline_resumes_after_deleted_artifact(tmp_path):
     assert statuses["logneg-n6"] == "cached"
 
 
+def test_figure_pipeline_recomputes_after_tool_version_change(tmp_path, capsys):
+    out = tmp_path / "fig5"
+    argv = ["figure", "5", "--out", str(out)]
+    assert main(argv) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tool_version"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+
+    assert main(argv) == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["tool_version"] == cli.__version__
+    assert all(t["status"] == "ok" for t in manifest["tasks"])  # nothing served from 0.0.1
+
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "all 3 tasks cached; nothing to do" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -311,6 +330,21 @@ def test_sweep_field_and_slice_artifacts(tmp_path):
     ],
 )
 def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"nv_order": 1, "outputs": ["nv"]},
+        {"r_values": [float("nan")]},
+        {"slice_plane": {"z": 0, "px": 0}, "outputs": ["wigner-slice"]},
+        # passes the up-front checks; the task itself raises the usage error
+        {"grid": "-1:1", "outputs": ["field"]},
+    ],
+)
+def test_sweep_invalid_values_exit_usage(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["sweep", "--config", str(cfg)]) == 2
 

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fockvortex import (
     InvalidParameterError,
@@ -25,7 +29,9 @@ from fockvortex import (
     wigner_slice,
     wigner_state,
 )
+from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
+from fockvortex.wigner import _radial_pair_rule
 
 # mpmath, 40 digits
 W_DIAG_3_AT_0P7 = -0.11010127013979758215
@@ -186,6 +192,108 @@ def test_box_scheme_agrees_with_gauss_hermite():
     gh = negativity_volume(state)
     box = negativity_volume(state, WignerRule(scheme="uniform-box", order=48))
     assert box.volume == pytest.approx(gh.volume, abs=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# symmetry-reduced negativity volume against its oracles
+# ---------------------------------------------------------------------------
+
+def _neighbour_pair_state():
+    """sum_j c_j |j, j+1>: one n_a - n_b = -1 diagonal, complex amplitudes."""
+    c = np.array([0.6, 0.5j, -0.4, 0.3 + 0.2j])
+    c /= np.linalg.norm(c)
+    return TwoModeState({(j, j + 1): c[j] for j in range(4)}, cutoff=7)
+
+
+def _fock_pair_nv(n):
+    """Exact NV of |n, n>: W factorizes, so the integral of |W| is the square
+    of the integral of |L_n(2u)| e^{-u}, taken piecewise between its roots."""
+    edges = [0.0, *(0.5 * scipy.special.roots_laguerre(n)[0]), np.inf]
+    one_mode = sum(
+        quad(lambda u: abs(scipy.special.eval_laguerre(n, 2.0 * u)) * math.exp(-u), a, b,
+             epsabs=1e-13, epsrel=1e-13)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+    return 0.5 * (one_mode**2 - 1.0)
+
+
+def test_radial_rule_finite_and_exact_at_ladder_top():
+    # 384 is the last order of the default 24 -> 384 refinement ladder, where
+    # scipy.special.roots_laguerre returns NaN
+    ua, ub, w = _radial_pair_rule(384)
+    assert all(np.isfinite(a).all() for a in (ua, ub, w))
+    assert np.all(w >= 0)
+    for i, j in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        moment = float(w @ (ua**i * ub**j))
+        assert moment == pytest.approx(math.factorial(i) * math.factorial(j), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(make_tmss(SqueezeParams(r=0.8, n_max=2)), id="tmss-pre"),
+        pytest.param(apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=2))), id="tmss-post"),
+        pytest.param(_neighbour_pair_state(), id="diagonal-d=-1"),
+    ],
+)
+def test_reduced_pass_matches_tensor_oracle(state):
+    rule = WignerRule(order=96)
+    fast = negativity_volume(state, rule, max_refinements=0)
+    slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
+    assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d")
+    assert fast.volume == pytest.approx(slow.volume, abs=2e-4)
+    assert fast.normalization_check == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reduced_pass_matches_exact_fock_pair_value(n):
+    # the 4-D tensor rule is off by up to 3e-3 here at orders 128-192, so the
+    # oracle is the exact factorized value
+    state = apply_beam_splitter(TwoModeState({(n, n): 1.0}, cutoff=2 * n))
+    exact = _fock_pair_nv(n)
+    single = negativity_volume(state, WignerRule(order=192), max_refinements=0)
+    assert single.engine == "reduced-3d"
+    assert single.volume == pytest.approx(exact, abs=2e-4)
+    refined = negativity_volume(state)
+    assert refined.converged
+    assert refined.volume == pytest.approx(exact, abs=TOL.nv)
+
+
+_unit_float = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.tuples(_unit_float, _unit_float), min_size=1, max_size=4).filter(
+        lambda c: sum(re * re + im * im for re, im in c) > 1e-2
+    ),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_nv_is_splitter_invariant(pairs, d):
+    c = np.array([complex(re, im) for re, im in pairs])
+    c /= np.linalg.norm(c)
+    state = TwoModeState(
+        {(j + max(d, 0), j + max(-d, 0)): c[j] for j in range(len(c))},
+        cutoff=2 * (len(c) - 1) + abs(d),
+    )
+    before = negativity_volume(state)
+    after = negativity_volume(apply_beam_splitter(state))
+    assert after.volume == pytest.approx(before.volume, abs=2 * TOL.nv)
+
+
+def test_nv_dispatch_on_detected_symmetry():
+    rule = WignerRule(order=8)
+
+    def engine(state_or_rho, rule=rule):
+        return negativity_volume(state_or_rho, rule, max_refinements=0).engine
+
+    tmss = make_tmss(SqueezeParams(r=0.5, n_max=2))
+    assert engine(tmss) == "reduced-3d"
+    assert engine(apply_beam_splitter(tmss)) == "reduced-3d"
+    assert engine(_neighbour_pair_state()) == "reduced-3d"
+    assert engine(state_to_density(tmss)) == "tensor-4d"
+    assert engine(random_state(np.random.default_rng(3), cutoff=3)) == "tensor-4d"
+    assert engine(tmss, WignerRule(scheme="uniform-box", order=8)) == "tensor-4d"
 
 
 def test_position_marginal_is_born_density():

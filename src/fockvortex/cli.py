@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -45,9 +44,11 @@ from .states import (
 )
 from .wigner import (
     WignerRule,
+    WignerSlice,
     build_wigner_grid,
     negativity_volume,
     plane_free_coords,
+    plane_points,
     position_marginal,
     wigner_fock_diagonal,
     wigner_diagonal_form,
@@ -86,25 +87,9 @@ SWEEP_OUTPUTS = ("field", "vortices", "wigner-slice", "nv", "logneg")
 # small plumbing
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _write_via(path: str, writer: Callable[[str], None]) -> None:
-    """Atomic wrapper for objects that write themselves to a path."""
+    """Atomic write: ``writer`` fills a temp file beside ``path``, which then
+    replaces it.  Every artifact goes through here, so all get the same mode."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         writer(tmp)
@@ -113,6 +98,18 @@ def _write_via(path: str, writer: Callable[[str], None]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _write_via(path, write)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _config_hash(doc: dict) -> str:
@@ -164,13 +161,17 @@ def _run_pipeline(
     """Run tasks on a thread pool, maintain manifest.json, support resume.
 
     aggregate = (relative output paths, fn(payloads by task name)) run after
-    all tasks; skipped when every task was cached and its outputs exist.
+    all tasks; skipped when every task was cached and its outputs are intact.
+    The manifest records each artifact's size in bytes; an artifact counts as
+    intact on resume only when its size still matches (no hashing, so a warm
+    rerun stays a few stat calls).
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(config_doc)
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     prev_ok = set()
+    sizes: dict = {}  # relative artifact path -> size in bytes when written
     if os.path.exists(manifest_path):
         try:
             with open(manifest_path) as fh:
@@ -179,12 +180,22 @@ def _run_pipeline(
                 prev_ok = {
                     t["name"] for t in old.get("tasks", []) if t["status"] in ("ok", "cached")
                 }
-        except (OSError, ValueError, KeyError):
-            prev_ok = set()
+                sizes = {str(rel): int(n) for rel, n in old.get("artifact_sizes", {}).items()}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            prev_ok, sizes = set(), {}
 
-    def outputs_present(task: Task) -> bool:
-        paths = [os.path.join(out_dir, rel) for rel in task.outputs]
-        return bool(paths) and all(os.path.isfile(p) and os.path.getsize(p) > 0 for p in paths)
+    def intact(rels: Sequence[str]) -> bool:
+        for rel in rels:
+            try:
+                if os.path.getsize(os.path.join(out_dir, rel)) != sizes.get(rel):
+                    return False
+            except OSError:
+                return False
+        return bool(rels)
+
+    def record_sizes(rels: Sequence[str]) -> None:
+        for rel in rels:
+            sizes[rel] = os.path.getsize(os.path.join(out_dir, rel))
 
     entries = {
         t.name: {"name": t.name, "status": "pending", "outputs": list(t.outputs), "wall_time_s": 0.0}
@@ -200,21 +211,18 @@ def _run_pipeline(
                 "config_hash": cfg_hash,
                 "config": config_doc,
                 "tasks": [entries[n] for n in order],
+                "artifact_sizes": dict(sorted(sizes.items())),
             },
         )
 
     cached, to_run = [], []
     for t in tasks:
-        if t.name in prev_ok and outputs_present(t) and (aggregate is None or t.load is not None):
+        if t.name in prev_ok and intact(t.outputs) and (aggregate is None or t.load is not None):
             cached.append(t)
         else:
             to_run.append(t)
 
-    agg_pending = aggregate is not None
-    if aggregate is not None and not to_run:
-        agg_paths = [os.path.join(out_dir, rel) for rel in aggregate[0]]
-        if all(os.path.isfile(p) and os.path.getsize(p) > 0 for p in agg_paths):
-            agg_pending = False
+    agg_pending = aggregate is not None and (bool(to_run) or not intact(aggregate[0]))
     if not to_run and not agg_pending:
         print(f"{out_dir}: all {len(tasks)} tasks cached; nothing to do")
         return EXIT_OK
@@ -243,6 +251,7 @@ def _run_pipeline(
                 if exc is None:
                     entry["status"] = "ok"
                     payloads[name] = payload
+                    record_sizes(entry["outputs"])
                     print(f"ok {name} ({wall:.2f}s)")
                 else:
                     entry["status"] = "failed"
@@ -253,6 +262,7 @@ def _run_pipeline(
 
     if aggregate is not None and not failures and agg_pending:
         aggregate[1](payloads)
+        record_sizes(aggregate[0])
     flush_manifest()
 
     if failures:
@@ -611,19 +621,9 @@ def cmd_wigner_slice(args) -> int:
     plane = _parse_plane(args.plane)
     grid = QuadratureGrid.from_spec(args.grid)
     if args.diagonal_form:
-        free = plane_free_coords(plane)
-        c1, c2 = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
-        coords = {name: np.full_like(c1, float(plane[name])) for name in plane}
-        coords[free[0]], coords[free[1]] = c1, c2
-        vals = wigner_diagonal_form(
-            SqueezeParams(r=args.r, n_max=args.n),
-            (coords["x"], coords["px"], coords["y"], coords["py"]),
-        )
-        lines = [f"{free[0]},{free[1]},w"]
-        for j, b in enumerate(grid.y_axis()):
-            for i, a in enumerate(grid.x_axis()):
-                lines.append(f"{float(a)!r},{float(b)!r},{float(vals[i, j])!r}")
-        _write_atomic(args.output, "\n".join(lines) + "\n")
+        free, point = plane_points(plane, grid)
+        vals = wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point)
+        _write_via(args.output, WignerSlice(free, plane, grid, vals).to_csv)
         print(f"diagonal-form slice written to {args.output} "
               f"(min {vals.min():.6f}, max {vals.max():.6f})")
         return EXIT_OK

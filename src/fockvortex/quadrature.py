@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from itertools import repeat
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 from scipy import ndimage
@@ -114,17 +115,31 @@ class QuadratureField:
 
     def to_csv(self, path) -> None:
         """Rows ordered y-outer, x-inner; header x,y,re,im,abs,arg."""
-        xs, ys = self.grid.x_axis(), self.grid.y_axis()
-        lines = ["x,y,re,im,abs,arg"]
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                v = complex(self.values[i, j])
-                lines.append(
-                    f"{float(x)!r},{float(y)!r},{v.real!r},{v.imag!r},"
-                    f"{abs(v)!r},{float(np.angle(v))!r}"
-                )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+
+        def columns(row: np.ndarray) -> tuple:
+            # Python abs (hypot) on each value, not np.abs: numpy's SIMD
+            # modulus differs in the last bit for a third of the points
+            return row.real.tolist(), row.imag.tolist(), map(abs, row.tolist()), np.angle(row).tolist()
+
+        _write_grid_csv(path, ("x", "y", "re", "im", "abs", "arg"), self.grid, self.values, columns)
+
+
+def _write_grid_csv(path, names, grid: QuadratureGrid, values: np.ndarray,
+                    columns: Callable[[np.ndarray], tuple]) -> None:
+    """Write ``values[i, j]`` on ``grid`` as CSV: header ``names``, then one
+    line per point, y-outer and x-inner, of x, y and the value columns that
+    ``columns`` derives from the y-row ``values[:, j]``.
+
+    Every number is ``repr`` of a Python float, so the bytes equal those of a
+    per-element ``f"{float(v)!r}"`` loop; axis values are formatted once per
+    axis.  The file is written one y-row at a time to keep memory bounded.
+    """
+    xs = list(map(repr, grid.x_axis().tolist()))
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for j, y in enumerate(map(repr, grid.y_axis().tolist())):
+            cols = [map(repr, col) for col in columns(values[:, j])]
+            fh.write("\n".join(map(",".join, zip(xs, repeat(y), *cols))) + "\n")
 
 
 def evaluate_field(state: TwoModeState, grid: QuadratureGrid) -> QuadratureField:

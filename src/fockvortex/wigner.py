@@ -40,11 +40,14 @@ pipelines build:
 all but ``TOL.norm`` of its weight on one diagonal is integrated on
 order^2 radial nodes in (u_a, u_b), u = 2 rho^2 (Gauss-Laguerre in
 u_a + u_b times Gauss-Legendre in the ratio u_b / (u_a + u_b), see
-``_radial_pair_rule``), times a trapezoid rule in theta with
-``max(order, s_max + 1)`` nodes, which is exact for the trigonometric
-polynomial in theta.  Density matrices, states without that symmetry and
-the ``uniform-box`` scheme take the 4-D tensor-product engine, which also
-serves as the oracle for the reduced pass in the tests and the selftest.
+``_radial_pair_rule``; the weights come from the Christoffel function,
+which keeps them accurate relative to their size at the largest nodes,
+where the degree-2N radial profiles are huge), times a trapezoid rule in
+theta with ``max(order, s_max + 1)`` nodes, which is exact for the
+trigonometric polynomial in theta.  Density matrices, states without that
+symmetry and the ``uniform-box`` scheme take the 4-D tensor-product engine,
+which also serves as the oracle for the reduced pass in the tests and the
+selftest.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ import scipy.special
 from .beamsplitter import apply_beam_splitter
 from .config import BOX_WIDTH_SCALE, GH_ORDER, MAX_REFINEMENTS, TOL
 from .errors import InvalidParameterError, InvariantError, NonConvergenceError
+from .quadrature import _write_grid_csv
 from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -377,11 +381,31 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: WignerGrid) -> Tuple[float, float]
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights from a Jacobi matrix; finite at any order, where
-    ``scipy.special.roots_laguerre`` overflows to NaN (order 384)."""
+    ``scipy.special.roots_laguerre`` overflows to NaN (order 384).
+
+    The nodes are the eigenvalues.  The weights are not taken from the
+    eigenvectors, whose components are accurate only in absolute terms (at
+    order 192 the Laguerre weight at v ~ 542 would come out as 5.9e-62
+    instead of 2.2e-232, and a degree-2N profile there multiplies the error
+    back up).  They come from the Christoffel function
+    w_i = 1 / sum_k p_k(x_i)^2 of the orthonormal polynomials, run through
+    their three-term recurrence with the running sum rescaled to 1 at every
+    step, so the weight is exp(-2 log scale) and underflows cleanly to 0.
+    At order 192 these weights match 60-digit values to 1.2e-12 relative at
+    every node whose weight is above 1e-300.
+    """
     from scipy.linalg import eigh_tridiagonal  # deferred: a module-level import costs ~70 ms
 
-    nodes, vectors = eigh_tridiagonal(diag, off)
-    weights = mass * vectors[0] ** 2
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    p_prev = np.zeros_like(nodes)
+    p = np.ones_like(nodes)
+    log_scale = np.full_like(nodes, -0.5 * math.log(mass))  # p_0 = mass^-1/2
+    for k in range(len(diag) - 1):
+        p_next = ((nodes - diag[k]) * p - (off[k - 1] * p_prev if k else 0.0)) / off[k]
+        norm = np.sqrt(1.0 + p_next * p_next)  # running sum of p^2 is 1 before this step
+        p_prev, p = p / norm, p_next / norm
+        log_scale += np.log(norm)
+    weights = np.exp(-2.0 * log_scale)
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise NonConvergenceError(
             f"Gauss rule of order {len(diag)} produced non-finite nodes/weights"
@@ -395,9 +419,14 @@ def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     In v = u_a + u_b and t = u_b / v the measure is v e^{-v} dv dt, so the rule
     is Gauss-Laguerre (alpha = 1) in v times Gauss-Legendre on [0, 1] in t;
-    both are exact for the polynomial part of W.  A tensor rule in
-    (u_a, u_b) would put the zero lines u = const of a Fock-pair W on the
-    grid axes, where the kink errors of |W| add up instead of averaging out.
+    both are exact for the polynomial part of W.  The weights come from the
+    Christoffel function (see ``_golub_welsch``), so they stay accurate
+    relative to their own size out to the largest v; eigenvector weights
+    there were off by up to 170 orders of magnitude, which took the integral
+    of W to 37.4 at r = 1.1, N = 10 once the ladder reached order 192.  A
+    tensor rule in (u_a, u_b) would put the zero lines u = const of a
+    Fock-pair W on the grid axes, where the kink errors of |W| add up instead
+    of averaging out.
     """
     k = np.arange(order, dtype=float)
     v, wv = _golub_welsch(2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0)
@@ -493,7 +522,8 @@ def negativity_volume(
     Refinement stops when successive NV estimates differ by < tol; after
     ``max_refinements`` doublings the best estimate is returned flagged
     non-converged.  The computed integral of W stands in for the exact 1;
-    a deviation beyond 10*tol flags the result under-resolved.
+    a deviation beyond 10*tol flags the result under-resolved, and an
+    under-resolved result is never reported as converged.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tol must be > 0, got {tol}")
@@ -526,13 +556,14 @@ def negativity_volume(
             break
         prev = nv
         order *= 2
+    under_resolved = abs(total_w - 1.0) > 10.0 * tol
     return NegativityResult(
         volume=history[-1][1],
         integral_abs=integral_abs,
         normalization_check=total_w,
         resolution_history=history,
-        converged=converged,
-        under_resolved=abs(total_w - 1.0) > 10.0 * tol,
+        converged=converged and not under_resolved,
+        under_resolved=under_resolved,
         engine=engine,
     )
 
@@ -556,13 +587,9 @@ class WignerSlice:
         self.values = values
 
     def to_csv(self, path) -> None:
-        c1s, c2s = self.grid.x_axis(), self.grid.y_axis()
-        lines = [f"{self.free_names[0]},{self.free_names[1]},w"]
-        for j, c2 in enumerate(c2s):
-            for i, c1 in enumerate(c1s):
-                lines.append(f"{float(c1)!r},{float(c2)!r},{float(self.values[i, j])!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Rows ordered free coord 2 outer, free coord 1 inner; header <c1>,<c2>,w."""
+        _write_grid_csv(path, (*self.free_names, "w"), self.grid, self.values,
+                        lambda row: (row.tolist(),))
 
 
 def plane_free_coords(plane: dict) -> List[str]:
@@ -575,15 +602,17 @@ def plane_free_coords(plane: dict) -> List[str]:
     return [n for n in _COORD_NAMES if n not in plane]
 
 
-def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
-    """Evaluate W on the plane that fixes exactly two of (x, px, y, py)."""
+def plane_points(plane: dict, grid2d) -> Tuple[List[str], tuple]:
+    """(free coordinate names, (x, px, y, py) arrays) of the plane's grid points;
+    arrays are indexed [i, j] by the grid's first and second axis."""
     free = plane_free_coords(plane)
     c1, c2 = np.meshgrid(grid2d.x_axis(), grid2d.y_axis(), indexing="ij")
-    coords = {}
-    for name in _COORD_NAMES:
-        if name in plane:
-            coords[name] = np.full_like(c1, float(plane[name]))
-        else:
-            coords[name] = c1 if name == free[0] else c2
-    values = wigner_state(state_or_rho, (coords["x"], coords["px"], coords["y"], coords["py"]))
-    return WignerSlice(free, plane, grid2d, values)
+    coords = {name: np.full_like(c1, float(value)) for name, value in plane.items()}
+    coords[free[0]], coords[free[1]] = c1, c2
+    return free, tuple(coords[name] for name in _COORD_NAMES)
+
+
+def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
+    """Evaluate W on the plane that fixes exactly two of (x, px, y, py)."""
+    free, point = plane_points(plane, grid2d)
+    return WignerSlice(free, plane, grid2d, wigner_state(state_or_rho, point))

@@ -378,3 +378,43 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert (tmp_path / "sweep-out" / "sweep.csv").exists()
+
+
+def test_every_artifact_gets_the_same_mode(tmp_path):
+    cfg = write_config(
+        tmp_path, r_values=[0.8], outputs=["field", "vortices", "wigner-slice", "logneg"],
+        grid="-4:4:21", slice_grid="-2:2:7",
+    )
+    old_umask = os.umask(0o022)
+    try:
+        assert main(["sweep", "--config", str(cfg)]) == 0
+    finally:
+        os.umask(old_umask)
+    out = tmp_path / "sweep-out"
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert {"field_r0p8_n2.csv", "vortices_r0p8_n2.json", "slice_r0p8_n2.csv",
+            "logneg_r0p8_n2.json", "sweep.csv", "manifest.json"} <= set(modes)
+    assert set(modes.values()) == {0o644}, modes
+
+
+def test_resume_recomputes_truncated_artifacts(tmp_path):
+    cfg = write_config(tmp_path, r_values=[0.3, 0.8], outputs=["field", "logneg"],
+                       grid="-4:4:21")
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    field, table = out / "field_r0p3_n2.csv", out / "sweep.csv"
+    originals = {p: p.read_bytes() for p in (field, table)}
+    sizes = json.loads((out / "manifest.json").read_text())["artifact_sizes"]
+    assert sizes["field_r0p3_n2.csv"] == len(originals[field])
+    assert sizes["sweep.csv"] == len(originals[table])
+
+    field.write_bytes(originals[field][: len(originals[field]) // 2])  # non-empty but cut
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    statuses = {t["name"]: t["status"]
+                for t in json.loads((out / "manifest.json").read_text())["tasks"]}
+    assert statuses == {"point-r0p3_n2": "ok", "point-r0p8_n2": "cached"}
+    assert field.read_bytes() == originals[field]
+
+    table.write_bytes(originals[table][:-3])  # the aggregate alone is cut
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert table.read_bytes() == originals[table]

@@ -1,0 +1,80 @@
+"""Byte identity of the row-streamed grid CSV writer against the per-element
+formatter it replaced, kept here as the oracle."""
+import numpy as np
+import pytest
+
+from fockvortex import (
+    QuadratureGrid,
+    SqueezeParams,
+    TwoModeState,
+    apply_beam_splitter,
+    evaluate_field,
+    make_tmss,
+    wigner_slice,
+)
+from fockvortex.cli import main
+from fockvortex.wigner import wigner_diagonal_form
+
+# distinct, non-square axes so that a swapped row/column order shows
+GRID = QuadratureGrid(-6.0, 6.0, -5.0, 5.5, 151, 121)
+SLICE_GRID = QuadratureGrid(-3.5, 3.5, -2.0, 3.0, 41, 33)
+
+
+def field_csv_oracle(field) -> bytes:
+    xs, ys = field.grid.x_axis(), field.grid.y_axis()
+    lines = ["x,y,re,im,abs,arg"]
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            v = complex(field.values[i, j])
+            lines.append(
+                f"{float(x)!r},{float(y)!r},{v.real!r},{v.imag!r},"
+                f"{abs(v)!r},{float(np.angle(v))!r}"
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def grid_csv_oracle(names, grid, values) -> bytes:
+    lines = [",".join(names)]
+    for j, c2 in enumerate(grid.y_axis()):
+        for i, c1 in enumerate(grid.x_axis()):
+            lines.append(f"{float(c1)!r},{float(c2)!r},{float(values[i, j])!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(apply_beam_splitter(make_tmss(SqueezeParams(r=0.02, n_max=3))), id="tmss"),
+        pytest.param(apply_beam_splitter(TwoModeState({(3, 3): 1.0}, cutoff=6)), id="fock"),
+    ],
+)
+def test_field_csv_matches_per_element_formatter(tmp_path, state):
+    field = evaluate_field(state, GRID)
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    assert path.read_bytes() == field_csv_oracle(field)
+
+
+@pytest.mark.parametrize(
+    "plane", [{"y": 0.0, "px": 0.0}, {"x": 0.0, "py": 0.0}, {"x": 0.25, "px": -0.5}],
+    ids=["y-px", "x-py", "x-px"],
+)
+def test_slice_csv_matches_per_element_formatter(tmp_path, plane):
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=4)))
+    sl = wigner_slice(state, plane, SLICE_GRID)
+    path = tmp_path / "slice.csv"
+    sl.to_csv(path)
+    assert path.read_bytes() == grid_csv_oracle((*sl.free_names, "w"), SLICE_GRID, sl.values)
+
+
+def test_diagonal_form_cli_csv_matches_per_element_formatter(tmp_path):
+    out = tmp_path / "diagonal.csv"
+    spec = "-3.5:3.5:41,-2:3:33"
+    code = main(["wigner-slice", "--r", "0.8", "--n", "3", "--plane", "y=0.25,px=0",
+                 f"--grid={spec}", "--diagonal-form", "-o", str(out)])
+    assert code == 0
+    grid = QuadratureGrid.from_spec(spec)
+    c1, c2 = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
+    values = wigner_diagonal_form(SqueezeParams(r=0.8, n_max=3),
+                                  (c1, np.zeros_like(c1), np.full_like(c1, 0.25), c2))
+    assert out.read_bytes() == grid_csv_oracle(("x", "py", "w"), grid, values)

@@ -29,6 +29,7 @@ from fockvortex import (
     wigner_slice,
     wigner_state,
 )
+import fockvortex.wigner as wigner_module
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
 from fockvortex.wigner import _radial_pair_rule
@@ -226,6 +227,31 @@ def test_radial_rule_finite_and_exact_at_ladder_top():
     for i, j in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         moment = float(w @ (ua**i * ub**j))
         assert moment == pytest.approx(math.factorial(i) * math.factorial(j), rel=1e-12)
+
+
+@pytest.mark.parametrize("r,n_max,order", [(1.1, 10, 192), (1.1, 14, 96)])
+def test_reduced_pass_integrates_w_to_one_at_deep_truncation(r, n_max, order):
+    # the degree-2N radial profiles peak at large v, where the Laguerre
+    # weights are tiny: they must be accurate relative to their own size
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=r, n_max=n_max)))
+    result = negativity_volume(state, WignerRule(order=order), max_refinements=0)
+    assert result.engine == "reduced-3d"
+    assert abs(result.normalization_check - 1.0) <= 1e-10
+
+
+def test_under_resolved_result_is_never_converged(monkeypatch):
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
+    assert negativity_volume(state).converged
+
+    def scaled_rule(order, rule=_radial_pair_rule):
+        ua, ub, w = rule(order)
+        return ua, ub, 1.05 * w
+
+    monkeypatch.setattr(wigner_module, "_radial_pair_rule", scaled_rule)
+    result = negativity_volume(state)
+    assert result.normalization_check == pytest.approx(1.05, abs=1e-10)
+    assert result.under_resolved
+    assert not result.converged
 
 
 @pytest.mark.parametrize(

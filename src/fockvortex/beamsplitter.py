@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from math import lgamma
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
 
 
 def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
-    """Unnormalized closed-form amplitudes on the (2N+1)^2 grid."""
+    """Normalized closed-form amplitudes on the (2N+1)^2 grid."""
     n = params.n_max
     t = math.tanh(params.r)
     lg = _lgamma_table(2 * n + 2)
@@ -82,7 +82,14 @@ def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
                 )
                 m = l - k
                 out[j - m, j + m] += pref * phase_base ** (k + l) * c
-    return out
+    return out / np.linalg.norm(out)
+
+
+def _oracle_check(params: SqueezeParams) -> Tuple[np.ndarray, np.ndarray]:
+    """(closed-form amplitudes, their per-amplitude distance to the oracle)."""
+    dense = _closed_form_dense(params)
+    oracle = apply_beam_splitter(make_tmss(params)).to_dense()
+    return dense, np.abs(dense - oracle)
 
 
 def closed_form_deviation(params: SqueezeParams) -> float:
@@ -90,23 +97,18 @@ def closed_form_deviation(params: SqueezeParams) -> float:
 
     Diagnostic companion to ``closed_form_vortex_state``; does not raise.
     """
-    dense = _closed_form_dense(params)
-    dense = dense / np.linalg.norm(dense)
-    oracle = apply_beam_splitter(make_tmss(params)).to_dense()
-    return float(np.max(np.abs(dense - oracle)))
+    return float(_oracle_check(params)[1].max())
 
 
 def closed_form_vortex_state(params: SqueezeParams, verify: bool = True) -> TwoModeState:
     """Vortex state from the coefficient formula, validated against the oracle."""
-    dense = _closed_form_dense(params)
-    dense = dense / np.linalg.norm(dense)
-    if verify:
-        oracle = apply_beam_splitter(make_tmss(params)).to_dense()
-        dev = np.abs(dense - oracle)
-        worst = float(dev.max())
-        if worst > TOL.oracle:
-            na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
+    if not verify:
+        return TwoModeState.from_dense(_closed_form_dense(params), 2 * params.n_max)
+    dense, dev = _oracle_check(params)
+    worst = float(dev.max())
+    if worst > TOL.oracle:
+        na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
     return TwoModeState.from_dense(dense, 2 * params.n_max)
 
 

@@ -1,5 +1,12 @@
 """Command-line front end: figure pipelines, parameter sweeps, selftest.
 
+Figures 1-4 and every sweep point run the same per-(r, N) task,
+``_point_task``: it builds the state once and writes the requested field
+CSV, vortex JSON, Wigner-slice CSV, NV JSON and log-negativity JSON, each
+from one place.  Figure 5 keeps one task per N.  The tables
+(``nv_table.csv``, ``logneg_table.csv``, ``sweep.csv``) all go through one
+writer, ``_write_table``.
+
 Artifacts (CSV/JSON data files) are written atomically (temp file +
 rename) and are byte-identical across runs with identical inputs.  Each
 pipeline directory carries a manifest.json recording the tool version,
@@ -11,6 +18,7 @@ configuration and tool version recomputes nothing and rewrites nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -18,13 +26,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
-from .config import TOL
+from .config import GH_ORDER, TOL
 from .entanglement import log_negativity, partial_transpose
 from .errors import (
     EigensolverError,
@@ -80,7 +88,26 @@ FIG5_R_VALUES = tuple(round(0.1 * k, 1) for k in range(1, 16))
 SLICE_PLANES = ({"y": 0.0, "px": 0.0}, {"x": 0.0, "py": 0.0})
 FIELD_GRID = "-6.0:6.0:301"
 SLICE_GRID = "-3.5:3.5:101"
-SWEEP_OUTPUTS = ("field", "vortices", "wigner-slice", "nv", "logneg")
+
+# per-point output kind -> artifact name, formatted with the point's tag
+_ARTIFACT_NAMES = {
+    "field": "field_{}.csv",
+    "vortices": "vortices_{}.json",
+    "wigner-slice": "slice_{}.csv",
+    "nv": "nv_{}.json",
+    "logneg": "logneg_{}.json",
+}
+SWEEP_OUTPUTS = tuple(_ARTIFACT_NAMES)
+# point settings for figures, and for sweep configs that leave them out
+POINT_DEFAULTS = {
+    "grid": FIELD_GRID,
+    "slice_grid": SLICE_GRID,
+    "slice_plane": SLICE_PLANES[0],
+    "nv_tol": TOL.nv,
+    "nv_order": GH_ORDER,
+}
+# keys of a log-negativity row, and the columns of every table of them
+_LOGNEG_COLUMNS = ("r", "n", "l_before", "l_after", "ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +137,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_json(path: str, doc: dict) -> None:
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _config_hash(doc: dict) -> str:
@@ -147,22 +179,22 @@ def _build_state(r: float, n: int, fock_input: bool, pre_bs: bool = False) -> Tw
 
 class Task(NamedTuple):
     name: str
-    outputs: Tuple[str, ...]              # artifact paths relative to out_dir
-    run: Callable[[], Optional[dict]]     # computes + writes artifacts, returns payload
-    load: Optional[Callable[[], Optional[dict]]] = None  # payload from existing artifacts
+    outputs: Tuple[str, ...]      # artifact paths relative to out_dir
+    run: Callable[[], dict]       # computes + writes artifacts, returns payload
+    load: Callable[[], dict]      # payload from existing artifacts
 
 
-def _run_pipeline(
-    out_dir: str,
-    config_doc: dict,
-    tasks: Sequence[Task],
-    aggregate: Optional[Tuple[Tuple[str, ...], Callable[[dict], None]]] = None,
-) -> int:
+# (path relative to out_dir, header, fn(payloads by task name) -> rows)
+Table = Tuple[str, Sequence[str], Callable[[dict], Iterable[Sequence]]]
+
+
+def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
+                  table: Optional[Table] = None) -> int:
     """Run tasks on a thread pool, maintain manifest.json, support resume.
 
-    aggregate = (relative output paths, fn(payloads by task name)) run after
-    all tasks; skipped when every task was cached and its outputs are intact.
-    The manifest records each artifact's size in bytes; an artifact counts as
+    ``table`` is written from every task's payload after all tasks; it is
+    skipped when every task was cached and the table is intact.  The
+    manifest records each artifact's size in bytes; an artifact counts as
     intact on resume only when its size still matches (no hashing, so a warm
     rerun stays a few stat calls).
     """
@@ -174,8 +206,7 @@ def _run_pipeline(
     sizes: dict = {}  # relative artifact path -> size in bytes when written
     if os.path.exists(manifest_path):
         try:
-            with open(manifest_path) as fh:
-                old = json.load(fh)
+            old = _read_json(manifest_path)
             if old.get("config_hash") == cfg_hash and old.get("tool_version") == __version__:
                 prev_ok = {
                     t["name"] for t in old.get("tasks", []) if t["status"] in ("ok", "cached")
@@ -217,13 +248,13 @@ def _run_pipeline(
 
     cached, to_run = [], []
     for t in tasks:
-        if t.name in prev_ok and intact(t.outputs) and (aggregate is None or t.load is not None):
+        if t.name in prev_ok and intact(t.outputs):
             cached.append(t)
         else:
             to_run.append(t)
 
-    agg_pending = aggregate is not None and (bool(to_run) or not intact(aggregate[0]))
-    if not to_run and not agg_pending:
+    table_pending = table is not None and (bool(to_run) or not intact((table[0],)))
+    if not to_run and not table_pending:
         print(f"{out_dir}: all {len(tasks)} tasks cached; nothing to do")
         return EXIT_OK
 
@@ -231,8 +262,7 @@ def _run_pipeline(
     failures: List[Tuple[str, BaseException]] = []
     for t in cached:
         entries[t.name]["status"] = "cached"
-        if t.load is not None:
-            payloads[t.name] = t.load()
+        payloads[t.name] = t.load()
 
     def execute(task: Task):
         start = time.perf_counter()
@@ -260,9 +290,10 @@ def _run_pipeline(
                     print(f"FAIL {name}: {type(exc).__name__}: {exc}")
                 flush_manifest()
 
-    if aggregate is not None and not failures and agg_pending:
-        aggregate[1](payloads)
-        record_sizes(aggregate[0])
+    if table_pending and not failures:
+        rel, header, rows = table
+        _write_table(os.path.join(out_dir, rel), header, rows(payloads))
+        record_sizes((rel,))
     flush_manifest()
 
     if failures:
@@ -277,39 +308,58 @@ def _run_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# shared artifact builders
+# per-point task and tables
 # ---------------------------------------------------------------------------
 
-def _field_task(out_dir: str, tag: str, r: float, n: int, fock_input: bool, grid_spec: str,
-                with_vortices: bool = True) -> Task:
-    field_rel = f"field_{tag}.csv"
-    vort_rel = f"vortices_{tag}.json"
-    outputs = (field_rel, vort_rel) if with_vortices else (field_rel,)
-
-    def run() -> None:
-        state = _build_state(r, n, fock_input)
-        grid = QuadratureGrid.from_spec(grid_spec)
-        fld = evaluate_field(state, grid)
-        _write_via(os.path.join(out_dir, field_rel), fld.to_csv)
-        if with_vortices:
-            report = count_vortices(fld)
-            doc = {"r": r, "n_max": n, "input": "fock" if fock_input else "tmss",
-                   "grid": grid_spec}
-            doc.update(report.to_json_dict())
-            _write_json(os.path.join(out_dir, vort_rel), doc)
-
-    return Task(f"field-{tag}", outputs, run)
+def _vortex_doc(r: float, n: int, fock_input: bool, grid_spec: str, report) -> dict:
+    return {"r": r, "n_max": n, "input": "fock" if fock_input else "tmss", "grid": grid_spec,
+            **report.to_json_dict()}
 
 
-def _slice_task(out_dir: str, tag: str, r: float, n: int, plane: dict, grid_spec: str) -> Task:
-    rel = f"slice_{tag}.csv"
+def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
+                fock_input: bool = False) -> Task:
+    """The one production path of every per-(r, N) artifact.
 
-    def run() -> None:
-        state = _build_state(r, n, fock_input=False)
-        sl = wigner_slice(state, plane, QuadratureGrid.from_spec(grid_spec))
-        _write_via(os.path.join(out_dir, rel), sl.to_csv)
+    Builds the state once and writes each kind in ``cfg["outputs"]`` as
+    ``_ARTIFACT_NAMES[kind]`` with ``tag``; the other ``POINT_DEFAULTS`` keys
+    of ``cfg`` set grids, slice plane and NV rule.  Vortices are counted on
+    the field, so asking for them writes the field too.  The payload holds
+    r, n and the NV and log-negativity documents that were asked for.
+    """
+    kinds = set(cfg["outputs"])
+    if "vortices" in kinds:
+        kinds.add("field")
+    rels = {kind: pattern.format(tag) for kind, pattern in _ARTIFACT_NAMES.items() if kind in kinds}
+    paths = {kind: os.path.join(out_dir, rel) for kind, rel in rels.items()}
 
-    return Task(f"slice-{tag}", (rel,), run)
+    def run() -> dict:
+        payload = {"r": r, "n": n}
+        if kinds & {"field", "wigner-slice", "nv"}:
+            state = _build_state(r, n, fock_input)
+        if "field" in kinds:
+            fld = evaluate_field(state, QuadratureGrid.from_spec(cfg["grid"]))
+            _write_via(paths["field"], fld.to_csv)
+            if "vortices" in kinds:
+                report = count_vortices(fld)
+                _write_json(paths["vortices"], _vortex_doc(r, n, fock_input, cfg["grid"], report))
+        if "wigner-slice" in kinds:
+            sl = wigner_slice(state, cfg["slice_plane"], QuadratureGrid.from_spec(cfg["slice_grid"]))
+            _write_via(paths["wigner-slice"], sl.to_csv)
+        if "nv" in kinds:
+            result = negativity_volume(state, WignerRule(order=cfg["nv_order"]), tol=cfg["nv_tol"])
+            payload["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
+            _write_json(paths["nv"], payload["nv"])
+        if "logneg" in kinds:
+            payload["logneg"] = _logneg_row(r, n)
+            _write_json(paths["logneg"], payload["logneg"])
+        return payload
+
+    def load() -> dict:
+        payload = {"r": r, "n": n}
+        payload.update((kind, _read_json(paths[kind])) for kind in kinds & {"nv", "logneg"})
+        return payload
+
+    return Task(name, tuple(rels.values()), run, load)
 
 
 def _logneg_row(r: float, n: int) -> dict:
@@ -322,11 +372,21 @@ def _logneg_row(r: float, n: int) -> dict:
 
 
 def _fmt(value) -> str:
+    """One table cell: blank for None, ``repr`` for floats (numpy ones too)."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _by_point(payloads: dict) -> list:
+    return sorted(payloads.values(), key=lambda p: (p["n"], p["r"]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,122 +394,101 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 def _figure_tasks(figure: int, out_dir: str, fock_input: bool):
-    """(config_doc, tasks, aggregate) for one figure pipeline."""
+    """(config_doc, tasks, table) for one figure pipeline."""
     if figure == 1:
         cfg = {"figure": 1, "r": FIG1_R, "n_values": list(FIG1_N_VALUES),
                "input": "fock" if fock_input else "tmss", "grid": FIELD_GRID}
-        tasks = [
-            _field_task(out_dir, f"n{n}", FIG1_R, n, fock_input, FIELD_GRID)
-            for n in FIG1_N_VALUES
-        ]
+        point = dict(POINT_DEFAULTS, outputs=("field", "vortices"))
+        tasks = [_point_task(out_dir, f"field-n{n}", f"n{n}", FIG1_R, n, point, fock_input)
+                 for n in FIG1_N_VALUES]
         return cfg, tasks, None
+
+    def slices(tag: str, r: float, n: int) -> List[Task]:
+        return [
+            _point_task(out_dir, f"slice-{tag}_plane{i}", f"{tag}_plane{i}", r, n,
+                        dict(POINT_DEFAULTS, outputs=("wigner-slice",), slice_plane=plane))
+            for i, plane in enumerate(SLICE_PLANES, start=1)
+        ]
 
     if figure == 2:
         cfg = {"figure": 2, "n_max": FIG2_N, "r_values": list(FIG2_R_VALUES),
                "planes": list(SLICE_PLANES), "grid": SLICE_GRID}
-        tasks = [
-            _slice_task(out_dir, f"r{_num_tag(r)}_plane{i}", r, FIG2_N, plane, SLICE_GRID)
-            for r in FIG2_R_VALUES
-            for i, plane in enumerate(SLICE_PLANES, start=1)
-        ]
-        return cfg, tasks, None
+        return cfg, [t for r in FIG2_R_VALUES for t in slices(f"r{_num_tag(r)}", r, FIG2_N)], None
 
     if figure == 3:
         cfg = {"figure": 3, "r": FIG3_R, "n_values": list(FIG3_N_VALUES),
                "planes": list(SLICE_PLANES), "grid": SLICE_GRID}
-        tasks = [
-            _slice_task(out_dir, f"n{n}_plane{i}", FIG3_R, n, plane, SLICE_GRID)
-            for n in FIG3_N_VALUES
-            for i, plane in enumerate(SLICE_PLANES, start=1)
-        ]
-        return cfg, tasks, None
+        return cfg, [t for n in FIG3_N_VALUES for t in slices(f"n{n}", FIG3_R, n)], None
 
     if figure == 4:
         cfg = {"figure": 4, "n_values": list(FIG4_N_VALUES), "r_values": list(FIG4_R_VALUES)}
+        point = dict(POINT_DEFAULTS, outputs=("nv",))
         tasks = []
         for n in FIG4_N_VALUES:
             for r in FIG4_R_VALUES:
                 tag = f"n{n}_r{_num_tag(r)}"
-                rel = f"nv_{tag}.json"
+                tasks.append(_point_task(out_dir, f"nv-{tag}", tag, r, n, point))
 
-                def run(r=r, n=n, rel=rel) -> dict:
-                    result = negativity_volume(_build_state(r, n, fock_input=False))
-                    doc = {"r": r, "n_max": n}
-                    doc.update(result.to_json_dict())
-                    _write_json(os.path.join(out_dir, rel), doc)
-                    return doc
+        def nv_rows(payloads: dict):
+            for p in _by_point(payloads):
+                d = p["nv"]
+                yield (p["r"], p["n"], d["volume"], d["normalization_check"],
+                       d["resolution_history"][-1][0], d["converged"])
 
-                def load(rel=rel) -> dict:
-                    with open(os.path.join(out_dir, rel)) as fh:
-                        return json.load(fh)
+        header = ("r", "n", "nv", "normalization_check", "final_order", "converged")
+        return cfg, tasks, ("nv_table.csv", header, nv_rows)
 
-                tasks.append(Task(f"nv-{tag}", (rel,), run, load))
+    # figure 5: one task per N over every r, written as one document
+    cfg = {"figure": 5, "n_values": list(FIG5_N_VALUES), "r_values": list(FIG5_R_VALUES)}
+    tasks = []
+    for n in FIG5_N_VALUES:
+        rel = f"logneg_n{n}.json"
+        path = os.path.join(out_dir, rel)
 
-        def assemble(payloads: dict) -> None:
-            rows = sorted(payloads.values(), key=lambda d: (d["n_max"], d["r"]))
-            lines = ["r,n,nv,normalization_check,final_order,converged"]
-            for d in rows:
-                final_order = d["resolution_history"][-1][0]
-                lines.append(
-                    f"{_fmt(float(d['r']))},{d['n_max']},{_fmt(float(d['volume']))},"
-                    f"{_fmt(float(d['normalization_check']))},{final_order},{d['converged']}"
-                )
-            _write_atomic(os.path.join(out_dir, "nv_table.csv"), "\n".join(lines) + "\n")
+        def run(n=n, path=path) -> dict:
+            doc = {"n_max": n, "rows": [_logneg_row(r, n) for r in FIG5_R_VALUES]}
+            _write_json(path, doc)
+            return doc
 
-        return cfg, tasks, (("nv_table.csv",), assemble)
+        tasks.append(Task(f"logneg-n{n}", (rel,), run, functools.partial(_read_json, path)))
 
-    if figure == 5:
-        cfg = {"figure": 5, "n_values": list(FIG5_N_VALUES), "r_values": list(FIG5_R_VALUES)}
-        tasks = []
-        for n in FIG5_N_VALUES:
-            rel = f"logneg_n{n}.json"
+    def logneg_rows(payloads: dict):
+        for doc in sorted(payloads.values(), key=lambda d: d["n_max"]):
+            for row in doc["rows"]:
+                yield [row[k] for k in _LOGNEG_COLUMNS]
 
-            def run(n=n, rel=rel) -> dict:
-                rows = [_logneg_row(r, n) for r in FIG5_R_VALUES]
-                doc = {"n_max": n, "rows": rows}
-                _write_json(os.path.join(out_dir, rel), doc)
-                return doc
-
-            def load(rel=rel) -> dict:
-                with open(os.path.join(out_dir, rel)) as fh:
-                    return json.load(fh)
-
-            tasks.append(Task(f"logneg-n{n}", (rel,), run, load))
-
-        def assemble(payloads: dict) -> None:
-            lines = ["r,n,l_before,l_after,ratio"]
-            for doc in sorted(payloads.values(), key=lambda d: d["n_max"]):
-                for row in doc["rows"]:
-                    lines.append(
-                        f"{_fmt(float(row['r']))},{row['n']},{_fmt(float(row['l_before']))},"
-                        f"{_fmt(float(row['l_after']))},"
-                        f"{_fmt(None if row['ratio'] is None else float(row['ratio']))}"
-                    )
-            _write_atomic(os.path.join(out_dir, "logneg_table.csv"), "\n".join(lines) + "\n")
-
-        return cfg, tasks, (("logneg_table.csv",), assemble)
-
-    raise InvalidParameterError(f"unknown figure id {figure}; expected 1-5")
+    return cfg, tasks, ("logneg_table.csv", _LOGNEG_COLUMNS, logneg_rows)
 
 
 def cmd_figure(args) -> int:
-    try:
-        figure = int(args.figure.lstrip("fig")) if isinstance(args.figure, str) else args.figure
-    except ValueError:
+    figure = args.figure.removeprefix("fig")
+    if figure not in ("1", "2", "3", "4", "5"):
         raise InvalidParameterError(f"figure id must be 1-5 or fig1..fig5, got {args.figure!r}")
     out_dir = args.out or os.path.join("figures", f"fig{figure}")
-    cfg, tasks, aggregate = _figure_tasks(figure, out_dir, args.fock_input)
-    return _run_pipeline(out_dir, cfg, tasks, aggregate)
+    return _run_pipeline(out_dir, *_figure_tasks(int(figure), out_dir, args.fock_input))
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
+def _real(value) -> float:
+    """A numeric config value; a boolean is malformed, not 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """An integer config value; booleans and non-integral numbers are malformed."""
+    if _real(value) != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _load_sweep_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _read_json(path)
     except OSError as exc:
         raise InvalidParameterError(f"cannot read sweep config {path}: {exc}")
     except ValueError as exc:
@@ -459,30 +498,33 @@ def _load_sweep_config(path: str) -> dict:
     for key in ("r_values", "n_values", "outputs"):
         if key not in raw:
             raise InvalidParameterError(f"sweep config missing required key {key!r}")
-    r_values = [float(r) for r in raw["r_values"]]
-    n_values = [int(n) for n in raw["n_values"]]
-    outputs = list(raw["outputs"])
-    if not r_values or not n_values:
+    settings = dict(POINT_DEFAULTS, **raw)
+    try:
+        cfg = {
+            "r_values": [_real(r) for r in raw["r_values"]],
+            "n_values": [_count(n) for n in raw["n_values"]],
+            "outputs": sorted(raw["outputs"]),
+            "grid": str(settings["grid"]),
+            "slice_grid": str(settings["slice_grid"]),
+            "slice_plane": settings["slice_plane"],
+            "nv_tol": _real(settings["nv_tol"]),
+            "nv_order": _count(settings["nv_order"]),
+            "output_dir": raw.get("output_dir", "sweep-out"),
+        }
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"malformed sweep config value: {exc}")
+    if not cfg["r_values"] or not cfg["n_values"]:
         raise InvalidParameterError("r_values and n_values must be non-empty")
-    for r in r_values:
-        for n in n_values:
+    for r in cfg["r_values"]:
+        for n in cfg["n_values"]:
             SqueezeParams(r=r, n_max=n)
-    unknown = set(outputs) - set(SWEEP_OUTPUTS)
-    if not outputs or unknown:
+    unknown = [kind for kind in cfg["outputs"] if kind not in SWEEP_OUTPUTS]
+    if not cfg["outputs"] or unknown:
         raise InvalidParameterError(
-            f"outputs must be a non-empty subset of {SWEEP_OUTPUTS}; offending: {sorted(unknown)}"
+            f"outputs must be a non-empty subset of {SWEEP_OUTPUTS}; offending: {unknown}"
         )
-    cfg = {
-        "r_values": r_values,
-        "n_values": n_values,
-        "outputs": sorted(outputs),
-        "grid": str(raw.get("grid", FIELD_GRID)),
-        "slice_grid": str(raw.get("slice_grid", SLICE_GRID)),
-        "slice_plane": raw.get("slice_plane", {"y": 0.0, "px": 0.0}),
-        "nv_tol": float(raw.get("nv_tol", TOL.nv)),
-        "nv_order": int(raw.get("nv_order", WignerRule().order)),
-        "output_dir": raw.get("output_dir", "sweep-out"),
-    }
+    if not isinstance(cfg["output_dir"], str):
+        raise InvalidParameterError(f"output_dir must be a path string, got {cfg['output_dir']!r}")
     if not isinstance(cfg["slice_plane"], dict):
         raise InvalidParameterError("slice_plane must be an object of coordinate: value")
     plane_free_coords(cfg["slice_plane"])
@@ -495,92 +537,21 @@ def _load_sweep_config(path: str) -> dict:
 def cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args.config)
     out_dir = args.out or cfg["output_dir"]
-    outputs = cfg["outputs"]
-    want = {name: name in outputs for name in SWEEP_OUTPUTS}
-
-    tasks: List[Task] = []
+    tasks = []
     for n in cfg["n_values"]:
         for r in cfg["r_values"]:
             tag = f"r{_num_tag(r)}_n{n}"
-            rels: List[str] = []
-            if want["field"] or want["vortices"]:
-                rels.append(f"field_{tag}.csv")
-            if want["vortices"]:
-                rels.append(f"vortices_{tag}.json")
-            if want["wigner-slice"]:
-                rels.append(f"slice_{tag}.csv")
-            if want["nv"]:
-                rels.append(f"nv_{tag}.json")
-            if want["logneg"]:
-                rels.append(f"logneg_{tag}.json")
+            tasks.append(_point_task(out_dir, f"point-{tag}", tag, r, n, cfg))
+    with_nv = "nv" in cfg["outputs"]
 
-            def run(r=r, n=n, tag=tag) -> dict:
-                payload = {"r": r, "n": n, "l_before": None, "l_after": None,
-                           "ratio": None, "nv": None}
-                state = None
-                if want["field"] or want["vortices"]:
-                    state = _build_state(r, n, fock_input=False)
-                    fld = evaluate_field(state, QuadratureGrid.from_spec(cfg["grid"]))
-                    _write_via(os.path.join(out_dir, f"field_{tag}.csv"), fld.to_csv)
-                    if want["vortices"]:
-                        doc = {"r": r, "n_max": n, "input": "tmss", "grid": cfg["grid"]}
-                        doc.update(count_vortices(fld).to_json_dict())
-                        _write_json(os.path.join(out_dir, f"vortices_{tag}.json"), doc)
-                if want["wigner-slice"]:
-                    state = state or _build_state(r, n, fock_input=False)
-                    sl = wigner_slice(state, cfg["slice_plane"],
-                                      QuadratureGrid.from_spec(cfg["slice_grid"]))
-                    _write_via(os.path.join(out_dir, f"slice_{tag}.csv"), sl.to_csv)
-                if want["nv"]:
-                    state = state or _build_state(r, n, fock_input=False)
-                    result = negativity_volume(
-                        state, WignerRule(order=cfg["nv_order"]), tol=cfg["nv_tol"]
-                    )
-                    payload["nv"] = result.volume
-                    doc = {"r": r, "n_max": n}
-                    doc.update(result.to_json_dict())
-                    _write_json(os.path.join(out_dir, f"nv_{tag}.json"), doc)
-                if want["logneg"]:
-                    row = _logneg_row(r, n)
-                    payload.update(
-                        l_before=row["l_before"], l_after=row["l_after"], ratio=row["ratio"]
-                    )
-                    _write_json(os.path.join(out_dir, f"logneg_{tag}.json"), row)
-                return payload
+    def rows(payloads: dict):
+        for p in _by_point(payloads):
+            # the point's own r and n, with blank log-negativity cells if not asked for
+            row = [p.get("logneg", p).get(k) for k in _LOGNEG_COLUMNS]
+            yield row + [p["nv"]["volume"]] if with_nv else row
 
-            def load(r=r, n=n, tag=tag) -> dict:
-                payload = {"r": r, "n": n, "l_before": None, "l_after": None,
-                           "ratio": None, "nv": None}
-                if want["nv"]:
-                    with open(os.path.join(out_dir, f"nv_{tag}.json")) as fh:
-                        payload["nv"] = json.load(fh)["volume"]
-                if want["logneg"]:
-                    with open(os.path.join(out_dir, f"logneg_{tag}.json")) as fh:
-                        row = json.load(fh)
-                    payload.update(
-                        l_before=row["l_before"], l_after=row["l_after"], ratio=row["ratio"]
-                    )
-                return payload
-
-            tasks.append(Task(f"point-{tag}", tuple(rels), run, load))
-
-    def assemble(payloads: dict) -> None:
-        rows = sorted(payloads.values(), key=lambda d: (d["n"], d["r"]))
-        header = "r,n,l_before,l_after,ratio" + (",nv" if want["nv"] else "")
-        lines = [header]
-        for d in rows:
-            line = (
-                f"{_fmt(float(d['r']))},{d['n']},"
-                f"{_fmt(None if d['l_before'] is None else float(d['l_before']))},"
-                f"{_fmt(None if d['l_after'] is None else float(d['l_after']))},"
-                f"{_fmt(None if d['ratio'] is None else float(d['ratio']))}"
-            )
-            if want["nv"]:
-                line += f",{_fmt(None if d['nv'] is None else float(d['nv']))}"
-            lines.append(line)
-        _write_atomic(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
-
-    return _run_pipeline(out_dir, cfg, tasks, (("sweep.csv",), assemble))
+    header = _LOGNEG_COLUMNS + (("nv",) if with_nv else ())
+    return _run_pipeline(out_dir, cfg, tasks, ("sweep.csv", header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +579,7 @@ def cmd_field(args) -> int:
     print(f"field written to {args.output} (grid {args.grid}, riemann norm {fld.norm_riemann():.6f})")
     if args.vortices:
         report = count_vortices(fld)
-        doc = {"r": args.r, "n_max": args.n,
-               "input": "fock" if args.fock_input else "tmss", "grid": args.grid}
-        doc.update(report.to_json_dict())
-        _write_json(args.vortices, doc)
+        _write_json(args.vortices, _vortex_doc(args.r, args.n, args.fock_input, args.grid, report))
         print(f"vortices: count={report.count} total_charge={report.total_charge} "
               f"-> {args.vortices}")
     return EXIT_OK
@@ -637,8 +605,7 @@ def cmd_wigner_slice(args) -> int:
 
 def cmd_nv(args) -> int:
     state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
-    rule = WignerRule(scheme=args.scheme, order=args.order, box_half_width=args.box_half_width)
-    result = negativity_volume(state, rule, tol=args.tol)
+    result = negativity_volume(state, WignerRule(order=args.order), tol=args.tol)
     history = ", ".join(f"{o}:{v:.6f}" for o, v in result.resolution_history)
     print(f"negativity volume = {result.volume:.6f} "
           f"(integral of W = {result.normalization_check:.6f}; orders {history})")
@@ -859,21 +826,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(fn=cmd_selftest)
 
-    p = sub.add_parser("field", help="write the transverse quadrature field as CSV")
-    p.add_argument("--r", type=float, required=True, help="squeezing parameter")
-    p.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
-    p.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
-    p.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
+    # the state options of the single-shot commands
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--r", type=float, required=True, help="squeezing parameter")
+    point.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
+    point.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
+    point.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
+
+    p = sub.add_parser("field", parents=[point], help="write the transverse quadrature field as CSV")
     p.add_argument("--grid", default=FIELD_GRID, help="grid spec min:max:n[,min:max:n]")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     p.add_argument("--vortices", help="also write a vortex-detection JSON report here")
     p.set_defaults(fn=cmd_field)
 
-    p = sub.add_parser("wigner-slice", help="write a 2-D Wigner slice as CSV")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fock-input", action="store_true")
-    p.add_argument("--pre-bs", action="store_true")
+    p = sub.add_parser("wigner-slice", parents=[point], help="write a 2-D Wigner slice as CSV")
     p.add_argument("--plane", default="y=0,px=0", help="two fixed coords, e.g. 'y=0,px=0'")
     p.add_argument("--grid", default=SLICE_GRID, help="grid spec for the two free coords")
     p.add_argument("--diagonal-form", action="store_true",
@@ -881,16 +847,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_wigner_slice)
 
-    p = sub.add_parser("nv", help="compute the Wigner negativity volume")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fock-input", action="store_true")
-    p.add_argument("--pre-bs", action="store_true")
+    p = sub.add_parser("nv", parents=[point], help="compute the Wigner negativity volume")
     p.add_argument("--tol", type=float, default=TOL.nv)
-    p.add_argument("--order", type=int, default=WignerRule().order)
-    p.add_argument("--scheme", default="tensor-gauss-hermite",
-                   choices=("tensor-gauss-hermite", "uniform-box"))
-    p.add_argument("--box-half-width", type=float, default=None)
+    p.add_argument("--order", type=int, default=GH_ORDER)
     p.add_argument("--json", help="write the result as JSON here")
     p.set_defaults(fn=cmd_nv)
 

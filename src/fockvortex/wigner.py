@@ -52,6 +52,7 @@ selftest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
@@ -285,7 +286,6 @@ _SCHEMES = ("tensor-gauss-hermite", "uniform-box")
 class WignerRule:
     scheme: str = "tensor-gauss-hermite"
     order: int = GH_ORDER
-    box_half_width: Optional[float] = None
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -323,7 +323,7 @@ def build_wigner_grid(rule: WignerRule, cutoff: int, order: Optional[int] = None
                 f"Gauss-Hermite rule of order {o} produced non-finite nodes/weights"
             )
         return WignerGrid(u / _SQRT2, w / _SQRT2, rule)
-    h = rule.box_half_width or BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
+    h = BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
     edges = np.linspace(-h, h, o + 1)
     q = 0.5 * (edges[:-1] + edges[1:])
     return WignerGrid(q, (2.0 * h / o) * np.exp(-2.0 * q * q), rule)
@@ -593,12 +593,16 @@ class WignerSlice:
 
 
 def plane_free_coords(plane: dict) -> List[str]:
-    """The two free coordinates of a plane that fixes exactly two of (x, px, y, py)."""
+    """The two free coordinates of a plane that fixes exactly two of (x, px, y, py)
+    to finite numbers."""
     bad = set(plane) - set(_COORD_NAMES)
     if bad:
         raise InvalidParameterError(f"unknown coordinates in plane: {sorted(bad)}")
     if len(plane) != 2:
         raise InvalidParameterError("plane must fix exactly two of x, px, y, py")
+    for name, value in plane.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise InvalidParameterError(f"plane value for {name} must be a finite number, got {value!r}")
     return [n for n in _COORD_NAMES if n not in plane]
 
 

@@ -84,6 +84,11 @@ def test_injected_fault_is_caught():
         with pytest.raises(CoefficientMismatchError) as info:
             closed_form_vortex_state(SqueezeParams(r=0.5, n_max=2), verify=True)
         assert info.value.max_deviation > 1e-3
+        # the diagnostic reports the same worst gap, located on the output's
+        # even-even support of the (2N+1)^2 grid
+        assert closed_form_deviation(SqueezeParams(r=0.5, n_max=2)) == info.value.max_deviation
+        na, nb = info.value.pair
+        assert 0 <= na <= 4 and 0 <= nb <= 4 and na % 2 == nb % 2 == 0
     finally:
         inject_fault(False)
     closed_form_vortex_state(SqueezeParams(r=0.5, n_max=2), verify=True)

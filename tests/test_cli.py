@@ -40,7 +40,7 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("figure_id", ["9", "0", "abc", "fig77"])
+@pytest.mark.parametrize("figure_id", ["9", "0", "abc", "fig77", "gif4", "ffig5"])
 def test_bad_figure_id_exits_usage(tmp_path, figure_id, capsys):
     code = main(["figure", figure_id, "--out", str(tmp_path / "out")])
     assert code == 2
@@ -342,11 +342,35 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         {"slice_plane": {"z": 0, "px": 0}, "outputs": ["wigner-slice"]},
         # passes the up-front checks; the task itself raises the usage error
         {"grid": "-1:1", "outputs": ["field"]},
+        # malformed values: not a number, not a list, not an integer, a boolean, not a path
+        {"r_values": ["abc"]},
+        {"r_values": 0.5},
+        {"nv_order": "x", "outputs": ["nv"]},
+        {"nv_tol": None, "outputs": ["nv"]},
+        {"n_values": [2.5]},
+        {"slice_plane": {"y": "a", "px": 0}, "outputs": ["wigner-slice"]},
+        {"r_values": [True]},
+        {"output_dir": 5},
     ],
 )
 def test_sweep_invalid_values_exit_usage(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+def test_sweep_point_matches_figure_artifacts(tmp_path):
+    """At the figure defaults a sweep point writes the same bytes as the
+    figure task for that point: figure 4's NV and figure 2's first slice."""
+    cfg = write_config(tmp_path, r_values=[0.6, 0.8], n_values=[2, 6],
+                       outputs=["nv", "wigner-slice"])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
+    assert main(["figure", "2", "--out", str(tmp_path / "fig2")]) == 0
+    sweep = tmp_path / "sweep-out"
+    assert ((sweep / "nv_r0p8_n2.json").read_bytes()
+            == (tmp_path / "fig4" / "nv_n2_r0p8.json").read_bytes())
+    assert ((sweep / "slice_r0p6_n6.csv").read_bytes()
+            == (tmp_path / "fig2" / "slice_r0p6_plane1.csv").read_bytes())
 
 
 def test_sweep_missing_key_and_bad_json_exit_usage(tmp_path):

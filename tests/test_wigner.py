@@ -356,6 +356,9 @@ def test_slice_plane_validation():
         wigner_slice(state, {"y": 0.0, "px": 0.0, "x": 0.0}, grid)
     with pytest.raises(InvalidParameterError):
         wigner_slice(state, {"q": 0.0, "px": 0.0}, grid)
+    for bad in (float("nan"), float("inf"), "0", True, None):
+        with pytest.raises(InvalidParameterError):
+            wigner_slice(state, {"y": bad, "px": 0.0}, grid)
 
 
 def test_slice_csv_header_names_free_coords(tmp_path):

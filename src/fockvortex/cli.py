@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,13 +33,7 @@ from . import __version__
 from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
 from .config import GH_ORDER, TOL
 from .entanglement import log_negativity, partial_transpose
-from .errors import (
-    EigensolverError,
-    FockVortexError,
-    GridTooCoarseError,
-    InvalidParameterError,
-    NonConvergenceError,
-)
+from .errors import FockVortexError, InvalidParameterError, NonConvergenceError
 from .quadrature import QuadratureGrid, count_vortices, evaluate_field, hermite_function
 from .states import (
     SqueezeParams,
@@ -67,9 +60,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INVARIANT = 4
-
-_USAGE_ERRORS = (InvalidParameterError,)
-_NONCONV_ERRORS = (NonConvergenceError, EigensolverError, GridTooCoarseError)
 
 # Pipeline defaults.  The figure descriptions in the source material leave
 # some knobs unstated (exact squeezing triple for the slice panels, the
@@ -152,17 +142,11 @@ def _num_tag(value) -> str:
     return str(value).replace(".", "p").replace("-", "m")
 
 
-def _workers() -> int:
-    env = os.environ.get("FOCKVORTEX_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"FOCKVORTEX_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise InvalidParameterError(f"FOCKVORTEX_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
+def _exit_code(exc: Exception) -> int:
+    """2 for a usage error, 3 for non-convergence, 4 for anything else."""
+    if isinstance(exc, InvalidParameterError):
+        return EXIT_USAGE
+    return EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError) else EXIT_INVARIANT
 
 
 def _build_state(r: float, n: int, fock_input: bool, pre_bs: bool = False) -> TwoModeState:
@@ -190,13 +174,16 @@ Table = Tuple[str, Sequence[str], Callable[[dict], Iterable[Sequence]]]
 
 def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
                   table: Optional[Table] = None) -> int:
-    """Run tasks on a thread pool, maintain manifest.json, support resume.
+    """Run tasks in order on the calling thread, maintain manifest.json,
+    support resume.
 
-    ``table`` is written from every task's payload after all tasks; it is
-    skipped when every task was cached and the table is intact.  The
-    manifest records each artifact's size in bytes; an artifact counts as
-    intact on resume only when its size still matches (no hashing, so a warm
-    rerun stays a few stat calls).
+    The manifest is rewritten after each task.  A task's ``Exception`` is
+    recorded and the next task runs; an interrupt aborts the run.  ``table``
+    is written from every task's payload after all tasks; nothing is loaded
+    or written when every task was cached and the table is intact.  An
+    artifact counts as intact on resume only when its size still matches the
+    manifest's (no hashing, so a warm rerun stays a few stat calls), and a
+    cached one whose payload cannot be read back is recomputed.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(config_doc)
@@ -228,11 +215,10 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
         for rel in rels:
             sizes[rel] = os.path.getsize(os.path.join(out_dir, rel))
 
-    entries = {
+    entries = {  # in task order, which the manifest keeps
         t.name: {"name": t.name, "status": "pending", "outputs": list(t.outputs), "wall_time_s": 0.0}
         for t in tasks
     }
-    order = [t.name for t in tasks]
 
     def flush_manifest() -> None:
         _write_json(
@@ -241,69 +227,53 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
                 "tool_version": __version__,
                 "config_hash": cfg_hash,
                 "config": config_doc,
-                "tasks": [entries[n] for n in order],
+                "tasks": list(entries.values()),
                 "artifact_sizes": dict(sorted(sizes.items())),
             },
         )
 
-    cached, to_run = [], []
-    for t in tasks:
-        if t.name in prev_ok and intact(t.outputs):
-            cached.append(t)
-        else:
-            to_run.append(t)
-
-    table_pending = table is not None and (bool(to_run) or not intact((table[0],)))
-    if not to_run and not table_pending:
+    cached = [t for t in tasks if t.name in prev_ok and intact(t.outputs)]
+    if len(cached) == len(tasks) and (table is None or intact((table[0],))):
         print(f"{out_dir}: all {len(tasks)} tasks cached; nothing to do")
         return EXIT_OK
 
     payloads: dict = {}
-    failures: List[Tuple[str, BaseException]] = []
     for t in cached:
+        try:
+            payloads[t.name] = t.load()
+        except (OSError, ValueError, KeyError):  # right size, unreadable content
+            continue
         entries[t.name]["status"] = "cached"
-        payloads[t.name] = t.load()
+    to_run = [t for t in tasks if t.name not in payloads]
 
-    def execute(task: Task):
+    failures: List[Exception] = []
+    flush_manifest()
+    for t in to_run:
+        entry = entries[t.name]
         start = time.perf_counter()
         try:
-            payload = task.run()
-            return task.name, payload, time.perf_counter() - start, None
-        except BaseException as exc:  # recorded per task; pipeline continues
-            return task.name, None, time.perf_counter() - start, exc
+            payloads[t.name] = t.run()
+        except Exception as exc:  # recorded per task; the pipeline continues
+            failures.append(exc)
+            entry["status"], entry["error"] = "failed", f"{type(exc).__name__}: {exc}"
+            print(f"FAIL {t.name}: {entry['error']}")
+        else:
+            entry["status"] = "ok"
+            record_sizes(t.outputs)
+            print(f"ok {t.name} ({time.perf_counter() - start:.2f}s)")
+        entry["wall_time_s"] = round(time.perf_counter() - start, 3)
+        flush_manifest()
 
-    flush_manifest()
-    if to_run:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            for name, payload, wall, exc in pool.map(execute, to_run):
-                entry = entries[name]
-                entry["wall_time_s"] = round(wall, 3)
-                if exc is None:
-                    entry["status"] = "ok"
-                    payloads[name] = payload
-                    record_sizes(entry["outputs"])
-                    print(f"ok {name} ({wall:.2f}s)")
-                else:
-                    entry["status"] = "failed"
-                    entry["error"] = f"{type(exc).__name__}: {exc}"
-                    failures.append((name, exc))
-                    print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-                flush_manifest()
-
-    if table_pending and not failures:
+    if table is not None and not failures:
         rel, header, rows = table
         _write_table(os.path.join(out_dir, rel), header, rows(payloads))
         record_sizes((rel,))
-    flush_manifest()
+        flush_manifest()
 
     if failures:
         print(f"{len(failures)}/{len(tasks)} tasks failed", file=sys.stderr)
-        if any(isinstance(e, _USAGE_ERRORS) for _, e in failures):
-            return EXIT_USAGE
-        if any(isinstance(e, _NONCONV_ERRORS) for _, e in failures):
-            return EXIT_NONCONVERGENCE
-        return EXIT_INVARIANT
-    print(f"{out_dir}: {len(to_run)} tasks run, {len(cached)} cached")
+        return min(map(_exit_code, failures))  # usage, then non-convergence, then invariant
+    print(f"{out_dir}: {len(to_run)} tasks run, {len(tasks) - len(to_run)} cached")
     return EXIT_OK
 
 
@@ -464,6 +434,8 @@ def cmd_figure(args) -> int:
     figure = args.figure.removeprefix("fig")
     if figure not in ("1", "2", "3", "4", "5"):
         raise InvalidParameterError(f"figure id must be 1-5 or fig1..fig5, got {args.figure!r}")
+    if args.fock_input and figure != "1":
+        raise InvalidParameterError(f"--fock-input applies to figure 1 only, not figure {figure}")
     out_dir = args.out or os.path.join("figures", f"fig{figure}")
     return _run_pipeline(out_dir, *_figure_tasks(int(figure), out_dir, args.fock_input))
 
@@ -589,6 +561,8 @@ def cmd_wigner_slice(args) -> int:
     plane = _parse_plane(args.plane)
     grid = QuadratureGrid.from_spec(args.grid)
     if args.diagonal_form:
+        if args.fock_input or args.pre_bs:
+            raise InvalidParameterError("--diagonal-form takes neither --fock-input nor --pre-bs")
         free, point = plane_points(plane, grid)
         vals = wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point)
         _write_via(args.output, WignerSlice(free, plane, grid, vals).to_csv)
@@ -708,16 +682,22 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         assert float(np.max(np.abs(twice.tensor - rho.tensor))) < 1e-14
 
     def bell_spectrum():
+        # pins the eigensolver path, the oracle of logneg-schmidt-vs-eigh
         bell = TwoModeState({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, cutoff=2)
-        report = log_negativity(bell)
+        report = log_negativity(state_to_density(bell))
         assert abs(report.log_negativity - 1.0) < 1e-9, f"got {report.log_negativity}"
         assert abs(min(report.negative_eigenvalues) + 0.5) < 1e-12
 
-    def mode_symmetry():
-        state = _build_state(0.7, 3, fock_input=False)
-        la = log_negativity(state, mode="a").log_negativity
-        lb = log_negativity(state, mode="b").log_negativity
-        assert abs(la - lb) < 1e-10, f"{la} vs {lb}"
+    def logneg_schmidt_vs_eigh():
+        rng = np.random.default_rng(5)
+        for state in (_build_state(0.7, 3, fock_input=False), random_state(rng, cutoff=4)):
+            rho = state_to_density(state)
+            for mode in ("a", "b"):
+                fast, slow = log_negativity(state, mode), log_negativity(rho, mode)
+                assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues), mode
+                gaps = np.subtract([fast.log_negativity, *fast.negative_eigenvalues],
+                                   [slow.log_negativity, *slow.negative_eigenvalues])
+                assert np.max(np.abs(gaps)) < 1e-12, f"mode {mode}: off by {np.max(np.abs(gaps))}"
 
     def quadrature_rule_sound():
         for scheme in ("tensor-gauss-hermite", "uniform-box"):
@@ -751,7 +731,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("hermite-spot-values", hermite_spot_values),
         ("transpose-involution", transpose_involution),
         ("bell-spectrum", bell_spectrum),
-        ("mode-symmetry", mode_symmetry),
+        ("logneg-schmidt-vs-eigh", logneg_schmidt_vs_eigh),
         ("quadrature-rule-sound", quadrature_rule_sound),
         ("nv-reduced-vs-tensor", nv_reduced_vs_tensor),
     ]
@@ -861,15 +841,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NONCONV_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except FockVortexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Partial transposition and logarithmic negativity for two-mode states."""
+"""Partial transposition and logarithmic negativity for two-mode states.
+
+The partial transpose of a pure state has eigenvalues s_i**2 and
++-s_i*s_j (i < j) over its Schmidt coefficients s_i (Vidal & Werner, PRA 65,
+032314 (2002)); a density matrix takes an ``eigh``, the pure path's oracle.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,22 +77,41 @@ def _eigvals_checked(mat: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _schmidt_values(state: TwoModeState) -> np.ndarray:
+    """Singular values of the amplitude matrix, checked to square-sum to 1."""
+    dense = state.to_dense()
+    try:
+        values = np.linalg.svd(dense, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(dense.size, float("nan")) from exc
+    deviation = abs(float(np.sum(values * values)) - 1.0)
+    if not deviation <= TOL.norm:
+        raise EigensolverError(dense.size, deviation)
+    return values
+
+
 def log_negativity(state_or_rho, mode: str = "a") -> EntanglementReport:
     """log2 of the trace norm of the partial transpose.
 
-    Eigenvalues in (-TOL.eig_zero, 0) count as zero; the negativity is the
-    absolute sum of the genuinely negative part of the spectrum.
+    The negative eigenvalues are the -s_i*s_j of a ``TwoModeState``'s Schmidt
+    coefficients, or those of a checked ``eigh`` for a ``DensityMatrix``;
+    values in (-TOL.eig_zero, 0) count as zero.
     """
-    rho = _as_density(state_or_rho)
-    pt = partial_transpose(rho, mode=mode).matrix.as_matrix()
-    vals = _eigvals_checked(pt)
-    negatives = vals[vals <= -TOL.eig_zero]
+    if mode not in ("a", "b"):
+        raise InvalidParameterError(f"mode must be 'a' or 'b', got {mode!r}")
+    if isinstance(state_or_rho, TwoModeState):
+        s = _schmidt_values(state_or_rho)
+        vals, dimension = -np.outer(s, s)[np.triu_indices(s.size, 1)], s.size * s.size
+    else:
+        pt = partial_transpose(state_or_rho, mode=mode).matrix.as_matrix()
+        vals, dimension = _eigvals_checked(pt), pt.shape[0]
+    negatives = np.sort(vals[vals <= -TOL.eig_zero])
     negativity = float(-negatives.sum())
     return EntanglementReport(
         negativity=negativity,
         log_negativity=log2(1.0 + 2.0 * negativity),
-        negative_eigenvalues=sorted(float(v) for v in negatives),
-        matrix_dimension=pt.shape[0],
+        negative_eigenvalues=[float(v) for v in negatives],
+        matrix_dimension=dimension,
     )
 
 

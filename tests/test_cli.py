@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fockvortex.cli as cli
+import fockvortex.entanglement as entanglement
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
 from fockvortex.states import SqueezeParams, make_tmss
@@ -94,6 +95,16 @@ def test_selftest_fault_injection_bites_then_resets(capsys):
     assert "FAIL closed-form-oracle" in out
     # the fault is always unwound: a plain rerun is clean again
     assert main(["selftest"]) == 0
+
+
+def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
+    exact = entanglement._schmidt_values
+    monkeypatch.setattr(entanglement, "_schmidt_values", lambda state: exact(state) * (1 + 1e-6))
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
+    assert len(doc["checks"]) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +407,44 @@ def test_sweep_resume_recomputes_only_missing_points(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
-def test_worker_count_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOCKVORTEX_THREADS", "1")
-    assert cli._workers() == 1
-    cfg = write_config(tmp_path)
+def test_resume_reruns_unreadable_cached_artifact(tmp_path):
+    cfg = write_config(tmp_path, r_values=[0.3, 0.6])
+    out = tmp_path / "sweep-out"
     assert main(["sweep", "--config", str(cfg)]) == 0
-    assert (tmp_path / "sweep-out" / "sweep.csv").exists()
+    victim = out / "logneg_r0p3_n2.json"
+    original = victim.read_bytes()
+    victim.write_bytes(b"x" + original[1:])  # same size, so it passes as intact
+    (out / "logneg_r0p6_n2.json").unlink()  # something must run for payloads to load
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    statuses = {t["name"]: t["status"]
+                for t in json.loads((out / "manifest.json").read_text())["tasks"]}
+    assert statuses == {"point-r0p3_n2": "ok", "point-r0p6_n2": "ok"}
+    assert victim.read_bytes() == original
+
+
+def test_interrupt_in_a_task_aborts_the_run(tmp_path, monkeypatch):
+    def interrupted(r, n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_logneg_row", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", str(write_config(tmp_path))])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["figure", str(f), "--fock-input"] for f in range(2, 6)),
+        ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--fock-input"],
+        ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--pre-bs"],
+    ],
+    ids=" ".join,
+)
+def test_flags_that_would_do_nothing_exit_usage(tmp_path, argv, capsys):
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "figure" else ["-o", str(tmp_path / "s.csv")]
+    assert main(argv + out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
 
 
 def test_every_artifact_gets_the_same_mode(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockvortex import (
     InvalidParameterError,
@@ -112,3 +114,32 @@ def test_entanglement_ratio_fields():
 def test_entanglement_ratio_undefined_at_zero():
     with pytest.raises(UndefinedRatioError):
         entanglement_ratio(SqueezeParams(r=0.0, n_max=3))
+
+
+def _assert_same_report(fast, slow):
+    assert fast.matrix_dimension == slow.matrix_dimension
+    assert fast.negativity == pytest.approx(slow.negativity, abs=1e-12)
+    assert fast.log_negativity == pytest.approx(slow.log_negativity, abs=1e-12)
+    assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues)
+    assert fast.negative_eigenvalues == pytest.approx(slow.negative_eigenvalues, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(1, 6), mode=st.sampled_from("ab"))
+def test_schmidt_path_matches_density_matrix_eigh(seed, cutoff, mode):
+    state = random_state(np.random.default_rng(seed), cutoff=cutoff)
+    _assert_same_report(log_negativity(state, mode), log_negativity(state_to_density(state), mode))
+
+
+@pytest.mark.parametrize("r", [0.3, 1.2])
+@pytest.mark.parametrize("after_splitter", [False, True], ids=["tmss", "splitter"])
+def test_schmidt_path_matches_eigh_at_n14(r, after_splitter):
+    state = make_tmss(SqueezeParams(r=r, n_max=14))
+    if after_splitter:
+        state = apply_beam_splitter(state)
+    _assert_same_report(log_negativity(state), log_negativity(state_to_density(state)))
+
+
+def test_schmidt_path_validates_mode():
+    with pytest.raises(InvalidParameterError):
+        log_negativity(_bell(), mode="c")

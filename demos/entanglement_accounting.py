@@ -36,7 +36,7 @@ N_MAX = 4
 def main() -> None:
     os.makedirs(OUT, exist_ok=True)
 
-    bell = TwoModeState(
+    bell = TwoModeState.from_pairs(
         {(0, 0): 1.0 / math.sqrt(2.0), (1, 1): 1.0 / math.sqrt(2.0)}, cutoff=2
     )
     print("=== analytic anchors ===")

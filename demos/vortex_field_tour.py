@@ -68,7 +68,7 @@ def main() -> None:
     )
     from fockvortex import TwoModeState
 
-    lopsided = TwoModeState({(1, 0): 1.0}, cutoff=1)
+    lopsided = TwoModeState.from_pairs({(1, 0): 1.0}, cutoff=1)
     twisted = apply_beam_splitter(lopsided)
     field = evaluate_field(twisted, QuadratureGrid.from_spec("-4.0:4.0:162"))
     report = count_vortices(field)

@@ -47,7 +47,6 @@ from .quadrature import (
 )
 from .states import (
     DensityMatrix,
-    FockPair,
     SqueezeParams,
     TwoModeState,
     make_tmss,
@@ -73,7 +72,6 @@ from .wigner import (
 )
 
 __all__ = [
-    "FockPair",
     "SqueezeParams",
     "TwoModeState",
     "DensityMatrix",

@@ -151,7 +151,7 @@ def _exit_code(exc: Exception) -> int:
 
 def _build_state(r: float, n: int, fock_input: bool, pre_bs: bool = False) -> TwoModeState:
     if fock_input:
-        before = TwoModeState({(n, n): 1.0}, cutoff=2 * n)
+        before = TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n)
     else:
         before = make_tmss(SqueezeParams(r=r, n_max=n))
     return before if pre_bs else apply_beam_splitter(before)
@@ -621,7 +621,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
             assert worst < 1e-12, f"photon distribution changed by {worst:.3e}"
 
     def splitter_pair_interference():
-        out = apply_beam_splitter(TwoModeState({(1, 1): 1.0}, cutoff=2))
+        out = apply_beam_splitter(TwoModeState.from_pairs({(1, 1): 1.0}, cutoff=2))
         expect = 1j / math.sqrt(2.0)
         assert abs(out.amplitude(2, 0) - expect) < 1e-12
         assert abs(out.amplitude(0, 2) - expect) < 1e-12
@@ -683,7 +683,8 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
 
     def bell_spectrum():
         # pins the eigensolver path, the oracle of logneg-schmidt-vs-eigh
-        bell = TwoModeState({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, cutoff=2)
+        amp = 1 / math.sqrt(2)
+        bell = TwoModeState.from_pairs({(0, 0): amp, (1, 1): amp}, cutoff=2)
         report = log_negativity(state_to_density(bell))
         assert abs(report.log_negativity - 1.0) < 1e-9, f"got {report.log_negativity}"
         assert abs(min(report.negative_eigenvalues) + 0.5) < 1e-12
@@ -750,7 +751,7 @@ def cmd_selftest(args) -> int:
             t0 = time.perf_counter()
             try:
                 fn()
-            except BaseException as exc:
+            except Exception as exc:
                 detail = f"{type(exc).__name__}: {exc}"
                 failures.append((name, detail))
                 records.append({"name": name, "status": "failed", "detail": detail,

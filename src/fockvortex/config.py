@@ -11,7 +11,6 @@ class Tolerances:
     norm: float = 1e-12           # state normalization after construction
     hermiticity: float = 1e-12    # density-matrix Hermiticity residue
     trace: float = 1e-10          # density-matrix trace deviation
-    purity: float = 1e-10         # tr(rho^2) deviation for pure states
     oracle: float = 1e-10         # closed form vs direct operator expansion
     imag_residue: float = 1e-10   # acceptable imaginary leakage in real quantities
     eig_zero: float = 1e-12       # eigenvalues in (-eig_zero, 0) count as zero

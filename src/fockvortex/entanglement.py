@@ -72,21 +72,21 @@ def _eigvals_checked(mat: np.ndarray) -> np.ndarray:
         raise EigensolverError(mat.shape[0], float("nan")) from exc
     residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
     norm = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    if residual > 1e-10 * norm * mat.shape[0]:
+    if not residual <= 1e-10 * norm * mat.shape[0]:
         raise EigensolverError(mat.shape[0], residual)
     return vals
 
 
 def _schmidt_values(state: TwoModeState) -> np.ndarray:
     """Singular values of the amplitude matrix, checked to square-sum to 1."""
-    dense = state.to_dense()
+    amps = state.amplitudes
     try:
-        values = np.linalg.svd(dense, compute_uv=False)
+        values = np.linalg.svd(amps, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(dense.size, float("nan")) from exc
+        raise EigensolverError(amps.size, float("nan")) from exc
     deviation = abs(float(np.sum(values * values)) - 1.0)
     if not deviation <= TOL.norm:
-        raise EigensolverError(dense.size, deviation)
+        raise EigensolverError(amps.size, deviation)
     return values
 
 

@@ -55,6 +55,8 @@ class QuadratureGrid:
     n_y: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise InvalidParameterError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid bounds must satisfy min < max")
         if self.n_x < 2 or self.n_y < 2:
@@ -97,8 +99,10 @@ class QuadratureField:
             raise InvalidParameterError(
                 f"values shape {values.shape} does not match grid ({grid.n_x}, {grid.n_y})"
             )
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameterError("field contains non-finite values")
+        with np.errstate(over="ignore"):  # a modulus past the float range comes out inf
+            modulus = np.abs(values)
+        if not np.all(np.isfinite(modulus)):
+            raise InvalidParameterError("field contains non-finite values or moduli")
         self.grid = grid
         self.values = values
 
@@ -144,10 +148,9 @@ def _write_grid_csv(path, names, grid: QuadratureGrid, values: np.ndarray,
 
 def evaluate_field(state: TwoModeState, grid: QuadratureGrid) -> QuadratureField:
     """psi(x, y) = sum A[n_a, n_b] psi_{n_a}(x) psi_{n_b}(y)."""
-    dense = state.to_dense()
     tx = hermite_basis(state.cutoff, grid.x_axis())
     ty = hermite_basis(state.cutoff, grid.y_axis())
-    values = np.einsum("ab,ax,by->xy", dense, tx, ty, optimize=True)
+    values = np.einsum("ab,ax,by->xy", state.amplitudes, tx, ty, optimize=True)
     return QuadratureField(grid, values)
 
 

@@ -1,7 +1,7 @@
 """Two-mode Fock-space states and density matrices.
 
-A pure two-mode state is a sparse complex amplitude map over photon-number
-pairs (n_a, n_b), capped by a total-photon cutoff.  The photon-number
+A pure two-mode state is its complex amplitude matrix A[n_a, n_b] over
+photon-number pairs, zero beyond a total-photon cutoff.  The photon-number
 squeezed input family lives here, together with the outer-product density
 matrix and total-photon diagnostics.
 """
@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 from .config import TOL
 from .errors import InvalidParameterError, InvalidStateError
-
-
-class FockPair(NamedTuple):
-    """Photon-number pair |n_a, n_b>."""
-
-    n_a: int
-    n_b: int
 
 
 @dataclass(frozen=True)
@@ -38,77 +31,77 @@ class SqueezeParams:
             raise InvalidParameterError(f"truncation order must be an integer >= 0, got {self.n_max}")
 
 
-class TwoModeState:
-    """Normalized pure state over Fock pairs with a total-photon cutoff.
+def _total_photons(m: int) -> np.ndarray:
+    """n_a + n_b at every entry of an m x m amplitude matrix."""
+    return np.add.outer(np.arange(m), np.arange(m))
 
-    Amplitudes are stored sparsely; construction validates the key range
-    and unit norm (within ``TOL.norm``).
+
+class TwoModeState:
+    """Normalized pure state with a total-photon cutoff.
+
+    ``amplitudes`` is the read-only (cutoff+1)-square complex matrix
+    A[n_a, n_b]; the cutoff is its size minus one.  Construction validates
+    that A is square, zero wherever n_a + n_b > cutoff, and of unit norm
+    (within ``TOL.norm``).
     """
 
-    __slots__ = ("amplitudes", "cutoff")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes: Dict[Tuple[int, int], complex], cutoff: int):
-        if cutoff < 0:
-            raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
-        amps: Dict[FockPair, complex] = {}
-        for (na, nb), value in amplitudes.items():
-            if na < 0 or nb < 0:
-                raise InvalidStateError(f"negative photon number in pair ({na}, {nb})")
-            if na + nb > cutoff:
-                raise InvalidStateError(
-                    f"pair ({na}, {nb}) exceeds total-photon cutoff {cutoff}"
-                )
-            value = complex(value)
-            if value != 0.0:
-                amps[FockPair(int(na), int(nb))] = value
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[0] != amps.shape[1] or amps.shape[0] == 0:
+            raise InvalidStateError(f"amplitude matrix must be square, non-empty, got {amps.shape}")
+        cutoff = amps.shape[0] - 1
+        beyond = np.argwhere((_total_photons(cutoff + 1) > cutoff) & (amps != 0.0))
+        if beyond.size:
+            na, nb = beyond[0]
+            raise InvalidStateError(f"pair ({na}, {nb}) exceeds total-photon cutoff {cutoff}")
+        amps.setflags(write=False)
         self.amplitudes = amps
-        self.cutoff = int(cutoff)
-        n = self.norm()
-        if abs(n - 1.0) > TOL.norm:
-            raise InvalidStateError(f"state not normalized: |<psi|psi> - 1| = {abs(n - 1.0):.3e}")
-
-    def norm(self) -> float:
-        return math.fsum(abs(v) ** 2 for v in self.amplitudes.values())
-
-    def amplitude(self, n_a: int, n_b: int) -> complex:
-        return self.amplitudes.get(FockPair(n_a, n_b), 0.0 + 0.0j)
-
-    def sorted_items(self) -> List[Tuple[FockPair, complex]]:
-        """Amplitudes sorted by (n_a, n_b) for byte-stable output."""
-        return sorted(self.amplitudes.items(), key=lambda kv: (kv[0].n_a, kv[0].n_b))
-
-    def to_dense(self) -> np.ndarray:
-        """Dense (cutoff+1, cutoff+1) amplitude matrix A[n_a, n_b]."""
-        m = self.cutoff + 1
-        dense = np.zeros((m, m), dtype=complex)
-        for (na, nb), v in self.amplitudes.items():
-            dense[na, nb] = v
-        return dense
+        deviation = abs(self.norm() - 1.0)
+        if not deviation <= TOL.norm:
+            raise InvalidStateError(f"state not normalized: |<psi|psi> - 1| = {deviation:.3e}")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, cutoff: int) -> "TwoModeState":
-        amps = {}
-        idx = np.argwhere(dense != 0.0)
-        for na, nb in idx:
-            amps[(int(na), int(nb))] = complex(dense[na, nb])
-        return cls(amps, cutoff)
+    def from_pairs(cls, pairs: Mapping[Tuple[int, int], complex], cutoff: int) -> "TwoModeState":
+        """State from a {(n_a, n_b): amplitude} map; absent pairs are zero."""
+        if cutoff < 0:
+            raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
+        amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        for (na, nb), value in pairs.items():
+            # negative indices would wrap around instead of failing
+            if not (0 <= na <= cutoff and 0 <= nb <= cutoff):
+                raise InvalidStateError(f"pair ({na}, {nb}) outside photon numbers 0..{cutoff}")
+            amps[na, nb] = value
+        return cls(amps)
+
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.shape[0] - 1
+
+    def norm(self) -> float:
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def amplitude(self, n_a: int, n_b: int) -> complex:
+        """A[n_a, n_b]; zero for photon numbers outside 0..cutoff."""
+        if 0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff:
+            return complex(self.amplitudes[n_a, n_b])
+        return 0.0 + 0.0j
 
     def to_json_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "amplitudes": [
-                {"na": p.n_a, "nb": p.n_b, "re": v.real, "im": v.imag}
-                for p, v in self.sorted_items()
-            ],
-        }
+        entries = []
+        for na, nb in np.argwhere(self.amplitudes):  # row-major: sorted by (n_a, n_b)
+            v = complex(self.amplitudes[na, nb])
+            entries.append({"na": int(na), "nb": int(nb), "re": v.real, "im": v.imag})
+        return {"cutoff": self.cutoff, "amplitudes": entries}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TwoModeState":
-        amps = {(e["na"], e["nb"]): complex(e["re"], e["im"]) for e in doc["amplitudes"]}
-        return cls(amps, doc["cutoff"])
+        pairs = {(e["na"], e["nb"]): complex(e["re"], e["im"]) for e in doc["amplitudes"]}
+        return cls.from_pairs(pairs, doc["cutoff"])
 
     def __repr__(self):
-        return f"TwoModeState(terms={len(self.amplitudes)}, cutoff={self.cutoff})"
+        return f"TwoModeState(terms={np.count_nonzero(self.amplitudes)}, cutoff={self.cutoff})"
 
 
 class DensityMatrix:
@@ -132,10 +125,10 @@ class DensityMatrix:
         self.dimension = int(dimension)
         if validate:
             h = self.hermiticity_residue()
-            if h > TOL.hermiticity:
+            if not h <= TOL.hermiticity:
                 raise InvalidStateError(f"density matrix not Hermitian: residue {h:.3e}")
             tr = self.trace()
-            if abs(tr - 1.0) > TOL.trace:
+            if not abs(tr - 1.0) <= TOL.trace:
                 raise InvalidStateError(f"density matrix trace {tr} != 1")
 
     def as_matrix(self) -> np.ndarray:
@@ -168,23 +161,28 @@ def make_tmss(params: SqueezeParams) -> TwoModeState:
     t = math.tanh(params.r)
     weights = np.array([t ** j for j in range(params.n_max + 1)], dtype=float)
     coeffs = weights / math.sqrt(math.fsum(w * w for w in weights))
-    amps = {(j, j): complex(coeffs[j]) for j in range(params.n_max + 1) if coeffs[j] != 0.0}
-    return TwoModeState(amps, cutoff=2 * params.n_max)
+    return TwoModeState(np.diag(np.pad(coeffs, (0, params.n_max))))
 
 
 def state_to_density(state: TwoModeState) -> DensityMatrix:
     """rho = |psi><psi| as a dense 4-index tensor."""
-    dense = state.to_dense()
-    tensor = np.einsum("ab,cd->abcd", dense, dense.conj())
+    amps = state.amplitudes
+    tensor = np.einsum("ab,cd->abcd", amps, amps.conj())
     return DensityMatrix(tensor, dimension=state.cutoff)
+
+
+def _weights_by(state: TwoModeState, key: np.ndarray) -> Dict[int, float]:
+    """Probability per value of ``key[n_a, n_b]`` over the nonzero amplitudes,
+    sorted by value."""
+    occupied = np.nonzero(state.amplitudes)
+    keys = key[occupied]
+    sums = np.bincount(keys, weights=np.abs(state.amplitudes[occupied]) ** 2)
+    return {int(k): float(sums[k]) for k in np.unique(keys)}
 
 
 def total_photon_distribution(state: TwoModeState) -> Dict[int, float]:
     """Probability of total photon number n_a + n_b."""
-    dist: Dict[int, float] = {}
-    for (na, nb), v in state.amplitudes.items():
-        dist[na + nb] = dist.get(na + nb, 0.0) + abs(v) ** 2
-    return dict(sorted(dist.items()))
+    return _weights_by(state, _total_photons(state.cutoff + 1))
 
 
 def random_state(rng: np.random.Generator, cutoff: int) -> TwoModeState:
@@ -192,7 +190,8 @@ def random_state(rng: np.random.Generator, cutoff: int) -> TwoModeState:
 
     Test utility; not part of the physics pipeline.
     """
-    pairs = [(na, nb) for na in range(cutoff + 1) for nb in range(cutoff + 1 - na)]
-    vec = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
-    vec /= np.linalg.norm(vec)
-    return TwoModeState({p: complex(v) for p, v in zip(pairs, vec)}, cutoff)
+    support = np.nonzero(_total_photons(cutoff + 1) <= cutoff)  # row-major pair order
+    vec = rng.normal(size=support[0].size) + 1j * rng.normal(size=support[0].size)
+    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    amps[support] = vec / np.linalg.norm(vec)
+    return TwoModeState(amps)

@@ -59,7 +59,6 @@ from math import lgamma
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-import scipy.special
 
 from .beamsplitter import apply_beam_splitter
 from .config import BOX_WIDTH_SCALE, GH_ORDER, MAX_REFINEMENTS, TOL
@@ -144,9 +143,9 @@ def wigner_fock_cross(n: int, m: int, x: float, p: float) -> complex:
 def _pair_matrix(state_or_rho) -> Tuple[np.ndarray, int]:
     """rho regrouped as rho_p[(ket_a, bra_a), (ket_b, bra_b)], plus per-mode dim."""
     if isinstance(state_or_rho, TwoModeState):
-        dense = state_or_rho.to_dense()
-        m = dense.shape[0]
-        rho_p = np.einsum("ab,cd->acbd", dense, dense.conj()).reshape(m * m, m * m)
+        amps = state_or_rho.amplitudes
+        m = amps.shape[0]
+        rho_p = np.einsum("ab,cd->acbd", amps, amps.conj()).reshape(m * m, m * m)
         return rho_p, m
     if isinstance(state_or_rho, DensityMatrix):
         m = state_or_rho.dimension + 1
@@ -186,8 +185,7 @@ def position_marginal(state_or_rho, x: float, y: float, order: int = 32) -> floa
     by the Jacobian 1/2 of the chart change.
     """
     rho_p, m = _pair_matrix(state_or_rho)
-    u, w = scipy.special.roots_hermite(order)
-    q, om = u / _SQRT2, w / _SQRT2
+    q, om = _gauss_hermite(order)
     xw, yw = x / _SQRT2, y / _SQRT2
     ka = _kernel_polys(m, np.full(order, xw), q).reshape(m * m, order) @ om
     kb = _kernel_polys(m, np.full(order, yw), q).reshape(m * m, order) @ om
@@ -307,22 +305,11 @@ class WignerGrid:
         """|sum(weights) - integral of e^{-2 q^2}|; small for a sound rule."""
         return abs(float(self.weights.sum()) - math.sqrt(math.pi / 2.0))
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes) ** 4
-
 
 def build_wigner_grid(rule: WignerRule, cutoff: int, order: Optional[int] = None) -> WignerGrid:
     o = order if order is not None else rule.order
     if rule.scheme == "tensor-gauss-hermite":
-        # scipy's Golub-Welsch/asymptotic solver stays finite at high orders
-        # where the numpy recurrence overflows (order >~ 350)
-        u, w = scipy.special.roots_hermite(o)
-        if not (np.isfinite(u).all() and np.isfinite(w).all()):
-            raise NonConvergenceError(
-                f"Gauss-Hermite rule of order {o} produced non-finite nodes/weights"
-            )
-        return WignerGrid(u / _SQRT2, w / _SQRT2, rule)
+        return WignerGrid(*_gauss_hermite(o), rule)
     h = BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
     edges = np.linspace(-h, h, o + 1)
     q = 0.5 * (edges[:-1] + edges[1:])
@@ -413,6 +400,14 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
     return nodes, weights
 
 
+def _gauss_hermite(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight e^{-2 q^2}: the Gauss-Hermite rule
+    (diagonal 0, off-diagonal sqrt(k/2), mass sqrt(pi)) scaled by 1/sqrt(2)."""
+    k = np.arange(1, order, dtype=float)
+    u, w = _golub_welsch(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))
+    return u / _SQRT2, w / _SQRT2
+
+
 @lru_cache(maxsize=None)
 def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u_a, u_b, weights) for the integral of e^{-u_a - u_b} f(u_a, u_b) over u >= 0.
@@ -461,9 +456,9 @@ def _pair_diagonal(state_or_rho) -> Optional[Tuple[np.ndarray, int, int]]:
     """
     if not isinstance(state_or_rho, TwoModeState):
         return None
-    found = _single_diagonal(state_or_rho.to_dense())
+    found = _single_diagonal(state_or_rho.amplitudes)
     if found is None:
-        found = _single_diagonal(apply_beam_splitter(state_or_rho).to_dense())
+        found = _single_diagonal(apply_beam_splitter(state_or_rho).amplitudes)
     return found
 
 

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
 from fockvortex.cli import main
@@ -61,6 +62,13 @@ def test_bad_plane_spec_exits_usage(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["field", "wigner-slice"])
+def test_non_finite_grid_exits_usage(tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--r", "0.3", "--n", "1", "--grid=-inf:inf:3", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     fake = NegativityResult(
         volume=0.1, integral_abs=1.2, normalization_check=1.0,
@@ -105,6 +113,20 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
     assert len(doc["checks"]) == 16
+
+
+def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
+    ran = []
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda: [("interrupted", interrupted), ("next", lambda: ran.append(1))])
+    with pytest.raises(KeyboardInterrupt):
+        main(["selftest", "--inject-fault"])
+    assert ran == []
+    assert beamsplitter._FAULT_INJECTED is False
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +375,7 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         {"slice_plane": {"z": 0, "px": 0}, "outputs": ["wigner-slice"]},
         # passes the up-front checks; the task itself raises the usage error
         {"grid": "-1:1", "outputs": ["field"]},
+        {"slice_grid": "-inf:inf:3", "outputs": ["wigner-slice"]},
         # malformed values: not a number, not a list, not an integer, a boolean, not a path
         {"r_values": ["abc"]},
         {"r_values": 0.5},

@@ -1,9 +1,19 @@
 """Byte identity of the row-streamed grid CSV writer against the per-element
-formatter it replaced, kept here as the oracle."""
+formatter it replaced, kept here as the oracle; exact round trips of random
+fields and slices through ``csv``."""
+import csv
+import os
+import sys
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fockvortex import (
+    QuadratureField,
     QuadratureGrid,
     SqueezeParams,
     TwoModeState,
@@ -13,7 +23,7 @@ from fockvortex import (
     wigner_slice,
 )
 from fockvortex.cli import main
-from fockvortex.wigner import wigner_diagonal_form
+from fockvortex.wigner import WignerSlice, wigner_diagonal_form
 
 # distinct, non-square axes so that a swapped row/column order shows
 GRID = QuadratureGrid(-6.0, 6.0, -5.0, 5.5, 151, 121)
@@ -45,7 +55,8 @@ def grid_csv_oracle(names, grid, values) -> bytes:
     "state",
     [
         pytest.param(apply_beam_splitter(make_tmss(SqueezeParams(r=0.02, n_max=3))), id="tmss"),
-        pytest.param(apply_beam_splitter(TwoModeState({(3, 3): 1.0}, cutoff=6)), id="fock"),
+        pytest.param(apply_beam_splitter(TwoModeState.from_pairs({(3, 3): 1.0}, cutoff=6)),
+                     id="fock"),
     ],
 )
 def test_field_csv_matches_per_element_formatter(tmp_path, state):
@@ -78,3 +89,54 @@ def test_diagonal_form_cli_csv_matches_per_element_formatter(tmp_path):
     values = wigner_diagonal_form(SqueezeParams(r=0.8, n_max=3),
                                   (c1, np.zeros_like(c1), np.full_like(c1, 0.25), c2))
     assert out.read_bytes() == grid_csv_oracle(("x", "py", "w"), grid, values)
+
+
+@st.composite
+def small_grids(draw):
+    """A QuadratureGrid of 2-5 points per axis with finite, ordered bounds."""
+    lo = st.floats(-1e3, 1e3)
+    width = st.floats(1e-3, 1e3)
+    x0, y0 = draw(lo), draw(lo)
+    return QuadratureGrid(x0, x0 + draw(width), y0, y0 + draw(width),
+                          draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+
+
+def _parsed_rows(write) -> list:
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "grid.csv")
+        write(path)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+
+def _points(grid):
+    """(i, j, x, y) in file order: y outer, x inner."""
+    for j, y in enumerate(grid.y_axis()):
+        for i, x in enumerate(grid.x_axis()):
+            yield i, j, float(x), float(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=small_grids(), data=st.data())
+def test_field_csv_round_trips_exactly(grid, data):
+    values = data.draw(hnp.arrays(np.complex128, (grid.n_x, grid.n_y),
+                                  elements=st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                                              max_magnitude=sys.float_info.max)))
+    rows = _parsed_rows(QuadratureField(grid, values).to_csv)
+    assert rows[0] == ["x", "y", "re", "im", "abs", "arg"]
+    assert len(rows) == 1 + grid.n_x * grid.n_y
+    for row, (i, j, x, y) in zip(rows[1:], _points(grid)):
+        v = complex(values[i, j])
+        assert [float(c) for c in row] == [x, y, v.real, v.imag, abs(v), float(np.angle(v))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=small_grids(), data=st.data())
+def test_slice_csv_round_trips_exactly(grid, data):
+    values = data.draw(hnp.arrays(np.float64, (grid.n_x, grid.n_y),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    rows = _parsed_rows(WignerSlice(("x", "py"), {"y": 0.0, "px": 0.0}, grid, values).to_csv)
+    assert rows[0] == ["x", "py", "w"]
+    assert len(rows) == 1 + grid.n_x * grid.n_y
+    for row, (i, j, x, y) in zip(rows[1:], _points(grid)):
+        assert [float(c) for c in row] == [x, y, float(values[i, j])]

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockvortex.entanglement as entanglement
 from fockvortex import (
+    DensityMatrix,
+    EigensolverError,
     InvalidParameterError,
+    InvalidStateError,
     SqueezeParams,
     TwoModeState,
     UndefinedRatioError,
@@ -25,7 +29,7 @@ UNTRUNCATED_LOGNEG_R03 = 0.86561702453337804442
 
 def _bell():
     amp = 1.0 / math.sqrt(2.0)
-    return TwoModeState({(0, 0): amp, (1, 1): amp}, cutoff=2)
+    return TwoModeState.from_pairs({(0, 0): amp, (1, 1): amp}, cutoff=2)
 
 
 def test_bell_log_negativity_exact():
@@ -46,7 +50,7 @@ def test_truncated_tmss_matches_closed_form():
 
 
 def test_product_state_not_entangled():
-    report = log_negativity(TwoModeState({(1, 0): 1.0}, cutoff=1))
+    report = log_negativity(TwoModeState.from_pairs({(1, 0): 1.0}, cutoff=1))
     assert report.negativity == 0.0
     assert report.log_negativity == 0.0
     assert report.negative_eigenvalues == []
@@ -58,7 +62,7 @@ def test_pure_state_nuclear_norm_oracle():
     rng = np.random.default_rng(23)
     for _ in range(8):
         state = random_state(rng, cutoff=6)
-        sigma = np.linalg.svd(state.to_dense(), compute_uv=False)
+        sigma = np.linalg.svd(state.amplitudes, compute_uv=False)
         expect = 2.0 * math.log2(float(np.sum(sigma)))
         assert log_negativity(state).log_negativity == pytest.approx(expect, abs=1e-10)
 
@@ -143,3 +147,13 @@ def test_schmidt_path_matches_eigh_at_n14(r, after_splitter):
 def test_schmidt_path_validates_mode():
     with pytest.raises(InvalidParameterError):
         log_negativity(_bell(), mode="c")
+
+
+def test_nan_density_matrix_is_rejected():
+    tensor = state_to_density(_bell()).tensor.copy()
+    tensor[1, 1, 1, 1] = math.nan
+    with pytest.raises(InvalidStateError):
+        log_negativity(DensityMatrix(tensor, dimension=2, validate=False))
+    # eigh returns NaN eigenvalues without raising; the residual check must not pass them
+    with pytest.raises(EigensolverError):
+        entanglement._eigvals_checked(np.diag([math.nan, 1.0]))

@@ -63,7 +63,9 @@ def test_grid_from_spec():
     assert g2.y_axis()[0] == -4.0
 
 
-@pytest.mark.parametrize("bad", ["", "1:2", "a:b:c", "1:2:0", "3:1:5"])
+@pytest.mark.parametrize(
+    "bad", ["", "1:2", "a:b:c", "1:2:0", "3:1:5", "-inf:inf:3", "-1:1:3,0:inf:3", "nan:1:3"]
+)
 def test_grid_spec_validation(bad):
     with pytest.raises(InvalidParameterError):
         QuadratureGrid.from_spec(bad)
@@ -71,7 +73,7 @@ def test_grid_spec_validation(bad):
 
 def test_vacuum_field_analytic():
     grid = QuadratureGrid.square(3.0, 31)
-    fld = evaluate_field(TwoModeState({(0, 0): 1.0}, cutoff=0), grid)
+    fld = evaluate_field(TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0), grid)
     gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
     expect = np.exp(-0.5 * (gx**2 + gy**2)) / math.sqrt(math.pi)
     assert np.max(np.abs(fld.values - expect)) < 1e-14
@@ -85,7 +87,7 @@ def test_field_riemann_norm():
 
 def test_field_csv_layout(tmp_path):
     grid = QuadratureGrid.from_spec("-1:1:2,-1:1:3")
-    fld = evaluate_field(TwoModeState({(0, 0): 1.0}, cutoff=0), grid)
+    fld = evaluate_field(TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0), grid)
     path = tmp_path / "field.csv"
     fld.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -100,6 +102,15 @@ def test_field_csv_layout(tmp_path):
     assert abs0 == abs(fld.values[0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), complex(1.5e308, 1.5e308)],
+                         ids=["nan", "inf", "modulus-overflow"])
+def test_field_rejects_non_finite_values_and_moduli(bad):
+    values = np.ones((2, 2), dtype=complex)
+    values[0, 1] = bad
+    with pytest.raises(InvalidParameterError):
+        QuadratureField(QuadratureGrid.square(1.0, 2), values)
+
+
 def _synthetic(grid, charge):
     gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
     z = gx + 1j * gy if charge > 0 else gx - 1j * gy
@@ -107,7 +118,8 @@ def _synthetic(grid, charge):
 
 
 def test_gaussian_has_no_vortices():
-    fld = evaluate_field(TwoModeState({(0, 0): 1.0}, cutoff=0), QuadratureGrid.square(4.0, 101))
+    vacuum = TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0)
+    fld = evaluate_field(vacuum, QuadratureGrid.square(4.0, 101))
     report = count_vortices(fld)
     assert report.count == 0 and report.total_charge == 0
 

@@ -5,7 +5,6 @@ import pytest
 
 from fockvortex import (
     DensityMatrix,
-    FockPair,
     InvalidParameterError,
     InvalidStateError,
     SqueezeParams,
@@ -48,13 +47,14 @@ def test_tmss_geometric_ratio():
 
 def test_tmss_support_is_pair_diagonal():
     state = make_tmss(SqueezeParams(r=0.8, n_max=4))
-    assert set(state.amplitudes) == {FockPair(j, j) for j in range(5)}
+    assert np.argwhere(state.amplitudes).tolist() == [[j, j] for j in range(5)]
     assert state.cutoff == 8
+    assert state.amplitudes.shape == (9, 9)
 
 
 def test_tmss_r_zero_is_vacuum():
     state = make_tmss(SqueezeParams(r=0.0, n_max=5))
-    assert set(state.amplitudes) == {FockPair(0, 0)}
+    assert np.argwhere(state.amplitudes).tolist() == [[0, 0]]
     assert state.amplitude(0, 0) == pytest.approx(1.0)
 
 
@@ -62,10 +62,9 @@ def test_tmss_truncation_consistency():
     # dropping the last term and renormalizing reproduces the lower order
     hi = make_tmss(SqueezeParams(r=0.7, n_max=6))
     lo = make_tmss(SqueezeParams(r=0.7, n_max=5))
-    kept = {p: v for p, v in hi.amplitudes.items() if p.n_a <= 5}
-    scale = math.sqrt(math.fsum(abs(v) ** 2 for v in kept.values()))
-    for p, v in kept.items():
-        assert abs(v / scale - lo.amplitudes[p]) < 1e-14
+    kept = hi.amplitudes[:6, :6]  # the pairs with n_a <= 5
+    assert np.count_nonzero(lo.amplitudes) == 6
+    assert np.max(np.abs(kept / np.linalg.norm(kept) - lo.amplitudes[:6, :6])) < 1e-14
 
 
 @pytest.mark.parametrize("r,n_max", [(-0.1, 3), (0.5, -1)])
@@ -76,19 +75,38 @@ def test_squeeze_params_validation(r, n_max):
 
 def test_state_rejects_bad_norm():
     with pytest.raises(InvalidStateError):
-        TwoModeState({(0, 0): 0.5}, cutoff=1)
+        TwoModeState.from_pairs({(0, 0): 0.5}, cutoff=1)
 
 
 def test_state_rejects_out_of_range_pairs():
     with pytest.raises(InvalidStateError):
-        TwoModeState({(2, 2): 1.0}, cutoff=3)
+        TwoModeState.from_pairs({(2, 2): 1.0}, cutoff=3)
     with pytest.raises(InvalidStateError):
-        TwoModeState({(-1, 0): 1.0}, cutoff=2)
+        TwoModeState.from_pairs({(-1, 0): 1.0}, cutoff=2)
+    with pytest.raises(InvalidStateError):
+        TwoModeState.from_pairs({(0, 3): 1.0}, cutoff=2)
+    beyond = np.zeros((3, 3))
+    beyond[1, 2] = 1.0
+    with pytest.raises(InvalidStateError, match=r"pair \(1, 2\) exceeds total-photon cutoff 2"):
+        TwoModeState(beyond)
+    with pytest.raises(InvalidStateError):
+        TwoModeState(np.ones((1, 2)) / math.sqrt(2.0))
+    with pytest.raises(InvalidParameterError):
+        TwoModeState.from_pairs({}, cutoff=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, complex(1.0, math.nan), math.inf])
+def test_state_rejects_non_finite_amplitudes(value):
+    with pytest.raises(InvalidStateError):
+        TwoModeState.from_pairs({(0, 0): value}, cutoff=0)
+    with pytest.raises(InvalidStateError):
+        TwoModeState.from_pairs({(0, 0): 1.0, (1, 0): value}, cutoff=1)
 
 
 def test_state_drops_exact_zeros():
-    state = TwoModeState({(0, 0): 1.0, (1, 1): 0.0}, cutoff=2)
-    assert FockPair(1, 1) not in state.amplitudes
+    state = TwoModeState.from_pairs({(0, 0): 1.0, (1, 1): 0.0}, cutoff=2)
+    assert np.count_nonzero(state.amplitudes) == 1
+    assert repr(state) == "TwoModeState(terms=1, cutoff=2)"
 
 
 def test_json_round_trip():
@@ -99,17 +117,31 @@ def test_json_round_trip():
     assert pairs == sorted(pairs)
     back = TwoModeState.from_json_dict(doc)
     assert back.cutoff == state.cutoff
-    for p, v in state.amplitudes.items():
-        assert back.amplitudes[p] == v
+    assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
 def test_dense_round_trip():
     rng = np.random.default_rng(3)
     state = random_state(rng, cutoff=5)
-    back = TwoModeState.from_dense(state.to_dense(), cutoff=5)
-    assert set(back.amplitudes) == set(state.amplitudes)
-    for p, v in state.amplitudes.items():
-        assert back.amplitudes[p] == v
+    back = TwoModeState(state.amplitudes)
+    assert back.cutoff == 5
+    assert np.array_equal(back.amplitudes, state.amplitudes)
+
+
+def test_amplitudes_are_a_read_only_copy():
+    source = np.zeros((3, 3), dtype=complex)
+    source[1, 1] = 1.0
+    state = TwoModeState(source)
+    source[1, 1] = 0.5  # the caller's array stays theirs
+    assert state.amplitude(1, 1) == 1.0
+    with pytest.raises(ValueError):
+        state.amplitudes[0, 0] = 1.0
+
+
+def test_amplitude_outside_cutoff_is_zero():
+    state = make_tmss(SqueezeParams(r=0.5, n_max=1))
+    for pair in [(-1, 0), (0, -1), (3, 0), (0, 3), (5, 5)]:
+        assert state.amplitude(*pair) == 0.0
 
 
 def test_density_matrix_pure_state_properties():
@@ -128,6 +160,13 @@ def test_density_matrix_validation():
     m[0, 0, 1, 1] = 1.0  # not Hermitian
     with pytest.raises(InvalidStateError):
         DensityMatrix(m, dimension=2)
+
+
+def test_density_matrix_rejects_nan():
+    tensor = state_to_density(make_tmss(SqueezeParams(r=0.6, n_max=1))).tensor.copy()
+    tensor[0, 0, 1, 1] = tensor[1, 1, 0, 0] = math.nan
+    with pytest.raises(InvalidStateError):
+        DensityMatrix(tensor, dimension=2)
 
 
 def test_total_photon_distribution():

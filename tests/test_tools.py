@@ -1,15 +1,22 @@
-"""tools/artifact_hashes.py: figure artifact hashes and the --compare check."""
+"""tools/artifact_hashes.py: figure artifact hashes and the --compare check;
+the library names the benchmark tracer wraps."""
 import hashlib
 import importlib.util
 from pathlib import Path
 
 from fockvortex.cli import main as cli_main
 
-_spec = importlib.util.spec_from_file_location(
-    "artifact_hashes", Path(__file__).resolve().parents[1] / "tools" / "artifact_hashes.py"
-)
-artifact_hashes = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(artifact_hashes)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_hashes = _load("artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
 
 
 def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
@@ -31,3 +38,12 @@ def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
     assert artifact_hashes.main(["5", "--compare", str(saved)]) == 1
     report = capsys.readouterr().out.splitlines()
     assert report == ["differs  fig5/logneg_n4.json", "1 of 4 artifacts not identical"]
+
+
+def test_benchmark_tracer_layers_resolve():
+    # the tracer rebinds each (owner, attr) at the name its caller looks up;
+    # a library refactor that drops one breaks every traced benchmark run
+    tracer = _load("bench_tracer", ROOT / "benchmarks" / "tracer.py")
+    for name, owner_path, attr, _ in tracer.LAYERS:
+        owner = tracer._resolve(owner_path)
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner_path}.{attr} is gone"

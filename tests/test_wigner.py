@@ -57,11 +57,11 @@ def _brute_mode_integrals(dim, x, p, s_half=8.0, s_pts=4001):
 
 
 def _brute_wigner(state, x, px, y, py):
-    dense = state.to_dense()
-    dim = dense.shape[0]
+    amps = state.amplitudes
+    dim = amps.shape[0]
     ia = _brute_mode_integrals(dim, x, px)
     ib = _brute_mode_integrals(dim, y, py)
-    val = np.einsum("nm,pq,np,mq->", dense, dense.conj(), ia, ib)
+    val = np.einsum("nm,pq,np,mq->", amps, amps.conj(), ia, ib)
     assert abs(val.imag) < 1e-10
     return val.real
 
@@ -90,7 +90,7 @@ def test_cross_hermitian_symmetry():
 
 
 def test_vacuum_peak_value():
-    vac = TwoModeState({(0, 0): 1.0}, cutoff=0)
+    vac = TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0)
     assert wigner_state(vac, (0.0, 0.0, 0.0, 0.0)) == pytest.approx(FOUR_OVER_PI_SQ, abs=1e-14)
     assert wigner_fock_diagonal(0, 0.0) == pytest.approx(TWO_OVER_PI, abs=1e-15)
 
@@ -139,6 +139,17 @@ def test_quadrature_rule_gaussian_check(scheme):
     grid = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
     assert grid.gaussian_check() < 1e-8
     assert np.all(grid.weights > 0)
+
+
+@pytest.mark.parametrize("order", [3, 24, 96, 192, 384])
+def test_gauss_hermite_rule_matches_scipy(order):
+    # scipy's roots_hermite is the oracle of the library's Golub-Welsch rule
+    grid = build_wigner_grid(WignerRule(order=order), cutoff=0)
+    nodes, weights = scipy.special.roots_hermite(order)
+    np.testing.assert_allclose(grid.nodes * math.sqrt(2.0), nodes, rtol=0, atol=1e-12)
+    # subnormal weights (order 384 has two) carry only a few digits on either side
+    np.testing.assert_allclose(grid.weights * math.sqrt(2.0), weights, rtol=2e-11,
+                               atol=np.finfo(float).tiny)
 
 
 def test_rule_validation():
@@ -203,7 +214,7 @@ def _neighbour_pair_state():
     """sum_j c_j |j, j+1>: one n_a - n_b = -1 diagonal, complex amplitudes."""
     c = np.array([0.6, 0.5j, -0.4, 0.3 + 0.2j])
     c /= np.linalg.norm(c)
-    return TwoModeState({(j, j + 1): c[j] for j in range(4)}, cutoff=7)
+    return TwoModeState.from_pairs({(j, j + 1): c[j] for j in range(4)}, cutoff=7)
 
 
 def _fock_pair_nv(n):
@@ -275,7 +286,7 @@ def test_reduced_pass_matches_tensor_oracle(state):
 def test_reduced_pass_matches_exact_fock_pair_value(n):
     # the 4-D tensor rule is off by up to 3e-3 here at orders 128-192, so the
     # oracle is the exact factorized value
-    state = apply_beam_splitter(TwoModeState({(n, n): 1.0}, cutoff=2 * n))
+    state = apply_beam_splitter(TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n))
     exact = _fock_pair_nv(n)
     single = negativity_volume(state, WignerRule(order=192), max_refinements=0)
     assert single.engine == "reduced-3d"
@@ -298,7 +309,7 @@ _unit_float = st.floats(min_value=-1.0, max_value=1.0)
 def test_nv_is_splitter_invariant(pairs, d):
     c = np.array([complex(re, im) for re, im in pairs])
     c /= np.linalg.norm(c)
-    state = TwoModeState(
+    state = TwoModeState.from_pairs(
         {(j + max(d, 0), j + max(-d, 0)): c[j] for j in range(len(c))},
         cutoff=2 * (len(c) - 1) + abs(d),
     )
@@ -375,7 +386,7 @@ def test_slice_csv_header_names_free_coords(tmp_path):
 
 def test_diagonal_form_vacuum_exact():
     params = SqueezeParams(r=0.4, n_max=0)
-    vac = TwoModeState({(0, 0): 1.0}, cutoff=0)
+    vac = TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0)
     for point in [(0.0, 0.0, 0.0, 0.0), (0.3, -0.5, 0.7, 0.2), (1.2, 0.4, -0.8, 0.6)]:
         assert wigner_diagonal_form(params, point) == pytest.approx(
             wigner_state(vac, point), abs=1e-14

@@ -20,7 +20,6 @@ from .beamsplitter import (
 from .config import GH_ORDER, TOL, Tolerances
 from .entanglement import (
     EntanglementReport,
-    PartialTranspose,
     entanglement_ratio,
     log_negativity,
     partial_transpose,
@@ -56,7 +55,6 @@ from .states import (
 )
 from .wigner import (
     NegativityResult,
-    PhasePoint,
     WignerGrid,
     WignerRule,
     WignerSlice,
@@ -92,7 +90,6 @@ __all__ = [
     "evaluate_field",
     "VortexReport",
     "count_vortices",
-    "PhasePoint",
     "wigner_fock_diagonal",
     "wigner_fock_cross",
     "wigner_state",
@@ -106,7 +103,6 @@ __all__ = [
     "NegativityResult",
     "negativity_volume",
     "wigner_slice",
-    "PartialTranspose",
     "EntanglementReport",
     "partial_transpose",
     "log_negativity",

@@ -20,11 +20,6 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# default field grid: covers the Gaussian envelope of states with <= 16 photons
-# per mode and resolves vortex cores
-GRID_HALF_WIDTH = 6.0
-GRID_POINTS = 301
-
 # tensor Gauss-Hermite defaults for phase-space integration
 GH_ORDER = 24
 MAX_REFINEMENTS = 4

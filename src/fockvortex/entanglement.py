@@ -18,12 +18,6 @@ from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss, state
 
 
 @dataclass(frozen=True)
-class PartialTranspose:
-    matrix: DensityMatrix
-    transposed_mode: str
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     negativity: float
     log_negativity: float
@@ -49,11 +43,12 @@ def _as_density(state_or_rho) -> DensityMatrix:
     )
 
 
-def partial_transpose(rho: Union[TwoModeState, DensityMatrix], mode: str = "a") -> PartialTranspose:
+def partial_transpose(rho: Union[TwoModeState, DensityMatrix], mode: str = "a") -> DensityMatrix:
     """Transpose the bra/ket indices of one mode.
 
     Hermiticity and unit trace survive; positivity in general does not,
-    and its failure is exactly what the negativity measures.
+    and its failure is exactly what the negativity measures.  The two modes
+    give transposes of each other, PT_b(rho) = PT_a(rho)^T, with one spectrum.
     """
     rho = _as_density(rho)
     if mode == "a":
@@ -62,7 +57,7 @@ def partial_transpose(rho: Union[TwoModeState, DensityMatrix], mode: str = "a") 
         tensor = rho.tensor.transpose(0, 3, 2, 1)
     else:
         raise InvalidParameterError(f"mode must be 'a' or 'b', got {mode!r}")
-    return PartialTranspose(DensityMatrix(np.ascontiguousarray(tensor), rho.dimension), mode)
+    return DensityMatrix(np.ascontiguousarray(tensor))
 
 
 def _eigvals_checked(mat: np.ndarray) -> np.ndarray:
@@ -90,20 +85,19 @@ def _schmidt_values(state: TwoModeState) -> np.ndarray:
     return values
 
 
-def log_negativity(state_or_rho, mode: str = "a") -> EntanglementReport:
-    """log2 of the trace norm of the partial transpose.
+def log_negativity(state_or_rho) -> EntanglementReport:
+    """log2 of the trace norm of the partial transpose across the a|b split.
 
     The negative eigenvalues are the -s_i*s_j of a ``TwoModeState``'s Schmidt
-    coefficients, or those of a checked ``eigh`` for a ``DensityMatrix``;
+    coefficients, or those of a checked ``eigh`` of a ``DensityMatrix``'s
+    mode-a transpose (mode b's is its transpose, with the same spectrum);
     values in (-TOL.eig_zero, 0) count as zero.
     """
-    if mode not in ("a", "b"):
-        raise InvalidParameterError(f"mode must be 'a' or 'b', got {mode!r}")
     if isinstance(state_or_rho, TwoModeState):
         s = _schmidt_values(state_or_rho)
         vals, dimension = -np.outer(s, s)[np.triu_indices(s.size, 1)], s.size * s.size
     else:
-        pt = partial_transpose(state_or_rho, mode=mode).matrix.as_matrix()
+        pt = partial_transpose(state_or_rho).as_matrix()
         vals, dimension = _eigvals_checked(pt), pt.shape[0]
     negatives = np.sort(vals[vals <= -TOL.eig_zero])
     negativity = float(-negatives.sum())

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Union
 import numpy as np
 from scipy import ndimage
 
-from .config import GRID_HALF_WIDTH, GRID_POINTS, TOL
+from .config import TOL
 from .errors import GridTooCoarseError, InvalidParameterError
 from .states import TwoModeState
 
@@ -63,7 +63,7 @@ class QuadratureGrid:
             raise InvalidParameterError("grid needs at least 2 samples per axis")
 
     @classmethod
-    def square(cls, half_width: float = GRID_HALF_WIDTH, n: int = GRID_POINTS) -> "QuadratureGrid":
+    def square(cls, half_width: float, n: int) -> "QuadratureGrid":
         return cls(-half_width, half_width, -half_width, half_width, n, n)
 
     @classmethod
@@ -173,15 +173,13 @@ def _wrap(dphi: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * dphi))
 
 
-def count_vortices(field: QuadratureField, amplitude_floor: float = TOL.amplitude_floor) -> VortexReport:
+def count_vortices(field: QuadratureField) -> VortexReport:
     """Integer phase winding per plaquette, merged into vortices.
 
-    Corners must exceed ``amplitude_floor`` in absolute terms (vortex cores
-    legitimately have low amplitude, so no relative thresholding is applied;
-    the floor only rejects regions where arg(psi) is numerical noise).
+    Corners must exceed ``TOL.amplitude_floor`` in absolute terms (vortex
+    cores legitimately have low amplitude, so no relative thresholding is
+    applied; the floor only rejects regions where arg(psi) is numerical noise).
     """
-    if not amplitude_floor > 0:
-        raise InvalidParameterError("amplitude_floor must be > 0")
     phi = field.phase()
     amp = field.amplitude()
     # counter-clockwise circulation over each plaquette [i,i+1] x [j,j+1]
@@ -193,10 +191,10 @@ def count_vortices(field: QuadratureField, amplitude_floor: float = TOL.amplitud
     )
     winding = np.rint(s / (2.0 * math.pi)).astype(int)
     valid = (
-        (amp[:-1, :-1] > amplitude_floor)
-        & (amp[1:, :-1] > amplitude_floor)
-        & (amp[:-1, 1:] > amplitude_floor)
-        & (amp[1:, 1:] > amplitude_floor)
+        (amp[:-1, :-1] > TOL.amplitude_floor)
+        & (amp[1:, :-1] > TOL.amplitude_floor)
+        & (amp[:-1, 1:] > TOL.amplitude_floor)
+        & (amp[1:, 1:] > TOL.amplitude_floor)
     )
     winding = np.where(valid, winding, 0)
     if np.any(np.abs(winding) > 1):

@@ -105,35 +105,35 @@ class TwoModeState:
 
 
 class DensityMatrix:
-    """Hermitian operator on the two-mode Fock space.
+    """Hermitian, unit-trace operator on the two-mode Fock space.
 
-    Stored as a 4-index tensor t[na, nb, ma, mb] = <na,nb| rho |ma,mb>,
-    with per-mode dimension ``dimension + 1`` (``dimension`` is the largest
-    representable per-mode photon number).
+    Stored as a 4-index tensor t[na, nb, ma, mb] = <na,nb| rho |ma,mb> with
+    four equal sides; ``dimension`` is the largest representable per-mode
+    photon number, one less than a side.  Construction validates the shape,
+    Hermiticity (within ``TOL.hermiticity``) and trace (within ``TOL.trace``).
     """
 
-    __slots__ = ("tensor", "dimension")
+    __slots__ = ("tensor",)
 
-    def __init__(self, tensor: np.ndarray, dimension: int, validate: bool = True):
-        m = dimension + 1
+    def __init__(self, tensor: np.ndarray):
         tensor = np.asarray(tensor, dtype=complex)
-        if tensor.shape != (m, m, m, m):
-            raise InvalidStateError(
-                f"tensor shape {tensor.shape} does not match per-mode dimension {m}"
-            )
+        if tensor.ndim != 4 or len(set(tensor.shape)) != 1 or tensor.shape[0] == 0:
+            raise InvalidStateError(f"tensor must have four equal, non-zero sides, got {tensor.shape}")
         self.tensor = tensor
-        self.dimension = int(dimension)
-        if validate:
-            h = self.hermiticity_residue()
-            if not h <= TOL.hermiticity:
-                raise InvalidStateError(f"density matrix not Hermitian: residue {h:.3e}")
-            tr = self.trace()
-            if not abs(tr - 1.0) <= TOL.trace:
-                raise InvalidStateError(f"density matrix trace {tr} != 1")
+        h = self.hermiticity_residue()
+        if not h <= TOL.hermiticity:
+            raise InvalidStateError(f"density matrix not Hermitian: residue {h:.3e}")
+        tr = self.trace()
+        if not abs(tr - 1.0) <= TOL.trace:
+            raise InvalidStateError(f"density matrix trace {tr} != 1")
+
+    @property
+    def dimension(self) -> int:
+        return self.tensor.shape[0] - 1
 
     def as_matrix(self) -> np.ndarray:
         """Flattened matrix in the basis index n_a * (d+1) + n_b."""
-        m = self.dimension + 1
+        m = self.tensor.shape[0]
         return self.tensor.reshape(m * m, m * m)
 
     def entry(self, ket: Tuple[int, int], bra: Tuple[int, int]) -> complex:
@@ -168,7 +168,7 @@ def state_to_density(state: TwoModeState) -> DensityMatrix:
     """rho = |psi><psi| as a dense 4-index tensor."""
     amps = state.amplitudes
     tensor = np.einsum("ab,cd->abcd", amps, amps.conj())
-    return DensityMatrix(tensor, dimension=state.cutoff)
+    return DensityMatrix(tensor)
 
 
 def _weights_by(state: TwoModeState, key: np.ndarray) -> Dict[int, float]:

@@ -56,7 +56,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,13 +68,7 @@ from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
-
-
-class PhasePoint(NamedTuple):
-    x: float
-    p_x: float
-    y: float
-    p_y: float
+_MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +171,7 @@ def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     return float(vals[0]) if scalar else vals.reshape(shape)
 
 
-def position_marginal(state_or_rho, x: float, y: float, order: int = 32) -> float:
+def position_marginal(state_or_rho, x: float, y: float) -> float:
     """Born-rule marginal of W over (p_x, p_y), as a density in field coordinates.
 
     The result equals |psi(x, y)|^2 of the quadrature module: the Wigner
@@ -185,10 +179,10 @@ def position_marginal(state_or_rho, x: float, y: float, order: int = 32) -> floa
     by the Jacobian 1/2 of the chart change.
     """
     rho_p, m = _pair_matrix(state_or_rho)
-    q, om = _gauss_hermite(order)
+    q, om = _gauss_hermite(_MARGINAL_ORDER)
     xw, yw = x / _SQRT2, y / _SQRT2
-    ka = _kernel_polys(m, np.full(order, xw), q).reshape(m * m, order) @ om
-    kb = _kernel_polys(m, np.full(order, yw), q).reshape(m * m, order) @ om
+    ka = _kernel_polys(m, np.full(q.size, xw), q).reshape(m * m, q.size) @ om
+    kb = _kernel_polys(m, np.full(q.size, yw), q).reshape(m * m, q.size) @ om
     val = ka @ rho_p @ kb * math.exp(-2.0 * (xw * xw + yw * yw))
     if abs(val.imag) > TOL.imag_residue:
         raise InvariantError(f"marginal has imaginary residue {abs(val.imag):.3e}")
@@ -299,7 +293,6 @@ class WignerGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    rule: WignerRule
 
     def gaussian_check(self) -> float:
         """|sum(weights) - integral of e^{-2 q^2}|; small for a sound rule."""
@@ -309,11 +302,11 @@ class WignerGrid:
 def build_wigner_grid(rule: WignerRule, cutoff: int, order: Optional[int] = None) -> WignerGrid:
     o = order if order is not None else rule.order
     if rule.scheme == "tensor-gauss-hermite":
-        return WignerGrid(*_gauss_hermite(o), rule)
+        return WignerGrid(*_gauss_hermite(o))
     h = BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
     edges = np.linspace(-h, h, o + 1)
     q = 0.5 * (edges[:-1] + edges[1:])
-    return WignerGrid(q, (2.0 * h / o) * np.exp(-2.0 * q * q), rule)
+    return WignerGrid(q, (2.0 * h / o) * np.exp(-2.0 * q * q))
 
 
 @dataclass
@@ -520,7 +513,7 @@ def negativity_volume(
     a deviation beyond 10*tol flags the result under-resolved, and an
     under-resolved result is never reported as converged.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameterError(f"tol must be > 0, got {tol}")
     rule = rule or WignerRule()
     diagonal = _pair_diagonal(state_or_rho) if rule.scheme == "tensor-gauss-hermite" else None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockvortex import (
     CoefficientMismatchError,
@@ -45,10 +47,12 @@ def test_double_pass_is_phased_swap():
         assert abs(twice.amplitude(nb, na) - expect) < 1e-12
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_unitarity_random_states(seed):
-    rng = np.random.default_rng(seed)
-    state = random_state(rng, cutoff=9)
+@pytest.mark.parametrize("cutoff", range(13))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unitarity_random_states(cutoff, seed):
+    # every cutoff is run; hypothesis draws the states
+    state = random_state(np.random.default_rng(seed), cutoff=cutoff)
     out = apply_beam_splitter(state)
     assert abs(out.norm() - 1.0) < 1e-13
     before = total_photon_distribution(state)

@@ -69,6 +69,14 @@ def test_non_finite_grid_exits_usage(tmp_path, command):
     assert not out.exists()
 
 
+def test_nan_nv_tolerance_exits_usage(tmp_path):
+    # NaN fails every comparison, so without an up-front check the refinement
+    # ladder would run to its last order and report non-convergence (exit 3)
+    out = tmp_path / "nv.json"
+    assert main(["nv", "--r", "0.5", "--n", "2", "--tol", "nan", "--json", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     fake = NegativityResult(
         volume=0.1, integral_abs=1.2, normalization_check=1.0,
@@ -373,7 +381,6 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         {"nv_order": 1, "outputs": ["nv"]},
         {"r_values": [float("nan")]},
         {"slice_plane": {"z": 0, "px": 0}, "outputs": ["wigner-slice"]},
-        # passes the up-front checks; the task itself raises the usage error
         {"grid": "-1:1", "outputs": ["field"]},
         {"slice_grid": "-inf:inf:3", "outputs": ["wigner-slice"]},
         # malformed values: not a number, not a list, not an integer, a boolean, not a path
@@ -390,6 +397,8 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
 def test_sweep_invalid_values_exit_usage(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["sweep", "--config", str(cfg)]) == 2
+    # rejected by the config check, before any task runs or a manifest is written
+    assert not (tmp_path / "sweep-out" / "manifest.json").exists()
 
 
 def test_sweep_point_matches_figure_artifacts(tmp_path):

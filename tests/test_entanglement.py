@@ -68,10 +68,13 @@ def test_pure_state_nuclear_norm_oracle():
 
 
 def test_modes_give_same_negativity():
-    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.7, n_max=3)))
-    la = log_negativity(state, mode="a").log_negativity
-    lb = log_negativity(state, mode="b").log_negativity
-    assert la == pytest.approx(lb, abs=1e-10)
+    # PT_b(rho) = PT_a(rho)^T, so the spectrum, and with it the log-negativity,
+    # does not depend on the transposed mode
+    rho = state_to_density(apply_beam_splitter(make_tmss(SqueezeParams(r=0.7, n_max=3))))
+    pt_a = partial_transpose(rho, "a").as_matrix()
+    pt_b = partial_transpose(rho, "b").as_matrix()
+    assert np.array_equal(pt_b, pt_a.T)
+    assert np.max(np.abs(np.linalg.eigvalsh(pt_b) - np.linalg.eigvalsh(pt_a))) < 1e-12
 
 
 def test_accepts_state_or_density():
@@ -84,20 +87,20 @@ def test_accepts_state_or_density():
 def test_partial_transpose_involution():
     rng = np.random.default_rng(31)
     rho = state_to_density(random_state(rng, cutoff=4))
-    double = partial_transpose(partial_transpose(rho, "a").matrix, "a").matrix
+    double = partial_transpose(partial_transpose(rho, "a"), "a")
     assert np.max(np.abs(double.tensor - rho.tensor)) < 1e-15
 
 
 def test_partial_transpose_keeps_trace_and_hermiticity():
     rho = state_to_density(make_tmss(SqueezeParams(r=0.8, n_max=3)))
-    pt = partial_transpose(rho, "b").matrix
+    pt = partial_transpose(rho, "b")
     assert pt.trace() == pytest.approx(1.0, abs=1e-13)
     assert pt.hermiticity_residue() < 1e-15
 
 
 def test_partial_transpose_entry_swap():
     rho = state_to_density(make_tmss(SqueezeParams(r=0.6, n_max=2)))
-    pt = partial_transpose(rho, "a").matrix
+    pt = partial_transpose(rho, "a")
     assert pt.entry((0, 1), (1, 1)) == pytest.approx(rho.entry((1, 1), (0, 1)))
 
 
@@ -129,10 +132,10 @@ def _assert_same_report(fast, slow):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(1, 6), mode=st.sampled_from("ab"))
-def test_schmidt_path_matches_density_matrix_eigh(seed, cutoff, mode):
+@given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(1, 6))
+def test_schmidt_path_matches_density_matrix_eigh(seed, cutoff):
     state = random_state(np.random.default_rng(seed), cutoff=cutoff)
-    _assert_same_report(log_negativity(state, mode), log_negativity(state_to_density(state), mode))
+    _assert_same_report(log_negativity(state), log_negativity(state_to_density(state)))
 
 
 @pytest.mark.parametrize("r", [0.3, 1.2])
@@ -144,16 +147,11 @@ def test_schmidt_path_matches_eigh_at_n14(r, after_splitter):
     _assert_same_report(log_negativity(state), log_negativity(state_to_density(state)))
 
 
-def test_schmidt_path_validates_mode():
-    with pytest.raises(InvalidParameterError):
-        log_negativity(_bell(), mode="c")
-
-
 def test_nan_density_matrix_is_rejected():
     tensor = state_to_density(_bell()).tensor.copy()
     tensor[1, 1, 1, 1] = math.nan
     with pytest.raises(InvalidStateError):
-        log_negativity(DensityMatrix(tensor, dimension=2, validate=False))
+        DensityMatrix(tensor)
     # eigh returns NaN eigenvalues without raising; the residual check must not pass them
     with pytest.raises(EigensolverError):
         entanglement._eigvals_checked(np.diag([math.nan, 1.0]))

@@ -159,14 +159,18 @@ def test_density_matrix_validation():
     m = np.zeros((3, 3, 3, 3), dtype=complex)
     m[0, 0, 1, 1] = 1.0  # not Hermitian
     with pytest.raises(InvalidStateError):
-        DensityMatrix(m, dimension=2)
+        DensityMatrix(m)
+    # the per-mode dimension is read from the sides, so all four must agree
+    for shape in [(3, 3, 3, 2), (9, 9), (0, 0, 0, 0)]:
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(np.zeros(shape))
 
 
 def test_density_matrix_rejects_nan():
     tensor = state_to_density(make_tmss(SqueezeParams(r=0.6, n_max=1))).tensor.copy()
     tensor[0, 0, 1, 1] = tensor[1, 1, 0, 0] = math.nan
     with pytest.raises(InvalidStateError):
-        DensityMatrix(tensor, dimension=2)
+        DensityMatrix(tensor)
 
 
 def test_total_photon_distribution():

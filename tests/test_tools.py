@@ -1,5 +1,5 @@
 """tools/artifact_hashes.py: figure artifact hashes and the --compare check;
-the library names the benchmark tracer wraps."""
+the library names the benchmark tracer wraps; the public API list."""
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -47,3 +47,14 @@ def test_benchmark_tracer_layers_resolve():
     for name, owner_path, attr, _ in tracer.LAYERS:
         owner = tracer._resolve(owner_path)
         assert callable(getattr(owner, attr, None)), f"{name}: {owner_path}.{attr} is gone"
+
+
+def test_public_api_star_import():
+    # a name left in __all__ after its definition is deleted fails the star import
+    import fockvortex
+
+    namespace: dict = {}
+    exec("from fockvortex import *", namespace)
+    assert len(set(fockvortex.__all__)) == len(fockvortex.__all__), "duplicate __all__ entry"
+    for name in fockvortex.__all__:
+        assert namespace[name] is getattr(fockvortex, name), name

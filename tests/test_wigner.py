@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from fockvortex import (
     InvalidParameterError,
-    PhasePoint,
     QuadratureGrid,
     SqueezeParams,
     TwoModeState,
@@ -114,7 +113,7 @@ def test_wigner_matches_definition_for_random_state():
 def test_wigner_accepts_density_matrix_and_phase_point():
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.4, n_max=2)))
     rho = state_to_density(state)
-    pt = PhasePoint(0.3, -0.1, 0.2, 0.5)
+    pt = (0.3, -0.1, 0.2, 0.5)  # (x, p_x, y, p_y)
     assert wigner_state(rho, pt) == pytest.approx(wigner_state(state, pt), abs=1e-13)
 
 
@@ -157,8 +156,9 @@ def test_rule_validation():
         WignerRule(scheme="monte-carlo")
     with pytest.raises(InvalidParameterError):
         WignerRule(order=1)
-    with pytest.raises(InvalidParameterError):
-        negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
 
 
 @pytest.mark.parametrize("r,n_max", [(0.3, 2), (0.8, 3)])

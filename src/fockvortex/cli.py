@@ -54,6 +54,7 @@ from .wigner import (
     wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
+    wigner_state,
 )
 
 EXIT_OK = 0
@@ -671,6 +672,16 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
                 marg = position_marginal(state, x, y)
                 assert abs(marg - density) < 1e-6, f"marginal off at ({x}, {y})"
 
+    def slice_vs_pointwise():
+        # the pointwise wigner_state is the oracle for the product-grid path
+        # that both slice planes take
+        state = _build_state(0.7, 3, fock_input=False)
+        grid = QuadratureGrid.from_spec(SLICE_GRID)
+        for plane in SLICE_PLANES:
+            gap = np.max(np.abs(wigner_slice(state, plane, grid).values
+                                - wigner_state(state, plane_points(plane, grid)[1])))
+            assert gap < 1e-14, f"{plane}: off by {gap:.3e}"
+
     def wigner_diagonal_value():
         got = wigner_fock_diagonal(3, 0.7)
         assert abs(got - (-0.11010127013979758)) < 1e-12, f"got {got}"
@@ -730,6 +741,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("vortex-synthetic", vortex_synthetic),
         ("wigner-normalization", wigner_normalization),
         ("wigner-marginal", wigner_marginal),
+        ("slice-vs-pointwise", slice_vs_pointwise),
         ("wigner-diagonal-value", wigner_diagonal_value),
         ("hermite-spot-values", hermite_spot_values),
         ("transpose-involution", transpose_involution),

@@ -148,6 +148,24 @@ def _pair_matrix(state_or_rho) -> Tuple[np.ndarray, int]:
     raise InvalidParameterError(f"expected TwoModeState or DensityMatrix, got {type(state_or_rho)!r}")
 
 
+def _checked_real(w: np.ndarray, x, px, y, py) -> np.ndarray:
+    """Re(w) e^{-2 q^2} at the points (x, px, y, py), after checking that every
+    value is finite and the imaginary residue is below ``TOL.imag_residue``.
+
+    Far from the origin the kernel polynomials overflow while the Gaussian
+    underflows, and their product is NaN; that is an error, not a value.
+    """
+    gauss = np.exp(-2.0 * (x ** 2 + px ** 2 + y ** 2 + py ** 2))
+    vals = w.real * gauss
+    worst = float(np.max(np.abs(w.imag * gauss), initial=0.0))
+    if not np.isfinite(vals).all():
+        raise InvariantError("Wigner value is not finite: the kernel polynomials overflow this far out")
+    if not worst <= TOL.imag_residue:
+        raise InvariantError(f"Wigner value has imaginary residue {worst:.3e}")
+    return vals
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value, see _checked_real
 def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     """W(x, p_x, y, p_y); accepts scalar coordinates or broadcastable arrays."""
     x, px, y, py = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
@@ -157,18 +175,35 @@ def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     xf, pxf, yf, pyf = (c.ravel() for c in (x, px, y, py))
     vals = np.empty(xf.size)
     chunk = max(256, (1 << 22) // (m * m))
-    worst_imag = 0.0
     for s in range(0, xf.size, chunk):
         sl = slice(s, min(s + chunk, xf.size))
         ka = _kernel_polys(m, xf[sl], pxf[sl]).reshape(m * m, -1)
         kb = _kernel_polys(m, yf[sl], pyf[sl]).reshape(m * m, -1)
         w = np.einsum("uP,uv,vP->P", ka, rho_p, kb, optimize=True)
-        gauss = np.exp(-2.0 * (xf[sl] ** 2 + pxf[sl] ** 2 + yf[sl] ** 2 + pyf[sl] ** 2))
-        worst_imag = max(worst_imag, float(np.max(np.abs(w.imag * gauss), initial=0.0)))
-        vals[sl] = w.real * gauss
-    if worst_imag > TOL.imag_residue:
-        raise InvariantError(f"Wigner value has imaginary residue {worst_imag:.3e}")
+        vals[sl] = _checked_real(w, xf[sl], pxf[sl], yf[sl], pyf[sl])
     return float(vals[0]) if scalar else vals.reshape(shape)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _product_grid_wigner(state_or_rho, point) -> np.ndarray:
+    """W on a 2-D grid whose mode-a coordinates vary only along axis 0 and
+    mode-b coordinates only along axis 1.
+
+    W[i, j] = Re(K_a[:, i]^T rho_p K_b[:, j]) e^{-2 q^2}, with each kernel built
+    on its own axis points only.  In numpy 2.4 the einsum of ``wigner_state``
+    computes rho_p^T K_a and then one batched matmul per point; here the first
+    product runs once per grid and the second is one broadcast matmul over
+    strided views, which gives the same bytes.  C-contiguous per-point copies
+    of either operand would select another matmul loop and change the last
+    bits.
+    """
+    x, px, y, py = point
+    rho_p, m = _pair_matrix(state_or_rho)
+    ka = _kernel_polys(m, x[:, 0], px[:, 0]).reshape(m * m, -1)
+    kb = _kernel_polys(m, y[0], py[0]).reshape(m * m, -1)
+    d = rho_p.T @ ka
+    w = np.matmul(kb.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
+    return _checked_real(w, x, px, y, py)
 
 
 def position_marginal(state_or_rho, x: float, y: float) -> float:
@@ -605,6 +640,13 @@ def plane_points(plane: dict, grid2d) -> Tuple[List[str], tuple]:
 
 
 def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
-    """Evaluate W on the plane that fixes exactly two of (x, px, y, py)."""
+    """Evaluate W on the plane that fixes exactly two of (x, px, y, py).
+
+    A plane that frees one coordinate per mode, as both CLI slice planes do,
+    is a product grid and takes ``_product_grid_wigner``; a plane that frees
+    both coordinates of one mode takes the pointwise ``wigner_state``.
+    """
     free, point = plane_points(plane, grid2d)
-    return WignerSlice(free, plane, grid2d, wigner_state(state_or_rho, point))
+    per_mode = free[0] in ("x", "px") and free[1] in ("y", "py")
+    evaluate = _product_grid_wigner if per_mode else wigner_state
+    return WignerSlice(free, plane, grid2d, evaluate(state_or_rho, point))

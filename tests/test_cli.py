@@ -11,6 +11,7 @@ import pytest
 import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
+import fockvortex.wigner as wigner
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
 from fockvortex.states import SqueezeParams, make_tmss
@@ -69,6 +70,18 @@ def test_non_finite_grid_exits_usage(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("plane", ["y=0,px=0", "y=0,py=0"])
+def test_far_slice_exits_invariant(tmp_path, plane, capsys):
+    # the kernel polynomials overflow at |q| = 1e6 and the Gaussian underflows:
+    # their product is NaN, which must not reach the CSV.  The suite turns
+    # warnings into errors, as `python -W error` does.
+    out = tmp_path / "s.csv"
+    argv = ["wigner-slice", "--r", "0.5", "--n", "14", "--grid=-1e6:1e6:3", "--plane", plane]
+    assert main([*argv, "-o", str(out)]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_nv_tolerance_exits_usage(tmp_path):
     # NaN fails every comparison, so without an up-front check the refinement
     # ladder would run to its last order and report non-convergence (exit 3)
@@ -120,7 +133,18 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 16
+    assert len(doc["checks"]) == 17
+
+
+def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
+    exact = wigner._product_grid_wigner
+    monkeypatch.setattr(wigner, "_product_grid_wigner",
+                        lambda state, point: exact(state, point) * (1 + 1e-6))
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["slice-vs-pointwise"]
+    assert len(doc["checks"]) == 17
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from fockvortex import (
     InvalidParameterError,
+    InvariantError,
     QuadratureGrid,
     SqueezeParams,
     TwoModeState,
@@ -29,9 +30,10 @@ from fockvortex import (
     wigner_state,
 )
 import fockvortex.wigner as wigner_module
+from fockvortex.cli import SLICE_GRID
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
-from fockvortex.wigner import _radial_pair_rule
+from fockvortex.wigner import _radial_pair_rule, plane_points
 
 # mpmath, 40 digits
 W_DIAG_3_AT_0P7 = -0.11010127013979758215
@@ -356,6 +358,81 @@ def test_slice_values_and_symmetry():
     assert s1.values[4, 9] == pytest.approx(
         wigner_state(state, (grid.x_axis()[4], 0.0, 0.0, grid.y_axis()[9])), abs=1e-13
     )
+
+
+# Planes that free one coordinate per mode take the product-grid path; the
+# two CLI slice planes first, then the other two.  wigner_state, the
+# per-point einsum, is their oracle.
+_MIXED_PLANES = (
+    {"y": 0.0, "px": 0.0},
+    {"x": 0.0, "py": 0.0},
+    {"px": 0.0, "py": 0.0},
+    {"x": 0.0, "y": 0.0},
+)
+_SLICE_GRID = QuadratureGrid.from_spec(SLICE_GRID)
+
+
+@pytest.mark.parametrize("plane", _MIXED_PLANES, ids=lambda p: "fix-" + "-".join(p))
+@pytest.mark.parametrize("n_max", [3, 10, 14])
+def test_product_slice_is_byte_identical_to_pointwise(n_max, plane):
+    # at N = 14 the pointwise path runs two chunks of 4987 points and a tail
+    # of 227; the slice CSVs of every figure and sweep depend on these bytes
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=n_max)))
+    fast = wigner_slice(state, plane, _SLICE_GRID).values
+    slow = wigner_state(state, plane_points(plane, _SLICE_GRID)[1])
+    assert fast.tobytes() == slow.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from(_MIXED_PLANES),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    st.booleans(),
+)
+def test_product_slice_matches_pointwise_on_random_input(seed, cutoff, plane, fixed, density):
+    # nonzero fixed coordinates make both kernels complex, and OpenBLAS may
+    # then round the 21-column GEMM differently from the per-point one
+    state = random_state(np.random.default_rng(seed), cutoff=cutoff)
+    source = state_to_density(state) if density else state
+    plane = dict(zip(plane, fixed))
+    grid = QuadratureGrid.square(3.0, 21)
+    fast = wigner_slice(source, plane, grid).values
+    slow = wigner_state(source, plane_points(plane, grid)[1])
+    assert np.max(np.abs(fast - slow)) <= 1e-15
+
+
+@pytest.mark.parametrize("plane", [{"y": 0.0, "py": 0.0}, {"x": 0.4, "px": -0.2}])
+def test_same_mode_slice_is_pointwise(plane):
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=3)))
+    grid = QuadratureGrid.square(3.0, 21)
+    fast = wigner_slice(state, plane, grid).values
+    assert fast.tobytes() == wigner_state(state, plane_points(plane, grid)[1]).tobytes()
+
+
+def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch):
+    evaluated = []
+    kernel_polys = wigner_module._kernel_polys
+
+    def spy(dim, x, p):
+        evaluated.append(np.size(x))
+        return kernel_polys(dim, x, p)
+
+    monkeypatch.setattr(wigner_module, "_kernel_polys", spy)
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=3)))
+    sl = wigner_slice(state, {"y": 0.0, "px": 0.0}, _SLICE_GRID)
+    assert sl.values.shape == (101, 101)
+    assert sum(evaluated) <= 202
+
+
+def test_far_point_raises_instead_of_returning_nan():
+    # at |q| = 1e6 the kernel polynomials overflow while the Gaussian
+    # underflows; the product is NaN, never a Wigner value (the CLI tests
+    # cover the slice paths)
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=14)))
+    with pytest.raises(InvariantError, match="not finite"):
+        wigner_state(state, (1e6, 0.0, 0.0, 0.0))
 
 
 def test_slice_plane_validation():

@@ -11,11 +11,8 @@ __version__ = "0.2.0"
 
 from .beamsplitter import (
     apply_beam_splitter,
-    closed_form_deviation,
     closed_form_vortex_state,
     inject_fault,
-    marginal_variance,
-    photon_number_marginal,
 )
 from .config import GH_ORDER, TOL, Tolerances
 from .entanglement import (
@@ -60,9 +57,7 @@ from .wigner import (
     WignerSlice,
     build_wigner_grid,
     negativity_volume,
-    diagonal_form_deviation,
     position_marginal,
-    wigner_fock_cross,
     wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
@@ -79,9 +74,6 @@ __all__ = [
     "random_state",
     "apply_beam_splitter",
     "closed_form_vortex_state",
-    "closed_form_deviation",
-    "photon_number_marginal",
-    "marginal_variance",
     "inject_fault",
     "hermite_function",
     "hermite_basis",
@@ -91,10 +83,8 @@ __all__ = [
     "VortexReport",
     "count_vortices",
     "wigner_fock_diagonal",
-    "wigner_fock_cross",
     "wigner_state",
     "wigner_diagonal_form",
-    "diagonal_form_deviation",
     "position_marginal",
     "WignerRule",
     "WignerGrid",

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from math import lgamma
-from typing import Dict, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .config import TOL
-from .errors import CoefficientMismatchError, InvalidParameterError
-from .states import SqueezeParams, TwoModeState, _weights_by, make_tmss
+from .errors import CoefficientMismatchError
+from .states import SqueezeParams, TwoModeState, make_tmss
 
 # debug hook for the selftest's mutation check: flips the sign of the
 # closed form's summation phase (i -> -i).  Never set in normal operation.
@@ -63,62 +63,44 @@ def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
     return TwoModeState(out)
 
 
+def _pair_terms(params: SqueezeParams) -> Iterator[Tuple[int, int, int, float]]:
+    """(j, k, l, C_{k,l}) for every input pair |j, j>, j <= n_max, and every
+    k, l in 0..j; C_{k,l} = sqrt((j-l+k)! (j+l-k)!) / (k! (j-k)! l! (j-l)!).
+
+    Pair |j, j> sends k photons of mode a and l of mode b across the
+    splitter, to |j - m, j + m> with m = l - k.
+    """
+    lg = _lgamma_table(2 * params.n_max)
+    for j in range(params.n_max + 1):
+        for k in range(j + 1):
+            for l in range(j + 1):
+                yield j, k, l, math.exp(
+                    0.5 * (lg[j - l + k] + lg[j + l - k])
+                    - lg[k] - lg[j - k] - lg[l] - lg[j - l]
+                )
+
+
 def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
     """Normalized closed-form amplitudes on the (2N+1)^2 grid."""
     n = params.n_max
     t = math.tanh(params.r)
-    lg = _lgamma_table(2 * n + 2)
+    pref = [t ** j * math.exp(lgamma(j + 1) - j * math.log(2.0)) for j in range(n + 1)]
     phase_base = -1j if _FAULT_INJECTED else 1j
     out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    for j in range(n + 1):
-        pref = t ** j * math.exp(lg[j] - j * math.log(2.0))
-        for k in range(j + 1):
-            for l in range(j + 1):
-                # C_{k,l} = sqrt((j-l+k)! (j+l-k)!) / (k! (j-k)! l! (j-l)!)
-                c = math.exp(
-                    0.5 * (lg[j - l + k] + lg[j + l - k])
-                    - lg[k] - lg[j - k] - lg[l] - lg[j - l]
-                )
-                m = l - k
-                out[j - m, j + m] += pref * phase_base ** (k + l) * c
+    for j, k, l, c in _pair_terms(params):
+        m = l - k
+        out[j - m, j + m] += pref[j] * phase_base ** (k + l) * c
     return out / np.linalg.norm(out)
 
 
-def _oracle_check(params: SqueezeParams) -> Tuple[np.ndarray, np.ndarray]:
-    """(closed-form amplitudes, their per-amplitude distance to the oracle)."""
-    dense = _closed_form_dense(params)
-    oracle = apply_beam_splitter(make_tmss(params)).amplitudes
-    return dense, np.abs(dense - oracle)
-
-
-def closed_form_deviation(params: SqueezeParams) -> float:
-    """Max per-amplitude distance between the closed form and the oracle.
-
-    Diagnostic companion to ``closed_form_vortex_state``; does not raise.
-    """
-    return float(_oracle_check(params)[1].max())
-
-
 def closed_form_vortex_state(params: SqueezeParams, verify: bool = True) -> TwoModeState:
-    """Vortex state from the coefficient formula, validated against the oracle."""
-    if not verify:
-        return TwoModeState(_closed_form_dense(params))
-    dense, dev = _oracle_check(params)
-    worst = float(dev.max())
-    if worst > TOL.oracle:
-        na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
+    """Vortex state from the coefficient formula, validated against the oracle
+    unless ``verify`` is False."""
+    dense = _closed_form_dense(params)
+    if verify:
+        dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)
+        worst = float(dev.max())
+        if worst > TOL.oracle:
+            na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
+            raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
     return TwoModeState(dense)
-
-
-def photon_number_marginal(state: TwoModeState, mode: str) -> Dict[int, float]:
-    """Per-mode photon-number distribution."""
-    if mode not in ("a", "b"):
-        raise InvalidParameterError(f"mode must be 'a' or 'b', got {mode!r}")
-    return _weights_by(state, np.indices(state.amplitudes.shape)[0 if mode == "a" else 1])
-
-
-def marginal_variance(state: TwoModeState, mode: str) -> float:
-    dist = photon_number_marginal(state, mode)
-    mean = sum(n * p for n, p in dist.items())
-    return sum((n - mean) ** 2 * p for n, p in dist.items())

@@ -693,7 +693,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
     def transpose_involution():
         rng = np.random.default_rng(7)
         rho = state_to_density(random_state(rng, cutoff=3))
-        twice = partial_transpose(partial_transpose(rho, "a"), "a")
+        twice = partial_transpose(partial_transpose(rho))
         assert float(np.max(np.abs(twice.tensor - rho.tensor))) < 1e-14
 
     def bell_spectrum():

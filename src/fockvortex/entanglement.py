@@ -43,21 +43,16 @@ def _as_density(state_or_rho) -> DensityMatrix:
     )
 
 
-def partial_transpose(rho: Union[TwoModeState, DensityMatrix], mode: str = "a") -> DensityMatrix:
-    """Transpose the bra/ket indices of one mode.
+def partial_transpose(rho: Union[TwoModeState, DensityMatrix]) -> DensityMatrix:
+    """Transpose the bra/ket indices of mode a.
 
     Hermiticity and unit trace survive; positivity in general does not,
-    and its failure is exactly what the negativity measures.  The two modes
-    give transposes of each other, PT_b(rho) = PT_a(rho)^T, with one spectrum.
+    and its failure is exactly what the negativity measures.  Mode b's
+    transpose is this one's matrix transpose, PT_b(rho) = PT_a(rho)^T, with
+    the same spectrum, so the a|b negativity needs only this one.
     """
     rho = _as_density(rho)
-    if mode == "a":
-        tensor = rho.tensor.transpose(2, 1, 0, 3)
-    elif mode == "b":
-        tensor = rho.tensor.transpose(0, 3, 2, 1)
-    else:
-        raise InvalidParameterError(f"mode must be 'a' or 'b', got {mode!r}")
-    return DensityMatrix(np.ascontiguousarray(tensor))
+    return DensityMatrix(np.ascontiguousarray(rho.tensor.transpose(2, 1, 0, 3)))
 
 
 def _eigvals_checked(mat: np.ndarray) -> np.ndarray:
@@ -90,8 +85,7 @@ def log_negativity(state_or_rho) -> EntanglementReport:
 
     The negative eigenvalues are the -s_i*s_j of a ``TwoModeState``'s Schmidt
     coefficients, or those of a checked ``eigh`` of a ``DensityMatrix``'s
-    mode-a transpose (mode b's is its transpose, with the same spectrum);
-    values in (-TOL.eig_zero, 0) count as zero.
+    partial transpose; values in (-TOL.eig_zero, 0) count as zero.
     """
     if isinstance(state_or_rho, TwoModeState):
         s = _schmidt_values(state_or_rho)

@@ -99,8 +99,10 @@ class QuadratureField:
             raise InvalidParameterError(
                 f"values shape {values.shape} does not match grid ({grid.n_x}, {grid.n_y})"
             )
-        with np.errstate(over="ignore"):  # a modulus past the float range comes out inf
-            modulus = np.abs(values)
+        # hypot, as the CSV writer's Python abs, not np.abs: near the float
+        # maximum the two disagree on which moduli overflow to inf
+        with np.errstate(over="ignore"):
+            modulus = np.hypot(values.real, values.imag)
         if not np.all(np.isfinite(modulus)):
             raise InvalidParameterError("field contains non-finite values or moduli")
         self.grid = grid

@@ -88,18 +88,6 @@ class TwoModeState:
             return complex(self.amplitudes[n_a, n_b])
         return 0.0 + 0.0j
 
-    def to_json_dict(self) -> dict:
-        entries = []
-        for na, nb in np.argwhere(self.amplitudes):  # row-major: sorted by (n_a, n_b)
-            v = complex(self.amplitudes[na, nb])
-            entries.append({"na": int(na), "nb": int(nb), "re": v.real, "im": v.imag})
-        return {"cutoff": self.cutoff, "amplitudes": entries}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TwoModeState":
-        pairs = {(e["na"], e["nb"]): complex(e["re"], e["im"]) for e in doc["amplitudes"]}
-        return cls.from_pairs(pairs, doc["cutoff"])
-
     def __repr__(self):
         return f"TwoModeState(terms={np.count_nonzero(self.amplitudes)}, cutoff={self.cutoff})"
 
@@ -136,15 +124,8 @@ class DensityMatrix:
         m = self.tensor.shape[0]
         return self.tensor.reshape(m * m, m * m)
 
-    def entry(self, ket: Tuple[int, int], bra: Tuple[int, int]) -> complex:
-        return complex(self.tensor[ket[0], ket[1], bra[0], bra[1]])
-
     def trace(self) -> float:
         return float(np.einsum("abab->", self.tensor).real)
-
-    def purity(self) -> float:
-        mat = self.as_matrix()
-        return float(np.trace(mat @ mat).real)
 
     def hermiticity_residue(self) -> float:
         mat = self.as_matrix()
@@ -171,18 +152,13 @@ def state_to_density(state: TwoModeState) -> DensityMatrix:
     return DensityMatrix(tensor)
 
 
-def _weights_by(state: TwoModeState, key: np.ndarray) -> Dict[int, float]:
-    """Probability per value of ``key[n_a, n_b]`` over the nonzero amplitudes,
-    sorted by value."""
-    occupied = np.nonzero(state.amplitudes)
-    keys = key[occupied]
-    sums = np.bincount(keys, weights=np.abs(state.amplitudes[occupied]) ** 2)
-    return {int(k): float(sums[k]) for k in np.unique(keys)}
-
-
 def total_photon_distribution(state: TwoModeState) -> Dict[int, float]:
-    """Probability of total photon number n_a + n_b."""
-    return _weights_by(state, _total_photons(state.cutoff + 1))
+    """Probability of total photon number n_a + n_b over the nonzero
+    amplitudes, sorted by total."""
+    occupied = np.nonzero(state.amplitudes)
+    totals = _total_photons(state.cutoff + 1)[occupied]
+    sums = np.bincount(totals, weights=np.abs(state.amplitudes[occupied]) ** 2)
+    return {int(k): float(sums[k]) for k in np.unique(totals)}
 
 
 def random_state(rng: np.random.Generator, cutoff: int) -> TwoModeState:

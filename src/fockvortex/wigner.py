@@ -14,9 +14,8 @@ coordinates.
 The general |n><m| kernels carry the cross terms that a pure two-mode
 state needs.  A diagonal double-sum closed form for this state family
 keeps only squared coefficient weights; it is implemented as a
-comparison view (``wigner_diagonal_form``) and its pointwise difference
-from the exact Wigner function is a reported diagnostic, not an
-assertion.
+comparison view (``wigner_diagonal_form``) and differs pointwise from the
+exact Wigner function by those pair-coherence terms.
 
 Negativity volume
 -----------------
@@ -60,11 +59,11 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .beamsplitter import apply_beam_splitter
+from .beamsplitter import _pair_terms, apply_beam_splitter
 from .config import BOX_WIDTH_SCALE, GH_ORDER, MAX_REFINEMENTS, TOL
 from .errors import InvalidParameterError, InvariantError, NonConvergenceError
 from .quadrature import _write_grid_csv
-from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss
+from .states import DensityMatrix, SqueezeParams, TwoModeState
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -121,15 +120,6 @@ def wigner_fock_diagonal(n: int, q_squared: Union[float, np.ndarray]):
     return float(val) if np.isscalar(q_squared) else val
 
 
-def wigner_fock_cross(n: int, m: int, x: float, p: float) -> complex:
-    """Wigner transform of |n><m| at (x, p); reduces to the diagonal at n = m."""
-    if n < 0 or m < 0:
-        raise InvalidParameterError("orders must be >= 0")
-    dim = max(n, m) + 1
-    poly = _kernel_polys(dim, np.atleast_1d(float(x)), np.atleast_1d(float(p)))[n, m, 0]
-    return complex(poly * math.exp(-2.0 * (x * x + p * p)))
-
-
 # ---------------------------------------------------------------------------
 # Wigner function of a state
 # ---------------------------------------------------------------------------
@@ -148,18 +138,20 @@ def _pair_matrix(state_or_rho) -> Tuple[np.ndarray, int]:
     raise InvalidParameterError(f"expected TwoModeState or DensityMatrix, got {type(state_or_rho)!r}")
 
 
+def _require_finite(vals, what: str) -> None:
+    """Far from the origin the polynomial factors overflow while the Gaussian
+    underflows, and their product is NaN; that is an error, not a value."""
+    if not np.isfinite(vals).all():
+        raise InvariantError(f"{what} is not finite: the polynomials overflow this far out")
+
+
 def _checked_real(w: np.ndarray, x, px, y, py) -> np.ndarray:
     """Re(w) e^{-2 q^2} at the points (x, px, y, py), after checking that every
-    value is finite and the imaginary residue is below ``TOL.imag_residue``.
-
-    Far from the origin the kernel polynomials overflow while the Gaussian
-    underflows, and their product is NaN; that is an error, not a value.
-    """
+    value is finite and the imaginary residue is below ``TOL.imag_residue``."""
     gauss = np.exp(-2.0 * (x ** 2 + px ** 2 + y ** 2 + py ** 2))
     vals = w.real * gauss
     worst = float(np.max(np.abs(w.imag * gauss), initial=0.0))
-    if not np.isfinite(vals).all():
-        raise InvariantError("Wigner value is not finite: the kernel polynomials overflow this far out")
+    _require_finite(vals, "Wigner value")
     if not worst <= TOL.imag_residue:
         raise InvariantError(f"Wigner value has imaginary residue {worst:.3e}")
     return vals
@@ -206,6 +198,7 @@ def _product_grid_wigner(state_or_rho, point) -> np.ndarray:
     return _checked_real(w, x, px, y, py)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def position_marginal(state_or_rho, x: float, y: float) -> float:
     """Born-rule marginal of W over (p_x, p_y), as a density in field coordinates.
 
@@ -219,6 +212,7 @@ def position_marginal(state_or_rho, x: float, y: float) -> float:
     ka = _kernel_polys(m, np.full(q.size, xw), q).reshape(m * m, q.size) @ om
     kb = _kernel_polys(m, np.full(q.size, yw), q).reshape(m * m, q.size) @ om
     val = ka @ rho_p @ kb * math.exp(-2.0 * (xw * xw + yw * yw))
+    _require_finite(val, "marginal")
     if abs(val.imag) > TOL.imag_residue:
         raise InvariantError(f"marginal has imaginary residue {abs(val.imag):.3e}")
     return 0.5 * float(val.real)
@@ -238,22 +232,17 @@ def _diagonal_form_weights(params: SqueezeParams) -> dict:
     total is normalized numerically.
     """
     t = math.tanh(params.r)
-    lg = [lgamma(k + 1) for k in range(2 * params.n_max + 2)]
+    base = [t ** (2 * j) * math.exp(2.0 * lgamma(j + 1) - j * math.log(4.0))
+            for j in range(params.n_max + 1)]
     weights: dict = {}
-    for j in range(params.n_max + 1):
-        base = t ** (2 * j) * math.exp(2.0 * lg[j] - j * math.log(4.0))
-        for k in range(j + 1):
-            for l in range(j + 1):
-                c = math.exp(
-                    0.5 * (lg[j - l + k] + lg[j + l - k])
-                    - lg[k] - lg[j - k] - lg[l] - lg[j - l]
-                )
-                m = l - k
-                weights[(j, m)] = weights.get((j, m), 0.0) + base * c * c
+    for j, k, l, c in _pair_terms(params):
+        m = l - k
+        weights[(j, m)] = weights.get((j, m), 0.0) + base[j] * c * c
     total = math.fsum(weights.values())
     return {jm: v / total for jm, v in weights.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value
 def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarray]:
     """Diagonal closed form in the rotating-pair variables Q0, Q1.
 
@@ -261,8 +250,8 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
     functions with arguments 8(Q0 +/- Q1); the argument scale (8, not 4)
     is fixed by the same chart bridge that makes the N = 0 case reproduce
     the vacuum exactly.  Intended to approach ``wigner_state`` of the
-    exact beam-splitter output; the difference is a diagnostic, see
-    ``diagonal_form_deviation``.
+    exact beam-splitter output, without its pair-coherence terms.  Raises
+    ``InvariantError`` where the Laguerre factors overflow.
     """
     x, px, y, py = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
     scalar = x.ndim == 0
@@ -278,28 +267,8 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
         # (-1)^{j+m} (-1)^{j-m} = (-1)^{2j} = 1: the sign prints as +1 identically
         out = out + w * lp[j + m] * lm[j - m]
     vals = (4.0 / math.pi ** 2) * out * np.exp(-8.0 * np.asarray(q0))
+    _require_finite(vals, "diagonal-form value")
     return float(vals) if scalar else vals
-
-
-def diagonal_form_deviation(
-    params: SqueezeParams, lattice_points: int = 17, half_width: float = 2.0
-) -> dict:
-    """Pointwise gap between the diagonal closed form and the exact W.
-
-    Sampled on a lattice_points^4 cube; reported, never asserted - the
-    closed form drops the interference terms a pure state carries.
-    """
-    axis = np.linspace(-half_width, half_width, lattice_points)
-    gx, gpx, gy, gpy = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    state = apply_beam_splitter(make_tmss(params))
-    exact = wigner_state(state, (gx, gpx, gy, gpy))
-    diagonal = wigner_diagonal_form(params, (gx, gpx, gy, gpy))
-    return {
-        "max_abs_diff": float(np.max(np.abs(diagonal - exact))),
-        "max_abs_wigner": float(np.max(np.abs(exact))),
-        "lattice_points": lattice_points,
-        "half_width": half_width,
-    }
 
 
 # ---------------------------------------------------------------------------

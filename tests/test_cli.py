@@ -82,6 +82,15 @@ def test_far_slice_exits_invariant(tmp_path, plane, capsys):
     assert not out.exists()
 
 
+def test_far_diagonal_form_slice_exits_invariant(tmp_path, capsys):
+    # the diagonal form's Laguerre factors overflow as the kernels do
+    out = tmp_path / "s.csv"
+    argv = ["wigner-slice", "--diagonal-form", "--r", "0.5", "--n", "14", "--grid=-1e6:1e6:3"]
+    assert main([*argv, "-o", str(out)]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_nv_tolerance_exits_usage(tmp_path):
     # NaN fails every comparison, so without an up-front check the refinement
     # ladder would run to its last order and report non-convergence (exit 3)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fockvortex import (
+    InvalidParameterError,
     QuadratureField,
     QuadratureGrid,
     SqueezeParams,
@@ -128,6 +129,22 @@ def test_field_csv_round_trips_exactly(grid, data):
     for row, (i, j, x, y) in zip(rows[1:], _points(grid)):
         v = complex(values[i, j])
         assert [float(c) for c in row] == [x, y, v.real, v.imag, abs(v), float(np.angle(v))]
+
+
+def test_field_guard_agrees_with_csv_modulus():
+    # near the float maximum np.abs and Python abs disagree on which moduli
+    # overflow; the guard must reject exactly the values the writer cannot write
+    grid = QuadratureGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
+    too_big = complex(1.7889793494495687e308, 1.767865786028423e307)
+    with pytest.raises(OverflowError):
+        abs(too_big)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        QuadratureField(grid, np.full((2, 2), too_big))
+    fits = complex(1.797685045249276e308, 5.3930713149714806e305)
+    rows = _parsed_rows(QuadratureField(grid, np.full((2, 2), fits)).to_csv)
+    for row, (_, _, x, y) in zip(rows[1:], _points(grid)):
+        assert [float(c) for c in row] == [x, y, fits.real, fits.imag, abs(fits),
+                                           float(np.angle(fits))]
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ import fockvortex.entanglement as entanglement
 from fockvortex import (
     DensityMatrix,
     EigensolverError,
-    InvalidParameterError,
     InvalidStateError,
     SqueezeParams,
     TwoModeState,
@@ -71,8 +70,8 @@ def test_modes_give_same_negativity():
     # PT_b(rho) = PT_a(rho)^T, so the spectrum, and with it the log-negativity,
     # does not depend on the transposed mode
     rho = state_to_density(apply_beam_splitter(make_tmss(SqueezeParams(r=0.7, n_max=3))))
-    pt_a = partial_transpose(rho, "a").as_matrix()
-    pt_b = partial_transpose(rho, "b").as_matrix()
+    pt_a = partial_transpose(rho).as_matrix()
+    pt_b = DensityMatrix(np.ascontiguousarray(rho.tensor.transpose(0, 3, 2, 1))).as_matrix()
     assert np.array_equal(pt_b, pt_a.T)
     assert np.max(np.abs(np.linalg.eigvalsh(pt_b) - np.linalg.eigvalsh(pt_a))) < 1e-12
 
@@ -87,27 +86,21 @@ def test_accepts_state_or_density():
 def test_partial_transpose_involution():
     rng = np.random.default_rng(31)
     rho = state_to_density(random_state(rng, cutoff=4))
-    double = partial_transpose(partial_transpose(rho, "a"), "a")
+    double = partial_transpose(partial_transpose(rho))
     assert np.max(np.abs(double.tensor - rho.tensor)) < 1e-15
 
 
 def test_partial_transpose_keeps_trace_and_hermiticity():
     rho = state_to_density(make_tmss(SqueezeParams(r=0.8, n_max=3)))
-    pt = partial_transpose(rho, "b")
+    pt = partial_transpose(rho)
     assert pt.trace() == pytest.approx(1.0, abs=1e-13)
     assert pt.hermiticity_residue() < 1e-15
 
 
 def test_partial_transpose_entry_swap():
     rho = state_to_density(make_tmss(SqueezeParams(r=0.6, n_max=2)))
-    pt = partial_transpose(rho, "a")
-    assert pt.entry((0, 1), (1, 1)) == pytest.approx(rho.entry((1, 1), (0, 1)))
-
-
-def test_partial_transpose_mode_validation():
-    rho = state_to_density(make_tmss(SqueezeParams(r=0.1, n_max=1)))
-    with pytest.raises(InvalidParameterError):
-        partial_transpose(rho, "ab")
+    pt = partial_transpose(rho)
+    assert pt.tensor[0, 1, 1, 1] == pytest.approx(rho.tensor[1, 1, 0, 1])
 
 
 def test_entanglement_ratio_fields():

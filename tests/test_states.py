@@ -109,17 +109,6 @@ def test_state_drops_exact_zeros():
     assert repr(state) == "TwoModeState(terms=1, cutoff=2)"
 
 
-def test_json_round_trip():
-    state = make_tmss(SqueezeParams(r=0.9, n_max=3))
-    doc = state.to_json_dict()
-    assert doc["cutoff"] == 6
-    pairs = [(e["na"], e["nb"]) for e in doc["amplitudes"]]
-    assert pairs == sorted(pairs)
-    back = TwoModeState.from_json_dict(doc)
-    assert back.cutoff == state.cutoff
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-
-
 def test_dense_round_trip():
     rng = np.random.default_rng(3)
     state = random_state(rng, cutoff=5)
@@ -148,11 +137,12 @@ def test_density_matrix_pure_state_properties():
     state = make_tmss(SqueezeParams(r=0.6, n_max=3))
     rho = state_to_density(state)
     assert rho.trace() == pytest.approx(1.0, abs=1e-14)
-    assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+    mat = rho.as_matrix()
+    assert float(np.trace(mat @ mat).real) == pytest.approx(1.0, abs=1e-12)
     assert rho.hermiticity_residue() < 1e-15
     c1 = state.amplitude(1, 1)
     c2 = state.amplitude(2, 2)
-    assert rho.entry((1, 1), (2, 2)) == pytest.approx(c1 * np.conj(c2))
+    assert complex(rho.tensor[1, 1, 2, 2]) == pytest.approx(c1 * np.conj(c2))
 
 
 def test_density_matrix_validation():

@@ -19,11 +19,9 @@ from fockvortex import (
     evaluate_field,
     make_tmss,
     negativity_volume,
-    diagonal_form_deviation,
     position_marginal,
     random_state,
     state_to_density,
-    wigner_fock_cross,
     wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
@@ -71,22 +69,28 @@ def test_frozen_diagonal_value():
     assert wigner_fock_diagonal(3, 0.7) == pytest.approx(W_DIAG_3_AT_0P7, abs=1e-14)
 
 
+def _fock_cross(n, m, x, p):
+    """Wigner transform of |n><m| at (x, p), from the kernel polynomials."""
+    poly = wigner_module._kernel_polys(max(n, m) + 1, np.atleast_1d(x), np.atleast_1d(p))[n, m, 0]
+    return complex(poly * math.exp(-2.0 * (x * x + p * p)))
+
+
 def test_frozen_cross_value():
-    got = wigner_fock_cross(2, 1, 0.4, -0.3)
+    got = _fock_cross(2, 1, 0.4, -0.3)
     assert got.real == pytest.approx(W_CROSS_21_RE, abs=1e-14)
     assert got.imag == pytest.approx(W_CROSS_21_IM, abs=1e-14)
 
 
 def test_cross_reduces_to_diagonal():
     q2 = 0.4**2 + 0.9**2
-    got = wigner_fock_cross(2, 2, 0.4, 0.9)
+    got = _fock_cross(2, 2, 0.4, 0.9)
     assert got.imag == 0.0
     assert got.real == pytest.approx(wigner_fock_diagonal(2, q2), abs=1e-14)
 
 
 def test_cross_hermitian_symmetry():
-    a = wigner_fock_cross(3, 1, 0.5, 0.2)
-    b = wigner_fock_cross(1, 3, 0.5, 0.2)
+    a = _fock_cross(3, 1, 0.5, 0.2)
+    b = _fock_cross(1, 3, 0.5, 0.2)
     assert a == pytest.approx(np.conj(b), abs=1e-15)
 
 
@@ -435,6 +439,14 @@ def test_far_point_raises_instead_of_returning_nan():
         wigner_state(state, (1e6, 0.0, 0.0, 0.0))
 
 
+def test_far_marginal_and_diagonal_form_raise_instead_of_returning_nan():
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=14)))
+    with pytest.raises(InvariantError, match="not finite"):
+        position_marginal(state, 1e6, 0.0)
+    with pytest.raises(InvariantError, match="not finite"):
+        wigner_diagonal_form(SqueezeParams(r=0.5, n_max=14), (1e6, 0.0, 0.0, 0.0))
+
+
 def test_slice_plane_validation():
     state = make_tmss(SqueezeParams(r=0.1, n_max=1))
     grid = QuadratureGrid.square(1.0, 3)
@@ -483,8 +495,11 @@ def test_diagonal_form_slice_negativity_onset():
 
 def test_diagonal_form_deviation_reports_coherence_gap():
     # the diagonal form drops the pair-coherence terms of the pure state;
-    # the gap is real, finite, and reported rather than asserted away
-    report = diagonal_form_deviation(SqueezeParams(r=0.5, n_max=2), lattice_points=9)
-    assert report["lattice_points"] == 9
-    assert 0.05 < report["max_abs_diff"] < 0.5
-    assert report["max_abs_wigner"] <= FOUR_OVER_PI_SQ + 1e-9
+    # on a 9^4 lattice over [-2, 2]^4 the gap is real and finite
+    params = SqueezeParams(r=0.5, n_max=2)
+    axis = np.linspace(-2.0, 2.0, 9)
+    point = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+    exact = wigner_state(apply_beam_splitter(make_tmss(params)), point)
+    gap = float(np.max(np.abs(wigner_diagonal_form(params, point) - exact)))
+    assert 0.05 < gap < 0.5
+    assert np.max(np.abs(exact)) <= FOUR_OVER_PI_SQ + 1e-9

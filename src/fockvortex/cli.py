@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,7 +35,13 @@ from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_
 from .config import GH_ORDER, TOL
 from .entanglement import log_negativity, partial_transpose
 from .errors import FockVortexError, InvalidParameterError, NonConvergenceError
-from .quadrature import QuadratureGrid, count_vortices, evaluate_field, hermite_function
+from .quadrature import (
+    QuadratureField,
+    QuadratureGrid,
+    count_vortices,
+    evaluate_field,
+    hermite_function,
+)
 from .states import (
     SqueezeParams,
     TwoModeState,
@@ -647,8 +654,6 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         # inside a plaquette, not on a node where the phase is undefined
         grid = QuadratureGrid.square(4.0, 162)
         gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
-        from .quadrature import QuadratureField
-
         values = (gx - 1j * gy) * np.exp(-0.5 * (gx**2 + gy**2))
         report = count_vortices(QuadratureField(grid, values))
         assert report.count == 1 and report.total_charge == -1, (
@@ -681,6 +686,27 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
             gap = np.max(np.abs(wigner_slice(state, plane, grid).values
                                 - wigner_state(state, plane_points(plane, grid)[1])))
             assert gap < 1e-14, f"{plane}: off by {gap:.3e}"
+
+    def csv_dedup_vs_direct():
+        # a per-element repr is the oracle for the writer, which formats each
+        # distinct bit pattern once; mirrored 0.0 and -0.0 in re, im and arg,
+        # and repeated values, are where a float-valued dedup goes wrong
+        grid = QuadratureGrid(-1.0, 1.0, -0.5, 0.5, 4, 3)
+        values = np.empty((4, 3), dtype=complex)
+        values.real = np.array([0.0, 0.5, 0.5, -0.0])[:, None]
+        values.imag = np.array([-0.0, 0.0, -0.0])
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "field.csv")
+            QuadratureField(grid, values).to_csv(path)
+            with open(path, "rb") as fh:
+                got = fh.read()
+        lines = ["x,y,re,im,abs,arg"]
+        for j, y in enumerate(grid.y_axis().tolist()):
+            for i, x in enumerate(grid.x_axis().tolist()):
+                v = complex(values[i, j])
+                lines.append(",".join(map(repr, (x, y, v.real, v.imag, abs(v),
+                                                 float(np.angle(v))))))
+        assert got == ("\n".join(lines) + "\n").encode(), "bytes differ from per-element reprs"
 
     def wigner_diagonal_value():
         got = wigner_fock_diagonal(3, 0.7)
@@ -742,6 +768,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("wigner-normalization", wigner_normalization),
         ("wigner-marginal", wigner_marginal),
         ("slice-vs-pointwise", slice_vs_pointwise),
+        ("csv-dedup-vs-direct", csv_dedup_vs_direct),
         ("wigner-diagonal-value", wigner_diagonal_value),
         ("hermite-spot-values", hermite_spot_values),
         ("transpose-involution", transpose_involution),

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Dict, List, Union
+from typing import Dict, List, Union
 
 import numpy as np
 from scipy import ndimage
@@ -121,31 +120,68 @@ class QuadratureField:
 
     def to_csv(self, path) -> None:
         """Rows ordered y-outer, x-inner; header x,y,re,im,abs,arg."""
-
-        def columns(row: np.ndarray) -> tuple:
-            # Python abs (hypot) on each value, not np.abs: numpy's SIMD
-            # modulus differs in the last bit for a third of the points
-            return row.real.tolist(), row.imag.tolist(), map(abs, row.tolist()), np.angle(row).tolist()
-
-        _write_grid_csv(path, ("x", "y", "re", "im", "abs", "arg"), self.grid, self.values, columns)
+        re, im = self.values.real, self.values.imag
+        # hypot, as Python's abs of each value, not np.abs: numpy's SIMD
+        # modulus differs in the last bit for a third of the points
+        _write_grid_csv(path, ("x", "y", "re", "im", "abs", "arg"), self.grid,
+                        (re, im, np.hypot(re, im), np.angle(self.values)))
 
 
-def _write_grid_csv(path, names, grid: QuadratureGrid, values: np.ndarray,
-                    columns: Callable[[np.ndarray], tuple]) -> None:
-    """Write ``values[i, j]`` on ``grid`` as CSV: header ``names``, then one
-    line per point, y-outer and x-inner, of x, y and the value columns that
-    ``columns`` derives from the y-row ``values[:, j]``.
+# longest repr of a double, e.g. '-2.2250738585072014e-308'
+_REPR_WIDTH = 24
+_REPR_CHUNK = 4096
+
+
+def _repr_table(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each double of the 1-D ``values``, as NUL-padded bytes rows
+    of width ``_REPR_WIDTH`` (a ``(len(values), _REPR_WIDTH)`` uint8 array).
+
+    Formatted in chunks, so at most ``_REPR_CHUNK`` Python strings live at once.
+    """
+    table = np.empty(len(values), dtype=f"S{_REPR_WIDTH}")
+    for start in range(0, len(values), _REPR_CHUNK):
+        chunk = values[start:start + _REPR_CHUNK].tolist()
+        table[start:start + len(chunk)] = list(map(repr, chunk))
+    return table.view(np.uint8).reshape(len(values), _REPR_WIDTH)
+
+
+def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:
+    """Write the value ``columns`` (arrays indexed ``[i, j]`` like the grid)
+    as CSV: header ``names``, then one line per point, y-outer and x-inner, of
+    x, y and each column's value.
 
     Every number is ``repr`` of a Python float, so the bytes equal those of a
-    per-element ``f"{float(v)!r}"`` loop; axis values are formatted once per
-    axis.  The file is written one y-row at a time to keep memory bounded.
+    per-element ``f"{float(v)!r}"`` loop.  Each distinct double of a column is
+    formatted once: ``np.unique`` runs over the column's int64 bit view, not
+    its floats, which would merge 0.0 and -0.0, whose reprs differ.  The file
+    is gathered from the tables and written one y-row at a time, and NUL
+    padding is dropped from each row, so memory stays bounded by the tables
+    and their int32 indices.
     """
-    xs = list(map(repr, grid.x_axis().tolist()))
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for j, y in enumerate(map(repr, grid.y_axis().tolist())):
-            cols = [map(repr, col) for col in columns(values[:, j])]
-            fh.write("\n".join(map(",".join, zip(xs, repeat(y), *cols))) + "\n")
+    distincts, inverses = [], []
+    for column in columns:
+        # transposed, so the flat index runs in file order: y outer, x inner
+        distinct, inverse = np.unique(np.asarray(column, dtype=float).T.view(np.int64),
+                                      return_inverse=True)
+        distincts.append(distinct.view(float))
+        inverses.append(inverse.astype(np.int32).reshape(grid.n_y, grid.n_x))
+        del inverse  # only the int32 copy outlives the loop
+    # formatted after the last np.unique, so its temporaries and the tables
+    # are never alive at once
+    tables = [_repr_table(distinct) for distinct in distincts]
+    # each field is _REPR_WIDTH bytes and its separator; NULs are dropped on write
+    line = np.zeros((grid.n_x, 2 + len(tables), _REPR_WIDTH + 1), dtype=np.uint8)
+    line[:, :, -1] = ord(",")
+    line[:, -1, -1] = ord("\n")
+    line[:, 0, :-1] = _repr_table(grid.x_axis())
+    ys = _repr_table(grid.y_axis())
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for j in range(grid.n_y):
+            line[:, 1, :-1] = ys[j]
+            for k, (table, inverse) in enumerate(zip(tables, inverses), start=2):
+                line[:, k, :-1] = table[inverse[j]]
+            fh.write(line[line != 0].tobytes())
 
 
 def evaluate_field(state: TwoModeState, grid: QuadratureGrid) -> QuadratureField:

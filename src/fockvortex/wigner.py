@@ -378,7 +378,9 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
     At order 192 these weights match 60-digit values to 1.2e-12 relative at
     every node whose weight is above 1e-300.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred: a module-level import costs ~70 ms
+    # deferred: ~0.05 s once quadrature's scipy.ndimage has loaded scipy's base,
+    # but ~0.28 s from numpy alone, so dropping ndimage moves that cost here
+    from scipy.linalg import eigh_tridiagonal
 
     nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
     p_prev = np.zeros_like(nodes)
@@ -580,8 +582,7 @@ class WignerSlice:
 
     def to_csv(self, path) -> None:
         """Rows ordered free coord 2 outer, free coord 1 inner; header <c1>,<c2>,w."""
-        _write_grid_csv(path, (*self.free_names, "w"), self.grid, self.values,
-                        lambda row: (row.tolist(),))
+        _write_grid_csv(path, (*self.free_names, "w"), self.grid, (self.values,))
 
 
 def plane_free_coords(plane: dict) -> List[str]:

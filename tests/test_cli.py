@@ -11,6 +11,7 @@ import pytest
 import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
+import fockvortex.quadrature as quadrature
 import fockvortex.wigner as wigner
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
@@ -142,7 +143,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 17
+    assert len(doc["checks"]) == 18
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -153,7 +154,18 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 17
+    assert len(doc["checks"]) == 18
+
+
+def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
+    exact = quadrature._repr_table
+    monkeypatch.setattr(quadrature, "_repr_table",
+                        lambda values: exact(np.where(values == 0, 0.0, values)))
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["csv-dedup-vs-direct"]
+    assert len(doc["checks"]) == 18
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):

@@ -1,10 +1,12 @@
-"""Byte identity of the row-streamed grid CSV writer against the per-element
-formatter it replaced, kept here as the oracle; exact round trips of random
-fields and slices through ``csv``."""
+"""Byte identity of the grid CSV writer, which formats each distinct double
+once, against the per-element formatter it replaced, kept here as the oracle;
+exact round trips of random fields and slices through ``csv``; the writer's
+memory budget."""
 import csv
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from fockvortex import (
     make_tmss,
     wigner_slice,
 )
-from fockvortex.cli import main
+from fockvortex.cli import FIELD_GRID, FIG1_N_VALUES, FIG1_R, main
 from fockvortex.wigner import WignerSlice, wigner_diagonal_form
 
 # distinct, non-square axes so that a swapped row/column order shows
@@ -90,6 +92,74 @@ def test_diagonal_form_cli_csv_matches_per_element_formatter(tmp_path):
     values = wigner_diagonal_form(SqueezeParams(r=0.8, n_max=3),
                                   (c1, np.zeros_like(c1), np.full_like(c1, 0.25), c2))
     assert out.read_bytes() == grid_csv_oracle(("x", "py", "w"), grid, values)
+
+
+def _complex(re, im) -> np.ndarray:
+    # assigned part by part: arithmetic such as re + 1j * im loses signed zeros
+    values = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+def test_field_csv_keeps_signed_zeros_apart(tmp_path):
+    # x-mirrored points are equal as floats but hold 0.0 against -0.0 in re,
+    # in im and (atan2 of signed zeros) in arg; a dedup over float values
+    # would merge them
+    left_re = np.array([[0.0, 0.5, -0.0, 0.5, 0.0],
+                        [0.5, -0.0, 0.5, 0.0, 0.0],
+                        [0.0, 0.0, 0.5, -0.0, 0.5]])
+
+    def mirrored(left):
+        return np.concatenate([left, np.where(left == 0, -left, left)[::-1]])
+
+    grid = QuadratureGrid(-1.5, 1.5, -1.0, 1.0, 6, 5)
+    field = QuadratureField(grid, _complex(mirrored(left_re), mirrored(left_re[:, ::-1])))
+    assert np.array_equal(field.values, field.values[::-1])
+    for part in (field.values.real, field.values.imag, np.angle(field.values)):
+        assert {"0.0", "-0.0"} <= set(map(repr, part.ravel().tolist()))
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    assert path.read_bytes() == field_csv_oracle(field)
+
+
+def test_field_csv_of_one_repeated_value(tmp_path):
+    field = QuadratureField(GRID, np.full((GRID.n_x, GRID.n_y), -0.3 + 0.7j))
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    assert path.read_bytes() == field_csv_oracle(field)
+
+
+def test_slice_csv_with_repeated_values(tmp_path):
+    # a few values, signed zeros among them, scattered over the grid
+    palette = np.array([0.0, -0.0, 0.125, -2.5e-300, 0.1, 1.7976931348623157e308])
+    rng = np.random.default_rng(3)
+    values = palette[rng.integers(len(palette), size=(SLICE_GRID.n_x, SLICE_GRID.n_y))]
+    sl = WignerSlice(("x", "py"), {"y": 0.0, "px": 0.0}, SLICE_GRID, values)
+    path = tmp_path / "slice.csv"
+    sl.to_csv(path)
+    assert path.read_bytes() == grid_csv_oracle(("x", "py", "w"), SLICE_GRID, values)
+
+
+# peak bytes per grid point that QuadratureField.to_csv may allocate: the
+# abs and arg columns (16), int32 indices (16) and the fixed-width tables of
+# distinct reprs (~40 for a figure-1 field) plus np.unique's temporaries.
+# Python string tables or a whole-file join each break it.
+CSV_BYTES_PER_POINT = 100
+
+
+def test_field_csv_memory_is_bounded(tmp_path):
+    grid = QuadratureGrid.from_spec(FIELD_GRID)
+    # the largest figure-1 truncation has the most distinct values
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=FIG1_R, n_max=max(FIG1_N_VALUES))))
+    field = evaluate_field(state, grid)
+    tracemalloc.start()
+    try:
+        field.to_csv(tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = grid.n_x * grid.n_y
+    assert peak < CSV_BYTES_PER_POINT * points, f"{peak / points:.1f} B per point"
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """sha256 of every data artifact of the figure pipelines and a fixed sweep.
 
-    python tools/artifact_hashes.py [FIGURE ...] [--src DIR] [--compare FILE]
+    python tools/artifact_hashes.py [FIGURE ...] [--src DIR] [--keep DIR]
+                                    [--compare FILE [--numeric DIR]]
 
 Runs ``fockvortex figure N`` for each FIGURE into a temporary directory,
 with the package imported from DIR (default: the ``src`` directory of this
@@ -10,23 +11,28 @@ sweep with all five outputs, whose artifacts are listed as ``sweep/<file>``.
 ``manifest.json`` is left out: it holds wall times.  With ``--compare FILE``
 (an earlier output of this tool) the hashes are checked against FILE
 instead; every differing, missing or extra artifact is printed and the exit
-status is 1.
+status is 1.  ``--keep DIR`` also copies the artifacts into DIR; with
+``--numeric DIR`` (an earlier ``--keep``) each differing CSV or JSON artifact
+is compared number by number against its copy in DIR, and the largest |Δ| is
+printed after its name.
 
 Comparing two checkouts:
 
-    python tools/artifact_hashes.py --src ../before/src > before.txt
-    python tools/artifact_hashes.py --compare before.txt
+    python tools/artifact_hashes.py --src ../before/src --keep before > before.txt
+    python tools/artifact_hashes.py --compare before.txt --numeric before
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -48,9 +54,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def pipeline_hashes(figures: List[int], src: str, sweep: bool = False) -> Dict[str, str]:
+def pipeline_hashes(figures: List[int], src: str, sweep: bool = False,
+                    keep: Optional[str] = None) -> Dict[str, str]:
     """{"figN/<file>": sha256} for every data artifact of the given figures,
-    plus {"sweep/<file>": sha256} for the artifacts of ``SWEEP`` if ``sweep``."""
+    plus {"sweep/<file>": sha256} for the artifacts of ``SWEEP`` if ``sweep``;
+    with ``keep``, each artifact is also copied to ``keep/<name>``."""
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
@@ -72,12 +80,53 @@ def pipeline_hashes(figures: List[int], src: str, sweep: bool = False) -> Dict[s
             for name in sorted(os.listdir(out)):
                 if name != "manifest.json":
                     hashes[f"{label}/{name}"] = _sha256(os.path.join(out, name))
+            if keep:
+                shutil.copytree(out, os.path.join(keep, label), dirs_exist_ok=True,
+                                ignore=shutil.ignore_patterns("manifest.json"))
     return hashes
 
 
 def read_hashes(path: str) -> Dict[str, str]:
     with open(path) as fh:
         return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _load(path: str):
+    """A JSON document, or a CSV file as a list of rows with numbers parsed."""
+    with open(path, newline="") as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        if path.endswith(".csv"):
+            return [[_cell(text) for text in row] for row in csv.reader(fh)]
+    raise ValueError("neither CSV nor JSON")
+
+
+def _delta(a, b, where: str = "") -> float:
+    """Largest |a - b| over the numbers of two documents of the same layout;
+    ValueError where they differ in anything but numbers."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return abs(float(a) - float(b))
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_delta(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_delta(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if a != b:
+        raise ValueError(f"{str(a)[:40]!r} and {str(b)[:40]!r} at {where or 'top level'}")
+    return 0.0
+
+
+def max_abs_delta(old: str, new: str) -> float:
+    """Largest |Δ| between the numbers of two CSV or JSON artifacts;
+    ValueError if they differ in layout or in anything but numbers."""
+    return _delta(_load(old), _load(new))
 
 
 def compare(want: Dict[str, str], got: Dict[str, str]) -> List[str]:
@@ -99,22 +148,39 @@ def main(argv=None) -> int:
                         help="figure ids to run, 1-5 (default: all five and the sweep)")
     parser.add_argument("--src", default=SRC, help="directory the fockvortex package is imported from")
     parser.add_argument("--compare", metavar="FILE", help="check against an earlier output")
+    parser.add_argument("--keep", metavar="DIR", help="also copy the artifacts into DIR")
+    parser.add_argument("--numeric", metavar="DIR",
+                        help="with --compare: largest |Δ| of each differing artifact "
+                             "against its copy in DIR (an earlier --keep)")
     args = parser.parse_args(argv)
     if any(not 1 <= f <= 5 for f in args.figures):
         parser.error(f"figure ids must be 1-5, got {args.figures}")
-    got = pipeline_hashes(args.figures or [1, 2, 3, 4, 5], os.path.abspath(args.src),
-                          sweep=not args.figures)
-    if args.compare is None:
-        for name, digest in got.items():
-            print(f"{digest}  {name}")
-        return 0
-    want = read_hashes(args.compare)
-    if args.figures:  # compare only the figures that were run
-        prefixes = tuple(f"fig{f}/" for f in args.figures)
-        want = {name: d for name, d in want.items() if name.startswith(prefixes)}
-    problems = compare(want, got)
-    for line in problems:
-        print(line)
+    if args.numeric and not args.compare:
+        parser.error("--numeric needs --compare")
+    with tempfile.TemporaryDirectory() as work:
+        # --numeric reads the new artifacts back, so they outlive the run
+        keep = args.keep or (os.path.join(work, "new") if args.numeric else None)
+        got = pipeline_hashes(args.figures or [1, 2, 3, 4, 5], os.path.abspath(args.src),
+                              sweep=not args.figures, keep=keep)
+        if args.compare is None:
+            for name, digest in got.items():
+                print(f"{digest}  {name}")
+            return 0
+        want = read_hashes(args.compare)
+        if args.figures:  # compare only the figures that were run
+            prefixes = tuple(f"fig{f}/" for f in args.figures)
+            want = {name: d for name, d in want.items() if name.startswith(prefixes)}
+        problems = compare(want, got)
+        for line in problems:
+            if args.numeric and line.startswith("differs"):
+                name = line.split()[1]
+                try:
+                    delta = max_abs_delta(os.path.join(args.numeric, name),
+                                          os.path.join(keep, name))
+                    line += f"  max |Δ| {delta:.3g}"
+                except (OSError, ValueError) as exc:
+                    line += f"  not comparable: {exc}"
+            print(line)
     total = len(set(want) | set(got))
     print(f"{len(problems)} of {total} artifacts not identical" if problems
           else f"all {total} artifacts identical")

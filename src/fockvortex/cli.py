@@ -30,7 +30,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from . import __version__
+from . import __version__, quadrature
 from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
 from .config import GH_ORDER, TOL
 from .entanglement import log_negativity, partial_transpose
@@ -660,6 +660,27 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
             f"expected one charge -1 vortex, got {report.to_json_dict()}"
         )
 
+    def vortex_label_8conn():
+        # hand-labelled clusters: (0, 0) and (1, 1) touch only at a corner and
+        # are one vortex; the -1 cell at (2, 2) touches both +1 clusters
+        # diagonally and merges with neither
+        winding = np.array([
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, -1, -1],
+            [0, 0, -1, 0, 0, -1],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+        ])
+        expect = {
+            1: [[(0, 0), (1, 1)], [(3, 3), (4, 3)]],
+            -1: [[(1, 4), (1, 5), (2, 5)], [(2, 2)]],
+        }
+        for charge, clusters in expect.items():
+            labels, count = quadrature._label8(winding == charge)
+            got = sorted(list(zip(*(idx.tolist() for idx in np.nonzero(labels == lab))))
+                         for lab in range(1, count + 1))
+            assert got == sorted(clusters), f"charge {charge}: clusters {got}"
+
     def wigner_normalization():
         state = _build_state(0.5, 2, fock_input=False)
         result = negativity_volume(state)
@@ -765,6 +786,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("closed-form-oracle", closed_form_oracle),
         ("field-norm", field_norm),
         ("vortex-synthetic", vortex_synthetic),
+        ("vortex-label-8conn", vortex_label_8conn),
         ("wigner-normalization", wigner_normalization),
         ("wigner-marginal", wigner_marginal),
         ("slice-vs-pointwise", slice_vs_pointwise),

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .config import TOL
 from .errors import GridTooCoarseError, InvalidParameterError
@@ -211,6 +210,36 @@ def _wrap(dphi: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * dphi))
 
 
+def _label8(mask: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(labels, count) of the 8-connected components of the 2-D boolean
+    ``mask``: 0 off the mask, 1..count on it, numbered in row-major order of
+    each component's first cell.
+
+    A flood fill over the set of unvisited cells, so the cost follows the
+    number of cells on the mask, not the grid size; neighbours off the grid
+    are never in the set.
+    """
+    labels = np.zeros(mask.shape, dtype=np.intp)
+    cells = list(zip(*(idx.tolist() for idx in np.nonzero(mask))))  # row-major
+    unvisited = set(cells)
+    count = 0
+    for seed in cells:
+        if seed not in unvisited:
+            continue
+        count += 1
+        unvisited.remove(seed)
+        stack = [seed]
+        while stack:
+            i, j = stack.pop()
+            labels[i, j] = count
+            for cell in ((i - 1, j - 1), (i - 1, j), (i - 1, j + 1), (i, j - 1),
+                         (i, j + 1), (i + 1, j - 1), (i + 1, j), (i + 1, j + 1)):
+                if cell in unvisited:
+                    unvisited.remove(cell)
+                    stack.append(cell)
+    return labels, count
+
+
 def count_vortices(field: QuadratureField) -> VortexReport:
     """Integer phase winding per plaquette, merged into vortices.
 
@@ -245,9 +274,9 @@ def count_vortices(field: QuadratureField) -> VortexReport:
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     vortices: List[Dict] = []
-    eight = np.ones((3, 3), dtype=int)
     for charge in (1, -1):
-        labels, nlab = ndimage.label(winding == charge, structure=eight)
+        # plaquettes that touch at a corner belong to one vortex
+        labels, nlab = _label8(winding == charge)
         for lab in range(1, nlab + 1):
             ii, jj = np.nonzero(labels == lab)
             vortices.append(

@@ -367,7 +367,14 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
     """Gauss nodes and weights from a Jacobi matrix; finite at any order, where
     ``scipy.special.roots_laguerre`` overflows to NaN (order 384).
 
-    The nodes are the eigenvalues.  The weights are not taken from the
+    The nodes are the eigenvalues, from ``np.linalg.eigvalsh`` on the dense
+    matrix (LAPACK ``dsyevd`` without vectors).  Its reduction to
+    tridiagonal form leaves a tridiagonal matrix unchanged (every
+    Householder factor is 0), and the eigenvalues then come from ``dsterf``,
+    as in ``scipy.linalg.eigh_tridiagonal``, so the nodes equal that
+    solver's bit for bit (``test_golub_welsch_nodes_match_eigh_tridiagonal``).
+
+    The weights are not taken from the
     eigenvectors, whose components are accurate only in absolute terms (at
     order 192 the Laguerre weight at v ~ 542 would come out as 5.9e-62
     instead of 2.2e-232, and a degree-2N profile there multiplies the error
@@ -378,11 +385,8 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
     At order 192 these weights match 60-digit values to 1.2e-12 relative at
     every node whose weight is above 1e-300.
     """
-    # deferred: ~0.05 s once quadrature's scipy.ndimage has loaded scipy's base,
-    # but ~0.28 s from numpy alone, so dropping ndimage moves that cost here
-    from scipy.linalg import eigh_tridiagonal
-
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    # eigvalsh reads the lower triangle only
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     p_prev = np.zeros_like(nodes)
     p = np.ones_like(nodes)
     log_scale = np.full_like(nodes, -0.5 * math.log(mass))  # p_0 = mass^-1/2

@@ -4,9 +4,12 @@ calls."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
@@ -143,7 +146,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 18
+    assert len(doc["checks"]) == 19
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -154,7 +157,7 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 18
+    assert len(doc["checks"]) == 19
 
 
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
@@ -165,7 +168,17 @@ def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_pat
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["csv-dedup-vs-direct"]
-    assert len(doc["checks"]) == 18
+    assert len(doc["checks"]) == 19
+
+
+def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
+    # scipy's default structure is the 4-connected cross
+    monkeypatch.setattr(quadrature, "_label8", ndimage.label)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["vortex-label-8conn"]
+    assert len(doc["checks"]) == 19
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
@@ -262,6 +275,39 @@ def test_nv_json_artifact_matches_library(tmp_path):
     assert doc["converged"] is True
     assert doc["volume"] == pytest.approx(0.056170, abs=5e-4)
     assert doc["normalization_check"] == pytest.approx(1.0, abs=1e-6)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import fockvortex.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+seen = {"import": scipy_modules()}
+codes = [cli.main(["nv", "--r", "0.5", "--n", "2", "--json", out + "/nv.json"])]
+seen["nv"] = scipy_modules()
+codes.append(cli.main(["field", "--r", "0.5", "--n", "3", "--fock-input", "--grid=-4:4:40",
+                       "-o", out + "/field.csv", "--vortices", out + "/vortices.json"]))
+seen["field"] = scipy_modules()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # scipy is a test oracle only: the CLI import, the NV Gauss rules and the
+    # vortex labeler must not reach it, not even through a deferred import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["codes"] == [0, 0]
+    assert doc["seen"] == {"import": [], "nv": [], "field": []}
+    # the labeler ran on a non-empty winding mask
+    assert json.loads((tmp_path / "vortices.json").read_text())["count"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.special import eval_hermite
 
 from fockvortex import (
@@ -17,6 +21,7 @@ from fockvortex import (
     hermite_function,
     make_tmss,
 )
+import fockvortex.quadrature as quadrature
 
 # mpmath, 40 digits
 HERMITE_50_AT_3P7 = -0.05168667850813706662
@@ -168,3 +173,39 @@ def test_node_on_zero_is_masked():
     # touching plaquettes have an undefined corner phase and are skipped
     report = count_vortices(_synthetic(QuadratureGrid.square(4.0, 161), 1))
     assert report.count == 0
+
+
+def _ndimage_label8(mask):
+    # the labeler count_vortices used before it had its own
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+
+
+def _components(labels, count):
+    """The cell sets of a labelling, whatever the label numbering."""
+    return sorted(list(zip(*(idx.tolist() for idx in np.nonzero(labels == lab))))
+                  for lab in range(1, count + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_label8_partitions_like_ndimage(rows, cols, density, seed):
+    # densities around the 8-connected percolation threshold (~0.41) give
+    # long branching clusters, where a missed diagonal step splits one
+    mask = np.random.default_rng(seed).random((rows, cols)) < density
+    labels, count = quadrature._label8(mask)
+    assert np.array_equal(labels != 0, mask)
+    assert _components(labels, count) == _components(*_ndimage_label8(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_count_vortices_matches_ndimage_path(n_x, n_y, seed):
+    # random phases wind by -1, 0 or +1 around about a third of the
+    # plaquettes, so clusters of both charges touch and merge
+    rng = np.random.default_rng(seed)
+    grid = QuadratureGrid(-2.0, 1.5, -1.0, 3.0, n_x, n_y)
+    fld = QuadratureField(grid, rng.normal(size=(n_x, n_y)) + 1j * rng.normal(size=(n_x, n_y)))
+    got = count_vortices(fld).to_json_dict()
+    with mock.patch.object(quadrature, "_label8", _ndimage_label8):
+        expect = count_vortices(fld).to_json_dict()
+    assert got == expect

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,28 @@ def test_gauss_hermite_rule_matches_scipy(order):
     # subnormal weights (order 384 has two) carry only a few digits on either side
     np.testing.assert_allclose(grid.weights * math.sqrt(2.0), weights, rtol=2e-11,
                                atol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 96, 192, 384])
+def test_golub_welsch_nodes_match_eigh_tridiagonal(order, monkeypatch):
+    # every Jacobi matrix the library builds (Hermite for the marginal rule at
+    # order 32 and the NV axes, Laguerre alpha = 1 and Legendre for the
+    # reduced NV rule, at every ladder order 24 * 2^k <= 384): the dense
+    # eigvalsh nodes must equal the tridiagonal solver's bit for bit
+    calls = []
+    exact = wigner_module._golub_welsch
+
+    def spy(diag, off, mass):
+        nodes, weights = exact(diag, off, mass)
+        calls.append((diag, off, nodes))
+        return nodes, weights
+
+    monkeypatch.setattr(wigner_module, "_golub_welsch", spy)
+    wigner_module._gauss_hermite(order)
+    wigner_module._radial_pair_rule.__wrapped__(order)
+    assert len(calls) == 3
+    for diag, off, nodes in calls:
+        assert np.array_equal(nodes, scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True))
 
 
 def test_rule_validation():

@@ -35,6 +35,7 @@ from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_
 from .config import GH_ORDER, TOL
 from .entanglement import log_negativity, partial_transpose
 from .errors import FockVortexError, InvalidParameterError, NonConvergenceError
+from .floatrepr import REPR_WIDTH, hard_cases, repr_table
 from .quadrature import (
     QuadratureField,
     QuadratureGrid,
@@ -455,8 +456,9 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _real(value) -> float:
-    """A numeric config value; a boolean is malformed, not 0 or 1."""
-    if isinstance(value, bool):
+    """A numeric config value: a JSON number.  A boolean is malformed, not 0
+    or 1, and so is a string, even one that reads as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -497,6 +499,10 @@ def _load_sweep_config(path: str) -> dict:
         raise InvalidParameterError(f"malformed sweep config value: {exc}")
     if not cfg["r_values"] or not cfg["n_values"]:
         raise InvalidParameterError("r_values and n_values must be non-empty")
+    for key in ("r_values", "n_values"):
+        # a repeated value would run its points twice under one task name
+        if len(set(cfg[key])) != len(cfg[key]):
+            raise InvalidParameterError(f"{key} must not repeat a value: {cfg[key]}")
     for r in cfg["r_values"]:
         for n in cfg["n_values"]:
             SqueezeParams(r=r, n_max=n)
@@ -729,6 +735,16 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
                                                  float(np.angle(v))))))
         assert got == ("\n".join(lines) + "\n").encode(), "bytes differ from per-element reprs"
 
+    def repr_fast_vs_python():
+        # Python's repr is the oracle for the Ryū formatter the CSV writer
+        # uses, on the doubles where shortest-repr formatters go wrong first
+        cases = hard_cases()
+        got = repr_table(cases).view(f"S{REPR_WIDTH}").ravel()
+        want = np.array(list(map(repr, cases.tolist())), dtype=f"S{REPR_WIDTH}")
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, (f"{bad.size} of {len(cases)} differ, first "
+                              f"{float(cases[bad[0]])!r} as {got[bad[0]].decode()!r}")
+
     def wigner_diagonal_value():
         got = wigner_fock_diagonal(3, 0.7)
         assert abs(got - (-0.11010127013979758)) < 1e-12, f"got {got}"
@@ -791,6 +807,7 @@ def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("wigner-marginal", wigner_marginal),
         ("slice-vs-pointwise", slice_vs_pointwise),
         ("csv-dedup-vs-direct", csv_dedup_vs_direct),
+        ("repr-fast-vs-python", repr_fast_vs_python),
         ("wigner-diagonal-value", wigner_diagonal_value),
         ("hermite-spot-values", hermite_spot_values),
         ("transpose-involution", transpose_involution),
@@ -905,8 +922,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FockVortexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FockVortexError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; exit 4, as
+        # the same error inside a pipeline task does
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import GridTooCoarseError, InvalidParameterError
+from .floatrepr import REPR_WIDTH, repr_table as _repr_table
 from .states import TwoModeState
 
 
@@ -126,33 +127,16 @@ class QuadratureField:
                         (re, im, np.hypot(re, im), np.angle(self.values)))
 
 
-# longest repr of a double, e.g. '-2.2250738585072014e-308'
-_REPR_WIDTH = 24
-_REPR_CHUNK = 4096
-
-
-def _repr_table(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each double of the 1-D ``values``, as NUL-padded bytes rows
-    of width ``_REPR_WIDTH`` (a ``(len(values), _REPR_WIDTH)`` uint8 array).
-
-    Formatted in chunks, so at most ``_REPR_CHUNK`` Python strings live at once.
-    """
-    table = np.empty(len(values), dtype=f"S{_REPR_WIDTH}")
-    for start in range(0, len(values), _REPR_CHUNK):
-        chunk = values[start:start + _REPR_CHUNK].tolist()
-        table[start:start + len(chunk)] = list(map(repr, chunk))
-    return table.view(np.uint8).reshape(len(values), _REPR_WIDTH)
-
-
 def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:
     """Write the value ``columns`` (arrays indexed ``[i, j]`` like the grid)
     as CSV: header ``names``, then one line per point, y-outer and x-inner, of
     x, y and each column's value.
 
     Every number is ``repr`` of a Python float, so the bytes equal those of a
-    per-element ``f"{float(v)!r}"`` loop.  Each distinct double of a column is
-    formatted once: ``np.unique`` runs over the column's int64 bit view, not
-    its floats, which would merge 0.0 and -0.0, whose reprs differ.  The file
+    per-element ``f"{float(v)!r}"`` loop; ``floatrepr.repr_table`` produces
+    them for whole arrays.  Each distinct double of a column is formatted
+    once: ``np.unique`` runs over the column's int64 bit view, not its
+    floats, which would merge 0.0 and -0.0, whose reprs differ.  The file
     is gathered from the tables and written one y-row at a time, and NUL
     padding is dropped from each row, so memory stays bounded by the tables
     and their int32 indices.
@@ -168,8 +152,8 @@ def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:
     # formatted after the last np.unique, so its temporaries and the tables
     # are never alive at once
     tables = [_repr_table(distinct) for distinct in distincts]
-    # each field is _REPR_WIDTH bytes and its separator; NULs are dropped on write
-    line = np.zeros((grid.n_x, 2 + len(tables), _REPR_WIDTH + 1), dtype=np.uint8)
+    # each field is REPR_WIDTH bytes and its separator; NULs are dropped on write
+    line = np.zeros((grid.n_x, 2 + len(tables), REPR_WIDTH + 1), dtype=np.uint8)
     line[:, :, -1] = ord(",")
     line[:, -1, -1] = ord("\n")
     line[:, 0, :-1] = _repr_table(grid.x_axis())

@@ -14,6 +14,7 @@ from scipy import ndimage
 import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
+import fockvortex.floatrepr as floatrepr
 import fockvortex.quadrature as quadrature
 import fockvortex.wigner as wigner
 from fockvortex.cli import main
@@ -103,6 +104,23 @@ def test_nan_nv_tolerance_exits_usage(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 23.8 GiB for an array with shape (40000, 40000, 2) and data type float64",
+    "",
+])
+def test_memory_error_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys, message):
+    # what a 40000-point grid does, without making the allocation
+    def too_big(state, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "evaluate_field", too_big)
+    out = tmp_path / "f.csv"
+    code = main(["field", "--r", "0.5", "--n", "4", "--grid=-6:6:40000", "-o", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: {message or 'MemoryError'}"]
+    assert not out.exists()
+
+
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     fake = NegativityResult(
         volume=0.1, integral_abs=1.2, normalization_check=1.0,
@@ -146,7 +164,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 19
+    assert len(doc["checks"]) == 20
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -157,7 +175,7 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 19
+    assert len(doc["checks"]) == 20
 
 
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
@@ -168,7 +186,18 @@ def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_pat
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["csv-dedup-vs-direct"]
-    assert len(doc["checks"]) == 19
+    assert len(doc["checks"]) == 20
+
+
+def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
+    # at most 17 digits dropped: 0.2, whose scaled vr has 19 digits, prints as
+    # 0.20; the CSV check's values either need fewer or read alike (1.0)
+    monkeypatch.setattr(floatrepr, "_POW10", floatrepr._POW10[:18])
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["repr-fast-vs-python"]
+    assert len(doc["checks"]) == 20
 
 
 def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
@@ -178,7 +207,7 @@ def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["vortex-label-8conn"]
-    assert len(doc["checks"]) == 19
+    assert len(doc["checks"]) == 20
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
@@ -483,6 +512,14 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         {"slice_plane": {"y": "a", "px": 0}, "outputs": ["wigner-slice"]},
         {"r_values": [True]},
         {"output_dir": 5},
+        # strings that read as numbers are still not numbers
+        {"r_values": ["0.3"], "n_values": ["2"]},
+        {"n_values": ["2"]},
+        {"nv_tol": "0.001", "outputs": ["nv"]},
+        {"nv_order": "16", "outputs": ["nv"]},
+        # a repeated value would run its point twice under one task name
+        {"r_values": [0.3, 0.3], "n_values": [2]},
+        {"n_values": [2, 2.0]},
     ],
 )
 def test_sweep_invalid_values_exit_usage(tmp_path, overrides):

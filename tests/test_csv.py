@@ -1,7 +1,8 @@
 """Byte identity of the grid CSV writer, which formats each distinct double
 once, against the per-element formatter it replaced, kept here as the oracle;
-exact round trips of random fields and slices through ``csv``; the writer's
-memory budget."""
+the vectorized shortest-repr formatter against Python's ``repr``; exact round
+trips of random fields and slices through ``csv``; the writer's memory
+budget."""
 import csv
 import os
 import sys
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,6 +27,7 @@ from fockvortex import (
     wigner_slice,
 )
 from fockvortex.cli import FIELD_GRID, FIG1_N_VALUES, FIG1_R, main
+from fockvortex.floatrepr import REPR_WIDTH, hard_cases, repr_table
 from fockvortex.wigner import WignerSlice, wigner_diagonal_form
 
 # distinct, non-square axes so that a swapped row/column order shows
@@ -140,6 +142,50 @@ def test_slice_csv_with_repeated_values(tmp_path):
     assert path.read_bytes() == grid_csv_oracle(("x", "py", "w"), SLICE_GRID, values)
 
 
+def _reprs(values) -> list:
+    return [repr(v).encode() for v in values.tolist()]
+
+
+def _formatted(values) -> list:
+    return repr_table(values).view(f"S{REPR_WIDTH}").ravel().tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_repr_table_matches_repr_on_raw_bit_patterns(patterns):
+    # uniform bit patterns: about half take the Ryū branch, the rest
+    # (zeros, subnormals, |v| >= 2^50) keep Python's repr
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert _formatted(values) == _reprs(values)
+
+
+def test_repr_table_matches_repr_on_hard_cases():
+    cases = hard_cases()
+    tiny = np.finfo(float).tiny
+    required = [0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), np.finfo(float).max,
+                0.2, 0.3, 1e-4, 1e-5, 1e15, 1e16]
+    required += [2.0 ** e for e in range(50, 55)]
+    required += [float(f"1e{e}") for e in range(-320, 309)]
+    required += [2.0 ** e for e in range(-1074, 1024)]  # the lower neighbour is closer
+    required += [562949953421312.25, 17179869200.1640625]  # exact ties, half to even
+    assert set(np.array(required).view(np.int64).tolist()) <= set(cases.view(np.int64).tolist())
+    assert max(map(len, _reprs(cases))) == REPR_WIDTH
+    assert _formatted(cases) == _reprs(cases)
+
+
+def test_repr_table_across_chunks():
+    # several formatting chunks, with values that keep Python's repr spliced
+    # in among those that take the Ryū branch
+    rng = np.random.default_rng(11)
+    size = 3 * 4096 + 5
+    values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 0.0)
+    decimals = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-20, 4, size)
+    mixed = np.where(rng.random(size) < 0.8, decimals, values)
+    assert _formatted(mixed) == _reprs(mixed)
+
+
 # peak bytes per grid point that QuadratureField.to_csv may allocate: the
 # abs and arg columns (16), int32 indices (16) and the fixed-width tables of
 # distinct reprs (~40 for a figure-1 field) plus np.unique's temporaries.
@@ -193,6 +239,11 @@ def test_field_csv_round_trips_exactly(grid, data):
     values = data.draw(hnp.arrays(np.complex128, (grid.n_x, grid.n_y),
                                   elements=st.complex_numbers(allow_nan=False, allow_infinity=False,
                                                               max_magnitude=sys.float_info.max)))
+    # a value within max_magnitude can still have a modulus that rounds up to
+    # inf (1.79769313e308 + 7.9e302j), and QuadratureField rejects those by
+    # design (test_field_guard_agrees_with_csv_modulus)
+    with np.errstate(over="ignore"):
+        assume(np.all(np.isfinite(np.hypot(values.real, values.imag))))
     rows = _parsed_rows(QuadratureField(grid, values).to_csv)
     assert rows[0] == ["x", "y", "re", "im", "abs", "arg"]
     assert len(rows) == 1 + grid.n_x * grid.n_y

@@ -519,8 +519,8 @@ def _load_sweep_config(path: str) -> dict:
     QuadratureGrid.from_spec(cfg["grid"])
     QuadratureGrid.from_spec(cfg["slice_grid"])
     WignerRule(order=cfg["nv_order"])
-    if not cfg["nv_tol"] > 0:
-        raise InvalidParameterError(f"nv_tol must be > 0, got {cfg['nv_tol']}")
+    if not 0 < cfg["nv_tol"] < math.inf:
+        raise InvalidParameterError(f"nv_tol must be finite and > 0, got {cfg['nv_tol']}")
     return cfg
 
 
@@ -860,47 +860,45 @@ def cmd_selftest(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fockvortex",
-        description="Two-mode Fock-space engine: beam-splitter vortex states, "
-                    "Wigner negativity volume, logarithmic negativity.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figure", help="reproduce one figure pipeline into an output directory")
+def _figure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("figure", help="figure id: 1-5 or fig1..fig5")
     p.add_argument("--out", help="output directory (default figures/fig<id>)")
     p.add_argument("--fock-input", action="store_true",
                    help="figure 1: feed twin Fock pairs |n,n> instead of squeezed input")
     p.set_defaults(fn=cmd_figure)
 
-    p = sub.add_parser("sweep", help="run a parameter sweep described by a JSON config")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="sweep config JSON path")
     p.add_argument("--out", help="override the config's output_dir")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the built-in verification suite")
+
+def _selftest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inject-fault", action="store_true",
                    help="flip a phase in the closed form to prove the oracle check bites")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(fn=cmd_selftest)
 
-    # the state options of the single-shot commands
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--r", type=float, required=True, help="squeezing parameter")
-    point.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
-    point.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
-    point.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
 
-    p = sub.add_parser("field", parents=[point], help="write the transverse quadrature field as CSV")
+# the state options of the single-shot commands, ahead of their own
+def _point_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=float, required=True, help="squeezing parameter")
+    p.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
+    p.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
+    p.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
+
+
+def _field_args(p: argparse.ArgumentParser) -> None:
+    _point_args(p)
     p.add_argument("--grid", default=FIELD_GRID, help="grid spec min:max:n[,min:max:n]")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     p.add_argument("--vortices", help="also write a vortex-detection JSON report here")
     p.set_defaults(fn=cmd_field)
 
-    p = sub.add_parser("wigner-slice", parents=[point], help="write a 2-D Wigner slice as CSV")
+
+def _wigner_slice_args(p: argparse.ArgumentParser) -> None:
+    _point_args(p)
     p.add_argument("--plane", default="y=0,px=0", help="two fixed coords, e.g. 'y=0,px=0'")
     p.add_argument("--grid", default=SLICE_GRID, help="grid spec for the two free coords")
     p.add_argument("--diagonal-form", action="store_true",
@@ -908,23 +906,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_wigner_slice)
 
-    p = sub.add_parser("nv", parents=[point], help="compute the Wigner negativity volume")
+
+def _nv_args(p: argparse.ArgumentParser) -> None:
+    _point_args(p)
     p.add_argument("--tol", type=float, default=TOL.nv)
     p.add_argument("--order", type=int, default=GH_ORDER)
     p.add_argument("--json", help="write the result as JSON here")
     p.set_defaults(fn=cmd_nv)
 
+
+# command -> (help line, function adding its arguments), in help order
+_COMMANDS = {
+    "figure": ("reproduce one figure pipeline into an output directory", _figure_args),
+    "sweep": ("run a parameter sweep described by a JSON config", _sweep_args),
+    "selftest": ("run the built-in verification suite", _selftest_args),
+    "field": ("write the transverse quadrature field as CSV", _field_args),
+    "wigner-slice": ("write a 2-D Wigner slice as CSV", _wigner_slice_args),
+    "nv": ("compute the Wigner negativity volume", _nv_args),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone."""
+    # a run parses one command, and building all six costs more than a warm
+    # resume, so main builds only the one named.  That parser's usage line
+    # still lists every command; the full build keeps argparse's own metavar,
+    # which its "argument command:" errors name.
+    parser = argparse.ArgumentParser(
+        prog="fockvortex",
+        description="Two-mode Fock-space engine: beam-splitter vortex states, "
+                    "Wigner negativity volume, logarithmic negativity.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
-    except (FockVortexError, MemoryError) as exc:
-        # numpy's MemoryError names the allocation that failed; exit 4, as
-        # the same error inside a pipeline task does
+    except (FockVortexError, MemoryError, OSError) as exc:
+        # numpy's MemoryError names the allocation that failed, and an
+        # OSError the output path that cannot be written; exit 4, as the
+        # same error inside a pipeline task does
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -190,8 +190,12 @@ class VortexReport:
 
 
 def _wrap(dphi: np.ndarray) -> np.ndarray:
-    """Branch-wrapped phase difference in (-pi, pi]."""
-    return np.angle(np.exp(1j * dphi))
+    """Branch-wrapped difference of two phases in [-pi, pi]: ``dphi`` in
+    [-2pi, 2pi] moved by one turn into [-pi, pi].  It takes the branch of the
+    complex form angle(exp(i dphi)), which also leaves -pi and pi as they are,
+    without its complex exp and angle."""
+    turns = (dphi > math.pi).astype(float) - (dphi < -math.pi)
+    return dphi - 2.0 * math.pi * turns
 
 
 def _label8(mask: np.ndarray) -> Tuple[np.ndarray, int]:

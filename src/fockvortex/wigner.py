@@ -523,8 +523,8 @@ def negativity_volume(
     a deviation beyond 10*tol flags the result under-resolved, and an
     under-resolved result is never reported as converged.
     """
-    if not tol > 0:
-        raise InvalidParameterError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     rule = rule or WignerRule()
     diagonal = _pair_diagonal(state_or_rho) if rule.scheme == "tensor-gauss-hermite" else None
     if diagonal is not None:

@@ -98,10 +98,12 @@ def test_far_diagonal_form_slice_exits_invariant(tmp_path, capsys):
 
 def test_nan_nv_tolerance_exits_usage(tmp_path):
     # NaN fails every comparison, so without an up-front check the refinement
-    # ladder would run to its last order and report non-convergence (exit 3)
+    # ladder would run to its last order and report non-convergence (exit 3);
+    # any two orders differ by less than inf, which would report convergence
     out = tmp_path / "nv.json"
-    assert main(["nv", "--r", "0.5", "--n", "2", "--tol", "nan", "--json", str(out)]) == 2
-    assert not out.exists()
+    for tol in ("nan", "inf"):
+        assert main(["nv", "--r", "0.5", "--n", "2", "--tol", tol, "--json", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("message", [
@@ -119,6 +121,28 @@ def test_memory_error_exits_invariant_with_one_line(tmp_path, monkeypatch, capsy
     assert code == 4
     assert capsys.readouterr().err.splitlines() == [f"error: {message or 'MemoryError'}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure", "field", "field-onto-dir", "nv", "selftest"])
+def test_unwritable_output_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys, command):
+    # an OSError from an output path exits 4, as it does inside a pipeline task
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [])
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "figure": ["figure", "1", "--out", str(tmp_path / "file" / "sub")],
+        "field": ["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3", "-o", missing],
+        "field-onto-dir": ["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3",
+                           "-o", str(tmp_path / "dir")],
+        "nv": ["nv", "--r", "0.3", "--n", "1", "--json", missing],
+        "selftest": ["selftest", "--out", missing],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno"), err
+    # no temp file is left behind, beside the path or anywhere else
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
 
 
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
@@ -416,6 +440,72 @@ def test_figure_pipeline_recomputes_after_tool_version_change(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# argument parser
+# ---------------------------------------------------------------------------
+
+# the help, usage-error and version paths, each of which exits in the parser
+PARSER_EXITS = [
+    [], ["--help"], ["--version"], ["bogus"], ["figure"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["figure", "1", "--bogus"], ["nv", "--r", "x", "--n", "2"], ["field", "--r", "1"],
+    ["--bogus", "figure", "1"], ["figure", "1", "sweep"],
+]
+# one run of each command, with its options off their defaults
+PARSER_RUNS = [
+    ["figure", "fig1", "--out", "d", "--fock-input"],
+    ["sweep", "--config", "c.json", "--out", "d"],
+    ["selftest", "--inject-fault", "--out", "r.json"],
+    ["field", "--r", "0.3", "--n", "2", "--pre-bs", "--grid=-1:1:5", "-o", "f.csv",
+     "--vortices", "v.json"],
+    ["wigner-slice", "--r", "0.3", "--n", "2", "--fock-input", "--plane", "x=0,py=0",
+     "--diagonal-form", "-o", "s.csv"],
+    ["nv", "--r", "0.3", "--n", "2", "--tol", "1e-4", "--order", "32", "--json", "n.json"],
+]
+
+
+def _main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_narrowed_parser_prints_what_the_full_one_does(monkeypatch, capsys, argv):
+    # main builds only the command named first; the parser of every command is
+    # the oracle for its help, usage lines, error messages and exit codes
+    got = _main_outcome(argv, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert got == _main_outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", PARSER_RUNS, ids=lambda argv: argv[0])
+def test_narrowed_parser_parses_what_the_full_one_does(monkeypatch, argv):
+    seen = []
+    for name in ("cmd_figure", "cmd_sweep", "cmd_selftest", "cmd_field",
+                 "cmd_wigner_slice", "cmd_nv"):
+        monkeypatch.setattr(cli, name, seen.append)
+    assert main(argv) is None
+    assert seen == [cli._build_parser().parse_args(argv)]
+
+
+def test_main_builds_only_the_named_command(tmp_path, monkeypatch):
+    out = str(tmp_path / "fig1")
+    assert main(["figure", "1", "--out", out]) == 0
+    built = []
+    for name, (help_text, add_args) in cli._COMMANDS.items():
+        def spy(parser, name=name, add_args=add_args):
+            built.append(name)
+            add_args(parser)
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, spy))
+    assert main(["figure", "1", "--out", out]) == 0  # the warm rerun
+    assert built == ["figure"]
+
+
+# ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
@@ -508,6 +598,7 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         {"r_values": 0.5},
         {"nv_order": "x", "outputs": ["nv"]},
         {"nv_tol": None, "outputs": ["nv"]},
+        {"nv_tol": float("inf"), "outputs": ["nv"]},  # JSON Infinity
         {"n_values": [2.5]},
         {"slice_plane": {"y": "a", "px": 0}, "outputs": ["wigner-slice"]},
         {"r_values": [True]},

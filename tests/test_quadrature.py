@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.special import eval_hermite
@@ -208,4 +208,41 @@ def test_count_vortices_matches_ndimage_path(n_x, n_y, seed):
     got = count_vortices(fld).to_json_dict()
     with mock.patch.object(quadrature, "_label8", _ndimage_label8):
         expect = count_vortices(fld).to_json_dict()
+    assert got == expect
+
+
+def _complex_wrap(dphi):
+    # the phase wrap count_vortices used before its real-valued one
+    return np.angle(np.exp(1j * dphi))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-2 * math.pi, 2 * math.pi))
+@example(math.pi)
+@example(-math.pi)
+@example(float(np.nextafter(math.pi, 4.0)))
+@example(float(np.nextafter(math.pi, 0.0)))
+@example(float(np.nextafter(-math.pi, -4.0)))
+@example(float(np.nextafter(-math.pi, 0.0)))
+@example(2 * math.pi)
+@example(-2 * math.pi)
+@example(-0.0)
+def test_wrap_takes_the_branch_of_the_complex_form(dphi):
+    # a difference of two phases lies in [-2pi, 2pi]; the two forms round
+    # differently near +-pi by at most an ulp of pi each, while a wrong
+    # branch would be off by 2pi
+    got = quadrature._wrap(np.array([dphi]))[0]
+    assert abs(got - _complex_wrap(np.array([dphi]))[0]) <= 2 * np.spacing(math.pi)
+    assert -math.pi <= got <= math.pi
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_fock_input_vortices_match_complex_wrap(n):
+    # figure 1 --fock-input fields: 36, 72 and 168 vortices on the figure grid
+    state = apply_beam_splitter(TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n))
+    fld = evaluate_field(state, QuadratureGrid.from_spec("-6.0:6.0:301"))
+    got = count_vortices(fld).to_json_dict()
+    with mock.patch.object(quadrature, "_wrap", _complex_wrap):
+        expect = count_vortices(fld).to_json_dict()
+    assert got["count"] > 0
     assert got == expect

@@ -185,7 +185,7 @@ def test_rule_validation():
         WignerRule(scheme="monte-carlo")
     with pytest.raises(InvalidParameterError):
         WignerRule(order=1)
-    for tol in (0.0, math.nan):
+    for tol in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
 

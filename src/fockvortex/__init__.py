@@ -17,7 +17,6 @@ from .beamsplitter import (
 from .config import GH_ORDER, TOL, Tolerances
 from .entanglement import (
     EntanglementReport,
-    entanglement_ratio,
     log_negativity,
     partial_transpose,
 )
@@ -30,7 +29,6 @@ from .errors import (
     InvalidStateError,
     InvariantError,
     NonConvergenceError,
-    UndefinedRatioError,
 )
 from .quadrature import (
     QuadratureField,
@@ -96,7 +94,6 @@ __all__ = [
     "EntanglementReport",
     "partial_transpose",
     "log_negativity",
-    "entanglement_ratio",
     "Tolerances",
     "TOL",
     "GH_ORDER",
@@ -108,5 +105,4 @@ __all__ = [
     "GridTooCoarseError",
     "InvariantError",
     "CoefficientMismatchError",
-    "UndefinedRatioError",
 ]

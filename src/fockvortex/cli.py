@@ -1,11 +1,10 @@
 """Command-line front end: figure pipelines, parameter sweeps, selftest.
 
-Figures 1-4 and every sweep point run the same per-(r, N) task,
+Every figure and every sweep point run the same per-(r, N) task,
 ``_point_task``: it builds the state once and writes the requested field
 CSV, vortex JSON, Wigner-slice CSV, NV JSON and log-negativity JSON, each
-from one place.  Figure 5 keeps one task per N.  The tables
-(``nv_table.csv``, ``logneg_table.csv``, ``sweep.csv``) all go through one
-writer, ``_write_table``.
+from one place.  The tables (``nv_table.csv``, ``logneg_table.csv``,
+``sweep.csv``) all go through one writer, ``_write_table``.
 
 Artifacts (CSV/JSON data files) are written atomically (temp file +
 rename) and are byte-identical across runs with identical inputs.  Each
@@ -18,51 +17,29 @@ configuration and tool version recomputes nothing and rewrites nothing.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import __version__, quadrature
-from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
+from . import __version__
+from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, TOL
-from .entanglement import log_negativity, partial_transpose
+from .entanglement import log_negativity
 from .errors import FockVortexError, InvalidParameterError, NonConvergenceError
-from .floatrepr import REPR_WIDTH, hard_cases, repr_table
-from .quadrature import (
-    QuadratureField,
-    QuadratureGrid,
-    count_vortices,
-    evaluate_field,
-    hermite_function,
-)
-from .states import (
-    SqueezeParams,
-    TwoModeState,
-    make_tmss,
-    random_state,
-    state_to_density,
-    total_photon_distribution,
-)
+from .quadrature import QuadratureGrid, count_vortices, evaluate_field
+from .states import SqueezeParams, TwoModeState, make_tmss
 from .wigner import (
     WignerRule,
     WignerSlice,
-    build_wigner_grid,
     negativity_volume,
     plane_free_coords,
     plane_points,
-    position_marginal,
-    wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
-    wigner_state,
 )
 
 EXIT_OK = 0
@@ -122,10 +99,19 @@ def _write_via(path: str, writer: Callable[[str], None]) -> None:
     try:
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Fail before any work on an output path whose directory is missing."""
+    for path in filter(None, paths):
+        if not os.path.exists(os.path.dirname(path) or "."):
+            raise InvalidParameterError(f"cannot write {path}: no such directory")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -370,6 +356,14 @@ def _by_point(payloads: dict) -> list:
     return sorted(payloads.values(), key=lambda p: (p["n"], p["r"]))
 
 
+def _logneg_rows(payloads: dict, with_nv: bool = False):
+    """Rows of ``logneg_table.csv`` and ``sweep.csv``: each point's own r and n,
+    blank log-negativity cells where it was not asked for, then its NV."""
+    for p in _by_point(payloads):
+        row = [p.get("logneg", p).get(k) for k in _LOGNEG_COLUMNS]
+        yield row + [p["nv"]["volume"]] if with_nv else row
+
+
 # ---------------------------------------------------------------------------
 # figure pipelines
 # ---------------------------------------------------------------------------
@@ -401,44 +395,27 @@ def _figure_tasks(figure: int, out_dir: str, fock_input: bool):
                "planes": list(SLICE_PLANES), "grid": SLICE_GRID}
         return cfg, [t for n in FIG3_N_VALUES for t in slices(f"n{n}", FIG3_R, n)], None
 
-    if figure == 4:
-        cfg = {"figure": 4, "n_values": list(FIG4_N_VALUES), "r_values": list(FIG4_R_VALUES)}
-        point = dict(POINT_DEFAULTS, outputs=("nv",))
-        tasks = []
-        for n in FIG4_N_VALUES:
-            for r in FIG4_R_VALUES:
-                tag = f"n{n}_r{_num_tag(r)}"
-                tasks.append(_point_task(out_dir, f"nv-{tag}", tag, r, n, point))
-
-        def nv_rows(payloads: dict):
-            for p in _by_point(payloads):
-                d = p["nv"]
-                yield (p["r"], p["n"], d["volume"], d["normalization_check"],
-                       d["resolution_history"][-1][0], d["converged"])
-
-        header = ("r", "n", "nv", "normalization_check", "final_order", "converged")
-        return cfg, tasks, ("nv_table.csv", header, nv_rows)
-
-    # figure 5: one task per N over every r, written as one document
-    cfg = {"figure": 5, "n_values": list(FIG5_N_VALUES), "r_values": list(FIG5_R_VALUES)}
+    # figures 4 and 5: one NV or log-negativity document per (N, r)
+    kind, n_values, r_values = (("nv", FIG4_N_VALUES, FIG4_R_VALUES) if figure == 4
+                                else ("logneg", FIG5_N_VALUES, FIG5_R_VALUES))
+    cfg = {"figure": figure, "n_values": list(n_values), "r_values": list(r_values)}
+    point = dict(POINT_DEFAULTS, outputs=(kind,))
     tasks = []
-    for n in FIG5_N_VALUES:
-        rel = f"logneg_n{n}.json"
-        path = os.path.join(out_dir, rel)
+    for n in n_values:
+        for r in r_values:
+            tag = f"n{n}_r{_num_tag(r)}"
+            tasks.append(_point_task(out_dir, f"{kind}-{tag}", tag, r, n, point))
+    if figure == 5:
+        return cfg, tasks, ("logneg_table.csv", _LOGNEG_COLUMNS, _logneg_rows)
 
-        def run(n=n, path=path) -> dict:
-            doc = {"n_max": n, "rows": [_logneg_row(r, n) for r in FIG5_R_VALUES]}
-            _write_json(path, doc)
-            return doc
+    def nv_rows(payloads: dict):
+        for p in _by_point(payloads):
+            d = p["nv"]
+            yield (p["r"], p["n"], d["volume"], d["normalization_check"],
+                   d["resolution_history"][-1][0], d["converged"])
 
-        tasks.append(Task(f"logneg-n{n}", (rel,), run, functools.partial(_read_json, path)))
-
-    def logneg_rows(payloads: dict):
-        for doc in sorted(payloads.values(), key=lambda d: d["n_max"]):
-            for row in doc["rows"]:
-                yield [row[k] for k in _LOGNEG_COLUMNS]
-
-    return cfg, tasks, ("logneg_table.csv", _LOGNEG_COLUMNS, logneg_rows)
+    header = ("r", "n", "nv", "normalization_check", "final_order", "converged")
+    return cfg, tasks, ("nv_table.csv", header, nv_rows)
 
 
 def cmd_figure(args) -> int:
@@ -533,15 +510,9 @@ def cmd_sweep(args) -> int:
             tag = f"r{_num_tag(r)}_n{n}"
             tasks.append(_point_task(out_dir, f"point-{tag}", tag, r, n, cfg))
     with_nv = "nv" in cfg["outputs"]
-
-    def rows(payloads: dict):
-        for p in _by_point(payloads):
-            # the point's own r and n, with blank log-negativity cells if not asked for
-            row = [p.get("logneg", p).get(k) for k in _LOGNEG_COLUMNS]
-            yield row + [p["nv"]["volume"]] if with_nv else row
-
     header = _LOGNEG_COLUMNS + (("nv",) if with_nv else ())
-    return _run_pipeline(out_dir, cfg, tasks, ("sweep.csv", header, rows))
+    table = ("sweep.csv", header, lambda payloads: _logneg_rows(payloads, with_nv))
+    return _run_pipeline(out_dir, cfg, tasks, table)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +533,7 @@ def _parse_plane(text: str) -> dict:
 
 
 def cmd_field(args) -> int:
+    _check_outputs(args.output, args.vortices)
     state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
     grid = QuadratureGrid.from_spec(args.grid)
     fld = evaluate_field(state, grid)
@@ -576,6 +548,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_wigner_slice(args) -> int:
+    _check_outputs(args.output)
     plane = _parse_plane(args.plane)
     grid = QuadratureGrid.from_spec(args.grid)
     if args.diagonal_form:
@@ -583,19 +556,18 @@ def cmd_wigner_slice(args) -> int:
             raise InvalidParameterError("--diagonal-form takes neither --fock-input nor --pre-bs")
         free, point = plane_points(plane, grid)
         vals = wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point)
-        _write_via(args.output, WignerSlice(free, plane, grid, vals).to_csv)
-        print(f"diagonal-form slice written to {args.output} "
-              f"(min {vals.min():.6f}, max {vals.max():.6f})")
-        return EXIT_OK
-    state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
-    sl = wigner_slice(state, plane, grid)
+        sl = WignerSlice(free, plane, grid, vals)
+    else:
+        sl = wigner_slice(_build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs),
+                          plane, grid)
     _write_via(args.output, sl.to_csv)
-    print(f"slice written to {args.output} "
+    print(f"{'diagonal-form ' if args.diagonal_form else ''}slice written to {args.output} "
           f"(min {sl.values.min():.6f}, max {sl.values.max():.6f})")
     return EXIT_OK
 
 
 def cmd_nv(args) -> int:
+    _check_outputs(args.json)
     state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
     result = negativity_volume(state, WignerRule(order=args.order), tol=args.tol)
     history = ", ".join(f"{o}:{v:.6f}" for o, v in result.resolution_history)
@@ -611,249 +583,16 @@ def cmd_nv(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-def _selftest_checks() -> List[Tuple[str, Callable[[], None]]]:
-    def tmss_normalization():
-        for r in (0.0, 0.3, 1.0, 2.0):
-            for n in range(7):
-                state = make_tmss(SqueezeParams(r=r, n_max=n))
-                assert abs(state.norm() - 1.0) <= 1e-12, f"norm off at r={r}, n={n}"
-
-    def tmss_amplitude_decay():
-        state = make_tmss(SqueezeParams(r=0.8, n_max=6))
-        amps = [abs(state.amplitude(j, j)) for j in range(7)]
-        assert all(a > b for a, b in zip(amps, amps[1:])), "amplitudes must decay"
-
-    def splitter_unitarity():
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            state = random_state(rng, cutoff=8)
-            out = apply_beam_splitter(state)
-            assert abs(out.norm() - 1.0) < 1e-12, "norm not preserved"
-            da = total_photon_distribution(state)
-            db = total_photon_distribution(out)
-            worst = max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in set(da) | set(db))
-            assert worst < 1e-12, f"photon distribution changed by {worst:.3e}"
-
-    def splitter_pair_interference():
-        out = apply_beam_splitter(TwoModeState.from_pairs({(1, 1): 1.0}, cutoff=2))
-        expect = 1j / math.sqrt(2.0)
-        assert abs(out.amplitude(2, 0) - expect) < 1e-12
-        assert abs(out.amplitude(0, 2) - expect) < 1e-12
-        assert abs(out.amplitude(1, 1)) < 1e-12
-
-    def closed_form_oracle():
-        for r in (0.1, 0.5, 1.0):
-            for n in range(1, 5):
-                closed_form_vortex_state(SqueezeParams(r=r, n_max=n), verify=True)
-
-    def field_norm():
-        state = _build_state(0.5, 3, fock_input=False)
-        fld = evaluate_field(state, QuadratureGrid.square(6.0, 201))
-        assert abs(fld.norm_riemann() - 1.0) < 1e-3, f"riemann norm {fld.norm_riemann()}"
-
-    def vortex_synthetic():
-        # even point count: the phase singularity at the origin must sit
-        # inside a plaquette, not on a node where the phase is undefined
-        grid = QuadratureGrid.square(4.0, 162)
-        gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
-        values = (gx - 1j * gy) * np.exp(-0.5 * (gx**2 + gy**2))
-        report = count_vortices(QuadratureField(grid, values))
-        assert report.count == 1 and report.total_charge == -1, (
-            f"expected one charge -1 vortex, got {report.to_json_dict()}"
-        )
-
-    def vortex_label_8conn():
-        # hand-labelled clusters: (0, 0) and (1, 1) touch only at a corner and
-        # are one vortex; the -1 cell at (2, 2) touches both +1 clusters
-        # diagonally and merges with neither
-        winding = np.array([
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, -1, -1],
-            [0, 0, -1, 0, 0, -1],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-        ])
-        expect = {
-            1: [[(0, 0), (1, 1)], [(3, 3), (4, 3)]],
-            -1: [[(1, 4), (1, 5), (2, 5)], [(2, 2)]],
-        }
-        for charge, clusters in expect.items():
-            labels, count = quadrature._label8(winding == charge)
-            got = sorted(list(zip(*(idx.tolist() for idx in np.nonzero(labels == lab))))
-                         for lab in range(1, count + 1))
-            assert got == sorted(clusters), f"charge {charge}: clusters {got}"
-
-    def wigner_normalization():
-        state = _build_state(0.5, 2, fock_input=False)
-        result = negativity_volume(state)
-        assert abs(result.normalization_check - 1.0) < 1e-6, (
-            f"integral of W = {result.normalization_check}"
-        )
-
-    def wigner_marginal():
-        state = _build_state(0.4, 2, fock_input=False)
-        grid = QuadratureGrid.square(2.0, 3)
-        fld = evaluate_field(state, grid)
-        for i, x in enumerate(grid.x_axis()):
-            for j, y in enumerate(grid.y_axis()):
-                density = abs(fld.values[i, j]) ** 2
-                marg = position_marginal(state, x, y)
-                assert abs(marg - density) < 1e-6, f"marginal off at ({x}, {y})"
-
-    def slice_vs_pointwise():
-        # the pointwise wigner_state is the oracle for the product-grid path
-        # that both slice planes take
-        state = _build_state(0.7, 3, fock_input=False)
-        grid = QuadratureGrid.from_spec(SLICE_GRID)
-        for plane in SLICE_PLANES:
-            gap = np.max(np.abs(wigner_slice(state, plane, grid).values
-                                - wigner_state(state, plane_points(plane, grid)[1])))
-            assert gap < 1e-14, f"{plane}: off by {gap:.3e}"
-
-    def csv_dedup_vs_direct():
-        # a per-element repr is the oracle for the writer, which formats each
-        # distinct bit pattern once; mirrored 0.0 and -0.0 in re, im and arg,
-        # and repeated values, are where a float-valued dedup goes wrong
-        grid = QuadratureGrid(-1.0, 1.0, -0.5, 0.5, 4, 3)
-        values = np.empty((4, 3), dtype=complex)
-        values.real = np.array([0.0, 0.5, 0.5, -0.0])[:, None]
-        values.imag = np.array([-0.0, 0.0, -0.0])
-        with tempfile.TemporaryDirectory() as work:
-            path = os.path.join(work, "field.csv")
-            QuadratureField(grid, values).to_csv(path)
-            with open(path, "rb") as fh:
-                got = fh.read()
-        lines = ["x,y,re,im,abs,arg"]
-        for j, y in enumerate(grid.y_axis().tolist()):
-            for i, x in enumerate(grid.x_axis().tolist()):
-                v = complex(values[i, j])
-                lines.append(",".join(map(repr, (x, y, v.real, v.imag, abs(v),
-                                                 float(np.angle(v))))))
-        assert got == ("\n".join(lines) + "\n").encode(), "bytes differ from per-element reprs"
-
-    def repr_fast_vs_python():
-        # Python's repr is the oracle for the Ryū formatter the CSV writer
-        # uses, on the doubles where shortest-repr formatters go wrong first
-        cases = hard_cases()
-        got = repr_table(cases).view(f"S{REPR_WIDTH}").ravel()
-        want = np.array(list(map(repr, cases.tolist())), dtype=f"S{REPR_WIDTH}")
-        bad = np.flatnonzero(got != want)
-        assert not bad.size, (f"{bad.size} of {len(cases)} differ, first "
-                              f"{float(cases[bad[0]])!r} as {got[bad[0]].decode()!r}")
-
-    def wigner_diagonal_value():
-        got = wigner_fock_diagonal(3, 0.7)
-        assert abs(got - (-0.11010127013979758)) < 1e-12, f"got {got}"
-
-    def hermite_spot_values():
-        assert abs(hermite_function(50, 3.7) - (-0.05168667850813707)) < 1e-10
-        assert abs(hermite_function(7, -1.3) - (-0.40609866425190538)) < 1e-10
-
-    def transpose_involution():
-        rng = np.random.default_rng(7)
-        rho = state_to_density(random_state(rng, cutoff=3))
-        twice = partial_transpose(partial_transpose(rho))
-        assert float(np.max(np.abs(twice.tensor - rho.tensor))) < 1e-14
-
-    def bell_spectrum():
-        # pins the eigensolver path, the oracle of logneg-schmidt-vs-eigh
-        amp = 1 / math.sqrt(2)
-        bell = TwoModeState.from_pairs({(0, 0): amp, (1, 1): amp}, cutoff=2)
-        report = log_negativity(state_to_density(bell))
-        assert abs(report.log_negativity - 1.0) < 1e-9, f"got {report.log_negativity}"
-        assert abs(min(report.negative_eigenvalues) + 0.5) < 1e-12
-
-    def logneg_schmidt_vs_eigh():
-        rng = np.random.default_rng(5)
-        for state in (_build_state(0.7, 3, fock_input=False), random_state(rng, cutoff=4)):
-            fast, slow = log_negativity(state), log_negativity(state_to_density(state))
-            assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues), "spectrum size"
-            gaps = np.subtract([fast.log_negativity, *fast.negative_eigenvalues],
-                               [slow.log_negativity, *slow.negative_eigenvalues])
-            assert np.max(np.abs(gaps)) < 1e-12, f"off by {np.max(np.abs(gaps))}"
-
-    def quadrature_rule_sound():
-        for scheme in ("tensor-gauss-hermite", "uniform-box"):
-            grid = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
-            assert grid.gaussian_check() < 1e-8, f"{scheme}: {grid.gaussian_check()}"
-            assert np.all(grid.weights > 0), f"{scheme}: weights not positive"
-
-    def nv_reduced_vs_tensor():
-        # the 4-D tensor engine, reached through the density matrix, is the
-        # oracle for the symmetry-reduced pass the pure state takes; at one
-        # matched order both carry kink errors of |W| up to a few 1e-4
-        state = _build_state(0.8, 1, fock_input=False)
-        rule = WignerRule(order=48)
-        fast = negativity_volume(state, rule, max_refinements=0)
-        slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
-        assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "dispatch changed"
-        gap = abs(fast.volume - slow.volume)
-        assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
-
-    return [
-        ("tmss-normalization", tmss_normalization),
-        ("tmss-amplitude-decay", tmss_amplitude_decay),
-        ("splitter-unitarity", splitter_unitarity),
-        ("splitter-pair-interference", splitter_pair_interference),
-        ("closed-form-oracle", closed_form_oracle),
-        ("field-norm", field_norm),
-        ("vortex-synthetic", vortex_synthetic),
-        ("vortex-label-8conn", vortex_label_8conn),
-        ("wigner-normalization", wigner_normalization),
-        ("wigner-marginal", wigner_marginal),
-        ("slice-vs-pointwise", slice_vs_pointwise),
-        ("csv-dedup-vs-direct", csv_dedup_vs_direct),
-        ("repr-fast-vs-python", repr_fast_vs_python),
-        ("wigner-diagonal-value", wigner_diagonal_value),
-        ("hermite-spot-values", hermite_spot_values),
-        ("transpose-involution", transpose_involution),
-        ("bell-spectrum", bell_spectrum),
-        ("logneg-schmidt-vs-eigh", logneg_schmidt_vs_eigh),
-        ("quadrature-rule-sound", quadrature_rule_sound),
-        ("nv-reduced-vs-tensor", nv_reduced_vs_tensor),
-    ]
-
-
 def cmd_selftest(args) -> int:
-    checks = _selftest_checks()
-    if args.inject_fault:
-        inject_fault(True)
-        print("fault injection enabled: closed-form phase deliberately conjugated")
-    start = time.perf_counter()
-    failures: List[Tuple[str, str]] = []
-    records = []
-    try:
-        for name, fn in checks:
-            t0 = time.perf_counter()
-            try:
-                fn()
-            except Exception as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-                failures.append((name, detail))
-                records.append({"name": name, "status": "failed", "detail": detail,
-                                "wall_time_s": round(time.perf_counter() - t0, 3)})
-                print(f"FAIL {name}: {detail}")
-            else:
-                records.append({"name": name, "status": "ok",
-                                "wall_time_s": round(time.perf_counter() - t0, 3)})
-                print(f"ok {name}")
-    finally:
-        if args.inject_fault:
-            inject_fault(False)
-    total = time.perf_counter() - start
-    print(f"selftest: {len(checks) - len(failures)}/{len(checks)} checks passed in {total:.1f}s")
+    _check_outputs(args.out)
+    from . import selftest  # only this command loads the checks and their oracles
+
+    report = selftest.run(args.inject_fault)
     if args.out:
-        _write_json(args.out, {
-            "tool_version": __version__,
-            "config_hash": _config_hash({"selftest": True, "inject_fault": args.inject_fault}),
-            "checks": records,
-            "failures": [name for name, _ in failures],
-        })
-    return EXIT_INVARIANT if failures else EXIT_OK
+        config = {"selftest": True, "inject_fault": args.inject_fault}
+        _write_json(args.out, {"tool_version": __version__, "config_hash": _config_hash(config),
+                               **report})
+    return EXIT_INVARIANT if report["failures"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

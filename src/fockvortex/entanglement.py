@@ -13,8 +13,8 @@ from typing import List, Union
 import numpy as np
 
 from .config import TOL
-from .errors import EigensolverError, InvalidParameterError, UndefinedRatioError
-from .states import DensityMatrix, SqueezeParams, TwoModeState, make_tmss, state_to_density
+from .errors import EigensolverError, InvalidParameterError
+from .states import DensityMatrix, TwoModeState, state_to_density
 
 
 @dataclass(frozen=True)
@@ -102,25 +102,3 @@ def log_negativity(state_or_rho) -> EntanglementReport:
         matrix_dimension=dimension,
     )
 
-
-def entanglement_ratio(params: SqueezeParams) -> dict:
-    """Log-negativity before and after the balanced beam splitter, and their ratio."""
-    from .beamsplitter import apply_beam_splitter
-
-    if params.r == 0:
-        raise UndefinedRatioError("r = 0 carries no entanglement; the ratio is undefined")
-    before = make_tmss(params)
-    after = apply_beam_splitter(before)
-    l_before = log_negativity(before).log_negativity
-    l_after = log_negativity(after).log_negativity
-    if l_before <= 0.0:
-        raise UndefinedRatioError(
-            f"input log-negativity underflowed to {l_before}; ratio undefined"
-        )
-    return {
-        "r": params.r,
-        "n_max": params.n_max,
-        "l_before": l_before,
-        "l_after": l_after,
-        "ratio": l_after / l_before,
-    }

@@ -56,6 +56,3 @@ class CoefficientMismatchError(InvariantError):
             f"{max_deviation:.3e}{where}"
         )
 
-
-class UndefinedRatioError(InvalidParameterError):
-    """Entanglement ratio is undefined (both log-negativities vanish)."""

@@ -1,0 +1,271 @@
+"""The ``fockvortex selftest`` suite: named checks of each fast path against
+its oracle or a pinned value.
+
+``checks`` lists them in run order and ``run`` runs them, printing one
+verdict line each.  ``fockvortex.cli`` imports this module only when the
+``selftest`` command runs, so no other command loads these oracles.
+"""
+from __future__ import annotations
+
+import math
+import os
+import tempfile
+import time
+from typing import Callable, List, Tuple
+
+import numpy as np
+
+from . import quadrature
+from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
+from .cli import SLICE_GRID, SLICE_PLANES, _build_state
+from .config import TOL
+from .entanglement import log_negativity, partial_transpose
+from .floatrepr import REPR_WIDTH, hard_cases, repr_table
+from .quadrature import (
+    QuadratureField,
+    QuadratureGrid,
+    count_vortices,
+    evaluate_field,
+    hermite_function,
+)
+from .states import (
+    SqueezeParams,
+    TwoModeState,
+    make_tmss,
+    random_state,
+    state_to_density,
+    total_photon_distribution,
+)
+from .wigner import (
+    WignerRule,
+    build_wigner_grid,
+    negativity_volume,
+    plane_points,
+    position_marginal,
+    wigner_fock_diagonal,
+    wigner_slice,
+    wigner_state,
+)
+
+
+def checks() -> List[Tuple[str, Callable[[], None]]]:
+    def tmss_normalization():
+        for r in (0.0, 0.3, 1.0, 2.0):
+            for n in range(7):
+                state = make_tmss(SqueezeParams(r=r, n_max=n))
+                assert abs(state.norm() - 1.0) <= 1e-12, f"norm off at r={r}, n={n}"
+
+    def tmss_amplitude_decay():
+        state = make_tmss(SqueezeParams(r=0.8, n_max=6))
+        amps = [abs(state.amplitude(j, j)) for j in range(7)]
+        assert all(a > b for a, b in zip(amps, amps[1:])), "amplitudes must decay"
+
+    def splitter_unitarity():
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            state = random_state(rng, cutoff=8)
+            out = apply_beam_splitter(state)
+            assert abs(out.norm() - 1.0) < 1e-12, "norm not preserved"
+            da = total_photon_distribution(state)
+            db = total_photon_distribution(out)
+            worst = max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in set(da) | set(db))
+            assert worst < 1e-12, f"photon distribution changed by {worst:.3e}"
+
+    def splitter_pair_interference():
+        out = apply_beam_splitter(TwoModeState.from_pairs({(1, 1): 1.0}, cutoff=2))
+        expect = 1j / math.sqrt(2.0)
+        assert abs(out.amplitude(2, 0) - expect) < 1e-12
+        assert abs(out.amplitude(0, 2) - expect) < 1e-12
+        assert abs(out.amplitude(1, 1)) < 1e-12
+
+    def closed_form_oracle():
+        for r in (0.1, 0.5, 1.0):
+            for n in range(1, 5):
+                closed_form_vortex_state(SqueezeParams(r=r, n_max=n), verify=True)
+
+    def field_norm():
+        state = _build_state(0.5, 3, fock_input=False)
+        fld = evaluate_field(state, QuadratureGrid.square(6.0, 201))
+        assert abs(fld.norm_riemann() - 1.0) < 1e-3, f"riemann norm {fld.norm_riemann()}"
+
+    def vortex_synthetic():
+        # even point count: the phase singularity at the origin must sit
+        # inside a plaquette, not on a node where the phase is undefined
+        grid = QuadratureGrid.square(4.0, 162)
+        gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
+        values = (gx - 1j * gy) * np.exp(-0.5 * (gx**2 + gy**2))
+        report = count_vortices(QuadratureField(grid, values))
+        assert report.count == 1 and report.total_charge == -1, (
+            f"expected one charge -1 vortex, got {report.to_json_dict()}"
+        )
+
+    def vortex_label_8conn():
+        # hand-labelled clusters: (0, 0) and (1, 1) touch only at a corner and
+        # are one vortex; the -1 cell at (2, 2) touches both +1 clusters
+        # diagonally and merges with neither
+        winding = np.array([
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, -1, -1],
+            [0, 0, -1, 0, 0, -1],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+        ])
+        expect = {
+            1: [[(0, 0), (1, 1)], [(3, 3), (4, 3)]],
+            -1: [[(1, 4), (1, 5), (2, 5)], [(2, 2)]],
+        }
+        for charge, clusters in expect.items():
+            labels, count = quadrature._label8(winding == charge)
+            got = sorted(list(zip(*(idx.tolist() for idx in np.nonzero(labels == lab))))
+                         for lab in range(1, count + 1))
+            assert got == sorted(clusters), f"charge {charge}: clusters {got}"
+
+    def wigner_normalization():
+        state = _build_state(0.5, 2, fock_input=False)
+        result = negativity_volume(state)
+        assert abs(result.normalization_check - 1.0) < 1e-6, (
+            f"integral of W = {result.normalization_check}"
+        )
+
+    def wigner_marginal():
+        state = _build_state(0.4, 2, fock_input=False)
+        grid = QuadratureGrid.square(2.0, 3)
+        fld = evaluate_field(state, grid)
+        for i, x in enumerate(grid.x_axis()):
+            for j, y in enumerate(grid.y_axis()):
+                density = abs(fld.values[i, j]) ** 2
+                marg = position_marginal(state, x, y)
+                assert abs(marg - density) < 1e-6, f"marginal off at ({x}, {y})"
+
+    def slice_vs_pointwise():
+        # the pointwise wigner_state is the oracle for the product-grid path
+        # that both slice planes take
+        state = _build_state(0.7, 3, fock_input=False)
+        grid = QuadratureGrid.from_spec(SLICE_GRID)
+        for plane in SLICE_PLANES:
+            gap = np.max(np.abs(wigner_slice(state, plane, grid).values
+                                - wigner_state(state, plane_points(plane, grid)[1])))
+            assert gap < 1e-14, f"{plane}: off by {gap:.3e}"
+
+    def csv_dedup_vs_direct():
+        # a per-element repr is the oracle for the writer, which formats each
+        # distinct bit pattern once; mirrored 0.0 and -0.0 in re, im and arg,
+        # and repeated values, are where a float-valued dedup goes wrong
+        grid = QuadratureGrid(-1.0, 1.0, -0.5, 0.5, 4, 3)
+        values = np.empty((4, 3), dtype=complex)
+        values.real = np.array([0.0, 0.5, 0.5, -0.0])[:, None]
+        values.imag = np.array([-0.0, 0.0, -0.0])
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "field.csv")
+            QuadratureField(grid, values).to_csv(path)
+            with open(path, "rb") as fh:
+                got = fh.read()
+        lines = ["x,y,re,im,abs,arg"]
+        for j, y in enumerate(grid.y_axis().tolist()):
+            for i, x in enumerate(grid.x_axis().tolist()):
+                v = complex(values[i, j])
+                lines.append(",".join(map(repr, (x, y, v.real, v.imag, abs(v),
+                                                 float(np.angle(v))))))
+        assert got == ("\n".join(lines) + "\n").encode(), "bytes differ from per-element reprs"
+
+    def repr_fast_vs_python():
+        # Python's repr is the oracle for the Ryū formatter the CSV writer
+        # uses, on the doubles where shortest-repr formatters go wrong first
+        cases = hard_cases()
+        got = repr_table(cases).view(f"S{REPR_WIDTH}").ravel()
+        want = np.array(list(map(repr, cases.tolist())), dtype=f"S{REPR_WIDTH}")
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, (f"{bad.size} of {len(cases)} differ, first "
+                              f"{float(cases[bad[0]])!r} as {got[bad[0]].decode()!r}")
+
+    def wigner_diagonal_value():
+        got = wigner_fock_diagonal(3, 0.7)
+        assert abs(got - (-0.11010127013979758)) < 1e-12, f"got {got}"
+
+    def hermite_spot_values():
+        assert abs(hermite_function(50, 3.7) - (-0.05168667850813707)) < 1e-10
+        assert abs(hermite_function(7, -1.3) - (-0.40609866425190538)) < 1e-10
+
+    def transpose_involution():
+        rng = np.random.default_rng(7)
+        rho = state_to_density(random_state(rng, cutoff=3))
+        twice = partial_transpose(partial_transpose(rho))
+        assert float(np.max(np.abs(twice.tensor - rho.tensor))) < 1e-14
+
+    def bell_spectrum():
+        # pins the eigensolver path, the oracle of logneg-schmidt-vs-eigh
+        amp = 1 / math.sqrt(2)
+        bell = TwoModeState.from_pairs({(0, 0): amp, (1, 1): amp}, cutoff=2)
+        report = log_negativity(state_to_density(bell))
+        assert abs(report.log_negativity - 1.0) < 1e-9, f"got {report.log_negativity}"
+        assert abs(min(report.negative_eigenvalues) + 0.5) < 1e-12
+
+    def logneg_schmidt_vs_eigh():
+        rng = np.random.default_rng(5)
+        for state in (_build_state(0.7, 3, fock_input=False), random_state(rng, cutoff=4)):
+            fast, slow = log_negativity(state), log_negativity(state_to_density(state))
+            assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues), "spectrum size"
+            gaps = np.subtract([fast.log_negativity, *fast.negative_eigenvalues],
+                               [slow.log_negativity, *slow.negative_eigenvalues])
+            assert np.max(np.abs(gaps)) < 1e-12, f"off by {np.max(np.abs(gaps))}"
+
+    def quadrature_rule_sound():
+        for scheme in ("tensor-gauss-hermite", "uniform-box"):
+            grid = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
+            assert grid.gaussian_check() < 1e-8, f"{scheme}: {grid.gaussian_check()}"
+            assert np.all(grid.weights > 0), f"{scheme}: weights not positive"
+
+    def nv_reduced_vs_tensor():
+        # the 4-D tensor engine, reached through the density matrix, is the
+        # oracle for the symmetry-reduced pass the pure state takes; at one
+        # matched order both carry kink errors of |W| up to a few 1e-4
+        state = _build_state(0.8, 1, fock_input=False)
+        rule = WignerRule(order=48)
+        fast = negativity_volume(state, rule, max_refinements=0)
+        slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
+        assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "dispatch changed"
+        gap = abs(fast.volume - slow.volume)
+        assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
+
+    # each check's name is its function's, with dashes
+    return [(fn.__name__.replace("_", "-"), fn) for fn in (
+        tmss_normalization, tmss_amplitude_decay, splitter_unitarity, splitter_pair_interference,
+        closed_form_oracle, field_norm, vortex_synthetic, vortex_label_8conn,
+        wigner_normalization, wigner_marginal, slice_vs_pointwise, csv_dedup_vs_direct,
+        repr_fast_vs_python, wigner_diagonal_value, hermite_spot_values, transpose_involution,
+        bell_spectrum, logneg_schmidt_vs_eigh, quadrature_rule_sound, nv_reduced_vs_tensor,
+    )]
+
+
+def run(fault: bool = False) -> dict:
+    """Run every check and print its verdict; ``fault`` conjugates the closed
+    form's phase for the run, which ``closed-form-oracle`` must catch.
+
+    A check fails by raising an ``Exception``; an interrupt aborts the run.
+    Returns the per-check records and the names of the failed checks.
+    """
+    todo = checks()
+    inject_fault(fault)
+    if fault:
+        print("fault injection enabled: closed-form phase deliberately conjugated")
+    start = time.perf_counter()
+    records = []
+    try:
+        for name, fn in todo:
+            t0 = time.perf_counter()
+            record = {"name": name, "status": "ok"}
+            try:
+                fn()
+            except Exception as exc:
+                record.update(status="failed", detail=f"{type(exc).__name__}: {exc}")
+                print(f"FAIL {name}: {record['detail']}")
+            else:
+                print(f"ok {name}")
+            record["wall_time_s"] = round(time.perf_counter() - t0, 3)
+            records.append(record)
+    finally:
+        inject_fault(False)
+    failures = [r["name"] for r in records if r["status"] == "failed"]
+    print(f"selftest: {len(todo) - len(failures)}/{len(todo)} checks passed "
+          f"in {time.perf_counter() - start:.1f}s")
+    return {"checks": records, "failures": failures}

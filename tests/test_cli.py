@@ -16,6 +16,7 @@ import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
 import fockvortex.floatrepr as floatrepr
 import fockvortex.quadrature as quadrature
+import fockvortex.selftest as selftest
 import fockvortex.wigner as wigner
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
@@ -125,24 +126,55 @@ def test_memory_error_exits_invariant_with_one_line(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("command", ["figure", "field", "field-onto-dir", "nv", "selftest"])
 def test_unwritable_output_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys, command):
-    # an OSError from an output path exits 4, as it does inside a pipeline task
-    monkeypatch.setattr(cli, "_selftest_checks", lambda: [])
+    # an OSError from an output path exits 4, as it does inside a pipeline task:
+    # here a path under a file or onto a directory, whose parent exists
+    monkeypatch.setattr(selftest, "checks", lambda: [])
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    missing = str(tmp_path / "missing" / "out")
-    argv = {
-        "figure": ["figure", "1", "--out", str(tmp_path / "file" / "sub")],
-        "field": ["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3", "-o", missing],
-        "field-onto-dir": ["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3",
-                           "-o", str(tmp_path / "dir")],
-        "nv": ["nv", "--r", "0.3", "--n", "1", "--json", missing],
-        "selftest": ["selftest", "--out", missing],
+    under_file, onto_dir = str(tmp_path / "file" / "sub"), str(tmp_path / "dir")
+    argv, target = {
+        "figure": (["figure", "1", "--out"], under_file),
+        "field": (["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3", "-o"], under_file),
+        "field-onto-dir": (["field", "--r", "0.3", "--n", "1", "--grid=-1:1:3", "-o"], onto_dir),
+        "nv": (["nv", "--r", "0.3", "--n", "1", "--json"], under_file),
+        "selftest": (["selftest", "--out"], onto_dir),
     }[command]
-    assert main(argv) == 4
+    assert main([*argv, target]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: [Errno"), err
+    # the message names the path asked for, not the temp file written first
+    assert err[0].endswith(f": '{target}'") and ".tmp-" not in err[0], err
     # no temp file is left behind, beside the path or anywhere else
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+
+
+@pytest.mark.parametrize("command", ["field", "field-vortices", "wigner-slice", "nv", "selftest"])
+def test_output_in_missing_directory_exits_usage_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                  command):
+    # the output's directory is checked before any state is built, so nothing
+    # is computed only to be thrown away
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("computed before the output path was checked")
+
+    for module in (cli, selftest):
+        for name in ("evaluate_field", "wigner_slice", "negativity_volume"):
+            monkeypatch.setattr(module, name, spy)
+    missing = str(tmp_path / "missing" / "out")
+    point = ["--r", "0.3", "--n", "1"]
+    argv = {
+        "field": ["field", *point, "-o", missing],
+        "field-vortices": ["field", *point, "-o", str(tmp_path / "f.csv"), "--vortices", missing],
+        "wigner-slice": ["wigner-slice", *point, "-o", missing],
+        "nv": ["nv", *point, "--json", missing],
+        "selftest": ["selftest", "--out", missing],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {missing}: no such directory"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
@@ -240,7 +272,7 @@ def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
     def interrupted():
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_selftest_checks",
+    monkeypatch.setattr(selftest, "checks",
                         lambda: [("interrupted", interrupted), ("next", lambda: ran.append(1))])
     with pytest.raises(KeyboardInterrupt):
         main(["selftest", "--inject-fault"])
@@ -334,31 +366,38 @@ _NO_SCIPY_SCRIPT = """
 import json, sys
 import fockvortex.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return {"scipy": scipy, "selftest": "fockvortex.selftest" in sys.modules}
 
 out = sys.argv[1]
-seen = {"import": scipy_modules()}
+seen = {"import": loaded()}
 codes = [cli.main(["nv", "--r", "0.5", "--n", "2", "--json", out + "/nv.json"])]
-seen["nv"] = scipy_modules()
+seen["nv"] = loaded()
 codes.append(cli.main(["field", "--r", "0.5", "--n", "3", "--fock-input", "--grid=-4:4:40",
                        "-o", out + "/field.csv", "--vortices", out + "/vortices.json"]))
-seen["field"] = scipy_modules()
+seen["field"] = loaded()
+codes.append(cli.main(["selftest"]))
+seen["selftest"] = loaded()
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
 def test_cli_loads_no_scipy(tmp_path):
     # scipy is a test oracle only: the CLI import, the NV Gauss rules and the
-    # vortex labeler must not reach it, not even through a deferred import
+    # vortex labeler must not reach it, not even through a deferred import;
+    # the selftest's checks load only when the selftest runs
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc["codes"] == [0, 0]
-    assert doc["seen"] == {"import": [], "nv": [], "field": []}
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["seen"] == {"import": {"scipy": [], "selftest": False},
+                           "nv": {"scipy": [], "selftest": False},
+                           "field": {"scipy": [], "selftest": False},
+                           "selftest": {"scipy": [], "selftest": True}}
     # the labeler ran on a non-empty winding mask
     assert json.loads((tmp_path / "vortices.json").read_text())["count"] > 0
 
@@ -408,16 +447,15 @@ def test_figure5_table_row_matches_direct_computation(tmp_path):
 def test_figure_pipeline_resumes_after_deleted_artifact(tmp_path):
     out = tmp_path / "fig5"
     assert main(["figure", "5", "--out", str(out)]) == 0
-    victim = out / "logneg_n4.json"
+    victim = out / "logneg_n4_r0p5.json"
     assert victim.exists()
     victim.unlink()
     assert main(["figure", "5", "--out", str(out)]) == 0
     assert victim.exists()
     manifest = json.loads((out / "manifest.json").read_text())
     statuses = {t["name"]: t["status"] for t in manifest["tasks"]}
-    assert statuses["logneg-n4"] == "ok"  # recomputed
-    assert statuses["logneg-n2"] == "cached"
-    assert statuses["logneg-n6"] == "cached"
+    assert statuses.pop("logneg-n4_r0p5") == "ok"  # recomputed
+    assert len(statuses) == 44 and set(statuses.values()) == {"cached"}
 
 
 def test_figure_pipeline_recomputes_after_tool_version_change(tmp_path, capsys):
@@ -436,7 +474,7 @@ def test_figure_pipeline_recomputes_after_tool_version_change(tmp_path, capsys):
 
     capsys.readouterr()
     assert main(argv) == 0
-    assert "all 3 tasks cached; nothing to do" in capsys.readouterr().out
+    assert "all 45 tasks cached; nothing to do" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from fockvortex import (
     InvalidStateError,
     SqueezeParams,
     TwoModeState,
-    UndefinedRatioError,
     apply_beam_splitter,
-    entanglement_ratio,
     log_negativity,
     make_tmss,
     partial_transpose,
@@ -101,19 +99,6 @@ def test_partial_transpose_entry_swap():
     rho = state_to_density(make_tmss(SqueezeParams(r=0.6, n_max=2)))
     pt = partial_transpose(rho)
     assert pt.tensor[0, 1, 1, 1] == pytest.approx(rho.tensor[1, 1, 0, 1])
-
-
-def test_entanglement_ratio_fields():
-    out = entanglement_ratio(SqueezeParams(r=0.5, n_max=2))
-    assert out["l_before"] == pytest.approx(
-        log_negativity(make_tmss(SqueezeParams(r=0.5, n_max=2))).log_negativity, abs=1e-14
-    )
-    assert out["ratio"] == pytest.approx(out["l_after"] / out["l_before"], abs=1e-14)
-
-
-def test_entanglement_ratio_undefined_at_zero():
-    with pytest.raises(UndefinedRatioError):
-        entanglement_ratio(SqueezeParams(r=0.0, n_max=3))
 
 
 def _assert_same_report(fast, slow):

@@ -1,15 +1,22 @@
 """tools/artifact_hashes.py: figure artifact hashes, the --compare check and its
-numeric mode; the library names the benchmark tracer wraps; the public API list."""
+numeric mode, and every artifact against the committed hashes; the library
+names the benchmark tracer wraps; the public API list."""
 import hashlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import fockvortex.cli as cli
 from fockvortex.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
+HASHES = ROOT / "tests" / "data" / "artifact_hashes.txt"
+FIG5_NAMES = sorted([f"fig5/logneg_n{n}_r{cli._num_tag(r)}.json"
+                     for n in cli.FIG5_N_VALUES for r in cli.FIG5_R_VALUES]
+                    + ["fig5/logneg_table.csv"])
 
 
 def _load(name: str, path: Path):
@@ -22,12 +29,17 @@ def _load(name: str, path: Path):
 artifact_hashes = _load("artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
 
 
+def _parse(printed: str) -> dict:
+    """{artifact: sha256} from the tool's output, its ``#`` header left out."""
+    return dict(reversed(line.split()) for line in printed.splitlines()
+                if not line.startswith("#"))
+
+
 def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
     assert artifact_hashes.main(["5"]) == 0
     printed = capsys.readouterr().out
-    hashes = dict(reversed(line.split()) for line in printed.splitlines())
-    assert sorted(hashes) == ["fig5/logneg_n2.json", "fig5/logneg_n4.json",
-                              "fig5/logneg_n6.json", "fig5/logneg_table.csv"]
+    hashes = _parse(printed)
+    assert sorted(hashes) == FIG5_NAMES
 
     direct = tmp_path / "fig5"
     assert cli_main(["figure", "5", "--out", str(direct)]) == 0
@@ -35,12 +47,61 @@ def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
     for name, digest in hashes.items():
         assert hashlib.sha256((direct / name.split("/")[1]).read_bytes()).hexdigest() == digest
 
-    # one recorded hash altered: the rerun matches the other three, flags that one
+    # one recorded hash altered: the rerun matches the others, flags that one
     saved = tmp_path / "hashes.txt"
-    saved.write_text(printed.replace(hashes["fig5/logneg_n4.json"], "0" * 64))
+    saved.write_text(printed.replace(hashes["fig5/logneg_n4_r0p3.json"], "0" * 64))
     assert artifact_hashes.main(["5", "--compare", str(saved)]) == 1
     report = capsys.readouterr().out.splitlines()
-    assert report == ["differs  fig5/logneg_n4.json", "1 of 4 artifacts not identical"]
+    assert report == ["differs  fig5/logneg_n4_r0p3.json", "1 of 46 artifacts not identical"]
+
+
+def test_artifacts_match_committed_hashes(capsys):
+    # every figure and the fixed sweep, byte for byte.  A change that declares
+    # new bytes regenerates the file:
+    #   python tools/artifact_hashes.py > tests/data/artifact_hashes.txt
+    code = artifact_hashes.main(["--compare", str(HASHES)])
+    report = capsys.readouterr().out
+    recorded = [line for line in HASHES.read_text().splitlines() if line.startswith("#")]
+    assert code == 0, "\n".join([
+        report, "hashes recorded with:", *recorded,
+        "this machine:", *artifact_hashes.machine_header(),
+        "the bytes depend on numpy's build and the CPU's SIMD, so on another "
+        "machine this can fail without a regression"])
+
+
+# appended to a copy of the package: the slice writer changes one byte of one
+# figure-3 artifact, after the exact bytes are written
+_ONE_BYTE_OFF = """
+import os as _os
+
+from . import wigner as _wigner
+
+_exact_to_csv = _wigner.WignerSlice.to_csv
+
+
+def _to_csv_one_byte_off(self, path):
+    _exact_to_csv(self, path)
+    if _os.path.basename(path).startswith("slice_n4_plane2.csv"):
+        with open(path, "r+b") as fh:
+            fh.seek(-2, 2)
+            digit = fh.read(1)[0]
+            fh.seek(-2, 2)
+            fh.write(bytes([digit ^ 1]))
+
+
+_wigner.WignerSlice.to_csv = _to_csv_one_byte_off
+"""
+
+
+def test_committed_hashes_catch_a_one_byte_change(tmp_path, capsys):
+    src = tmp_path / "src"
+    shutil.copytree(Path(cli.__file__).parent, src / "fockvortex",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "fockvortex" / "__init__.py", "a") as fh:
+        fh.write(_ONE_BYTE_OFF)
+    assert artifact_hashes.main(["3", "--src", str(src), "--compare", str(HASHES)]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert report == ["differs  fig3/slice_n4_plane2.csv", "1 of 6 artifacts not identical"]
 
 
 def test_benchmark_tracer_layers_resolve():
@@ -93,20 +154,20 @@ def test_compare_numeric_reports_largest_delta(tmp_path, capsys):
     kept = tmp_path / "kept"
     assert artifact_hashes.main(["5", "--keep", str(kept)]) == 0
     printed = capsys.readouterr().out
-    hashes = dict(reversed(line.split()) for line in printed.splitlines())
+    hashes = _parse(printed)
     assert sorted(p.name for p in (kept / "fig5").iterdir()) == [
         name.split("/")[1] for name in sorted(hashes)]
 
     # an earlier run whose log-negativity differed by 1e-3 in one entry
-    doc_path = kept / "fig5" / "logneg_n4.json"
+    doc_path = kept / "fig5" / "logneg_n4_r0p3.json"
     doc = json.loads(doc_path.read_text())
-    doc["rows"][2]["l_after"] += 1e-3
+    doc["l_after"] += 1e-3
     doc_path.write_text(json.dumps(doc))
     saved = tmp_path / "hashes.txt"
-    saved.write_text(printed.replace(hashes["fig5/logneg_n4.json"], "0" * 64))
+    saved.write_text(printed.replace(hashes["fig5/logneg_n4_r0p3.json"], "0" * 64))
     assert artifact_hashes.main(["5", "--compare", str(saved), "--numeric", str(kept)]) == 1
     report = capsys.readouterr().out.splitlines()
     name, delta = report[0].split("max |Δ|")
-    assert name.split() == ["differs", "fig5/logneg_n4.json"]
+    assert name.split() == ["differs", "fig5/logneg_n4_r0p3.json"]
     assert float(delta) == pytest.approx(1e-3, rel=1e-9)
-    assert report[1:] == ["1 of 4 artifacts not identical"]
+    assert report[1:] == ["1 of 46 artifacts not identical"]

@@ -6,8 +6,10 @@
 Runs ``fockvortex figure N`` for each FIGURE into a temporary directory,
 with the package imported from DIR (default: the ``src`` directory of this
 checkout), and prints one ``<sha256>  figN/<file>`` line per artifact,
-sorted.  With no FIGURE it runs figures 1-5 and then ``SWEEP``, a small
-sweep with all five outputs, whose artifacts are listed as ``sweep/<file>``.
+sorted, after a ``#`` header naming what the bytes depend on: numpy's
+version, its BLAS and the CPU features numpy dispatches on.  With no
+FIGURE it runs figures 1-5 and then ``SWEEP``, a small sweep with all five
+outputs, whose artifacts are listed as ``sweep/<file>``.
 ``manifest.json`` is left out: it holds wall times.  With ``--compare FILE``
 (an earlier output of this tool) the hashes are checked against FILE
 instead; every differing, missing or extra artifact is printed and the exit
@@ -86,9 +88,27 @@ def pipeline_hashes(figures: List[int], src: str, sweep: bool = False,
     return hashes
 
 
+def machine_header() -> List[str]:
+    """``#`` lines naming the numpy build and CPU the artifact bytes came from:
+    einsum and matmul loop choices and SIMD kernels can move a last bit."""
+    import numpy as np
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 prints its config only
+        blas = {}
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}",
+            "# cpu " + " ".join(name for name, on in __cpu_features__.items() if on)]
+
+
 def read_hashes(path: str) -> Dict[str, str]:
     with open(path) as fh:
-        return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
+        return {name: digest for digest, name in
+                (line.split() for line in fh if line.strip() and not line.startswith("#"))}
 
 
 def _cell(text: str):
@@ -163,6 +183,7 @@ def main(argv=None) -> int:
         got = pipeline_hashes(args.figures or [1, 2, 3, 4, 5], os.path.abspath(args.src),
                               sweep=not args.figures, keep=keep)
         if args.compare is None:
+            print("\n".join(machine_header()))
             for name, digest in got.items():
                 print(f"{digest}  {name}")
             return 0

@@ -1,18 +1,20 @@
 """Command-line front end: figure pipelines, parameter sweeps, selftest.
 
 Every figure and every sweep point run the same per-(r, N) task,
-``_point_task``: it builds the state once and writes the requested field
-CSV, vortex JSON, Wigner-slice CSV, NV JSON and log-negativity JSON, each
-from one place.  The tables (``nv_table.csv``, ``logneg_table.csv``,
-``sweep.csv``) all go through one writer, ``_write_table``.
+``_point_task``: it builds the input and its splitter image once and
+writes the requested field CSV, vortex JSON, Wigner-slice CSV, NV JSON and
+log-negativity JSON, each from one place.  The tables (``nv_table.csv``,
+``logneg_table.csv``, ``sweep.csv``) all go through one writer,
+``_write_table``.
 
 Artifacts (CSV/JSON data files) are written atomically (temp file +
 rename) and are byte-identical across runs with identical inputs.  Each
-pipeline directory carries a manifest.json recording the tool version,
-a hash of the resolved configuration, and per-task status; the manifest
-holds wall times, so it is a run log rather than a deterministic
-artifact.  Re-running a completed pipeline with an unchanged
-configuration and tool version recomputes nothing and rewrites nothing.
+pipeline directory carries a compact-JSON manifest.json recording the
+tool version, a hash of the resolved configuration, the size of every
+artifact whose task succeeded, and per-task status; the manifest holds
+wall times, so it is a run log rather than a deterministic artifact.
+Re-running a completed pipeline with an unchanged configuration and tool
+version recomputes nothing and rewrites nothing.
 """
 from __future__ import annotations
 
@@ -174,30 +176,28 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
     """Run tasks in order on the calling thread, maintain manifest.json,
     support resume.
 
-    The manifest is rewritten after each task.  A task's ``Exception`` is
-    recorded and the next task runs; an interrupt aborts the run.  ``table``
-    is written from every task's payload after all tasks; nothing is loaded
-    or written when every task was cached and the table is intact.  An
-    artifact counts as intact on resume only when its size still matches the
-    manifest's (no hashing, so a warm rerun stays a few stat calls), and a
-    cached one whose payload cannot be read back is recomputed.
+    The manifest's artifact sizes are the one resume record: a size is
+    recorded only when the task that wrote the artifact succeeds, and only
+    a manifest of the same config hash and tool version is read.  A task is
+    cached when each of its outputs still has its recorded size (no hashing,
+    so a warm rerun stays a few stat calls), and a cached one whose payload
+    cannot be read back is recomputed.  Statuses, errors and wall times are
+    a run log.  The manifest is rewritten, as compact JSON, after each task;
+    a task's ``Exception`` is recorded and the next task runs, and an
+    interrupt aborts the run.  When anything must run, ``table`` is deleted
+    first and written from every task's payload only if every task succeeds.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(config_doc)
     manifest_path = os.path.join(out_dir, "manifest.json")
 
-    prev_ok = set()
-    sizes: dict = {}  # relative artifact path -> size in bytes when written
-    if os.path.exists(manifest_path):
-        try:
-            old = _read_json(manifest_path)
-            if old.get("config_hash") == cfg_hash and old.get("tool_version") == __version__:
-                prev_ok = {
-                    t["name"] for t in old.get("tasks", []) if t["status"] in ("ok", "cached")
-                }
-                sizes = {str(rel): int(n) for rel, n in old.get("artifact_sizes", {}).items()}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            prev_ok, sizes = set(), {}
+    sizes: dict = {}  # relative artifact path -> size in bytes when its task succeeded
+    try:
+        old = _read_json(manifest_path)
+        if old.get("config_hash") == cfg_hash and old.get("tool_version") == __version__:
+            sizes = {str(rel): int(n) for rel, n in old.get("artifact_sizes", {}).items()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        pass
 
     def intact(rels: Sequence[str]) -> bool:
         for rel in rels:
@@ -218,21 +218,22 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
     }
 
     def flush_manifest() -> None:
-        _write_json(
-            manifest_path,
-            {
-                "tool_version": __version__,
-                "config_hash": cfg_hash,
-                "config": config_doc,
-                "tasks": list(entries.values()),
-                "artifact_sizes": dict(sorted(sizes.items())),
-            },
-        )
+        doc = {"tool_version": __version__, "config_hash": cfg_hash, "config": config_doc,
+               "tasks": list(entries.values()), "artifact_sizes": sizes}
+        _write_atomic(manifest_path, json.dumps(doc, sort_keys=True) + "\n")
 
-    cached = [t for t in tasks if t.name in prev_ok and intact(t.outputs)]
+    cached = [t for t in tasks if intact(t.outputs)]
     if len(cached) == len(tasks) and (table is None or intact((table[0],))):
         print(f"{out_dir}: all {len(tasks)} tasks cached; nothing to do")
         return EXIT_OK
+    if not sizes and os.path.exists(manifest_path):
+        # another config's manifest would vouch for what this run overwrites
+        # until the first task ends, so a run killed before then must not leave it
+        os.remove(manifest_path)
+    if table is not None:
+        sizes.pop(table[0], None)
+        if os.path.exists(os.path.join(out_dir, table[0])):
+            os.remove(os.path.join(out_dir, table[0]))
 
     payloads: dict = {}
     for t in cached:
@@ -244,7 +245,6 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
     to_run = [t for t in tasks if t.name not in payloads]
 
     failures: List[Exception] = []
-    flush_manifest()
     for t in to_run:
         entry = entries[t.name]
         start = time.perf_counter()
@@ -287,11 +287,12 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
                 fock_input: bool = False) -> Task:
     """The one production path of every per-(r, N) artifact.
 
-    Builds the state once and writes each kind in ``cfg["outputs"]`` as
-    ``_ARTIFACT_NAMES[kind]`` with ``tag``; the other ``POINT_DEFAULTS`` keys
-    of ``cfg`` set grids, slice plane and NV rule.  Vortices are counted on
-    the field, so asking for them writes the field too.  The payload holds
-    r, n and the NV and log-negativity documents that were asked for.
+    Builds the input and its splitter image once, whatever kinds are asked
+    for, and writes each kind in ``cfg["outputs"]`` as ``_ARTIFACT_NAMES[kind]``
+    with ``tag``; the other ``POINT_DEFAULTS`` keys of ``cfg`` set grids,
+    slice plane and NV rule.  Vortices are counted on the field, so asking
+    for them writes the field too.  The payload holds r, n and the NV and
+    log-negativity documents that were asked for.
     """
     kinds = set(cfg["outputs"])
     if "vortices" in kinds:
@@ -301,8 +302,8 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
 
     def run() -> dict:
         payload = {"r": r, "n": n}
-        if kinds & {"field", "wigner-slice", "nv"}:
-            state = _build_state(r, n, fock_input)
+        before = _build_state(r, n, fock_input, pre_bs=True)
+        state = apply_beam_splitter(before)
         if "field" in kinds:
             fld = evaluate_field(state, QuadratureGrid.from_spec(cfg["grid"]))
             _write_via(paths["field"], fld.to_csv)
@@ -317,7 +318,7 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
             payload["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
             _write_json(paths["nv"], payload["nv"])
         if "logneg" in kinds:
-            payload["logneg"] = _logneg_row(r, n)
+            payload["logneg"] = _logneg_row(r, n, before, state)
             _write_json(paths["logneg"], payload["logneg"])
         return payload
 
@@ -329,9 +330,7 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
     return Task(name, tuple(rels.values()), run, load)
 
 
-def _logneg_row(r: float, n: int) -> dict:
-    before = make_tmss(SqueezeParams(r=r, n_max=n))
-    after = apply_beam_splitter(before)
+def _logneg_row(r: float, n: int, before: TwoModeState, after: TwoModeState) -> dict:
     l_before = log_negativity(before).log_negativity
     l_after = log_negativity(after).log_negativity
     ratio = l_after / l_before if l_before > 0 else None

@@ -24,14 +24,6 @@ class EntanglementReport:
     negative_eigenvalues: List[float]
     matrix_dimension: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "negativity": self.negativity,
-            "log_negativity": self.log_negativity,
-            "negative_eigenvalues": list(self.negative_eigenvalues),
-            "matrix_dimension": self.matrix_dimension,
-        }
-
 
 def _as_density(state_or_rho) -> DensityMatrix:
     if isinstance(state_or_rho, TwoModeState):

@@ -6,7 +6,7 @@ vortices are integer phase windings of arg(psi) around grid plaquettes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -182,11 +182,7 @@ class VortexReport:
     count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_charge": self.total_charge,
-            "vortices": self.vortices,
-        }
+        return asdict(self)
 
 
 def _wrap(dphi: np.ndarray) -> np.ndarray:

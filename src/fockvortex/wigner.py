@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import lgamma
 from typing import List, Optional, Tuple, Union
@@ -324,15 +324,7 @@ class NegativityResult:
     engine: str = "tensor-4d"
 
     def to_json_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "integral_abs": self.integral_abs,
-            "normalization_check": self.normalization_check,
-            "resolution_history": [[o, v] for o, v in self.resolution_history],
-            "converged": self.converged,
-            "under_resolved": self.under_resolved,
-            "engine": self.engine,
-        }
+        return asdict(self)
 
 
 def _nv_pass(rho_p: np.ndarray, m: int, grid: WignerGrid) -> Tuple[float, float]:

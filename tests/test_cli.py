@@ -323,6 +323,18 @@ def test_field_pre_splitter_input_flags(tmp_path):
     assert out.exists()
 
 
+def test_field_pre_splitter_never_applies_the_splitter(tmp_path, monkeypatch):
+    # the splitter fails its norm check at this N; the input alone is fine
+    def no_splitter(state):
+        raise AssertionError("--pre-bs applied the splitter")
+
+    monkeypatch.setattr(cli, "apply_beam_splitter", no_splitter)
+    out = tmp_path / "pre.csv"
+    assert main(["field", "--r", "1.5", "--n", "26", "--pre-bs", "--grid=-2:2:5",
+                 "-o", str(out)]) == 0
+    assert out.exists()
+
+
 def test_wigner_slice_csv_layout(tmp_path):
     out = tmp_path / "slice.csv"
     code = main([
@@ -712,12 +724,93 @@ def test_resume_reruns_unreadable_cached_artifact(tmp_path):
 
 
 def test_interrupt_in_a_task_aborts_the_run(tmp_path, monkeypatch):
-    def interrupted(r, n):
+    def interrupted(*args):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "_logneg_row", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", str(write_config(tmp_path))])
+
+
+def test_sweep_point_builds_its_states_once(tmp_path, monkeypatch):
+    calls = {"make_tmss": 0, "apply_beam_splitter": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    cfg = write_config(tmp_path, r_values=[0.5], nv_order=16, grid="-4:4:21",
+                       slice_grid="-2:2:7", outputs=["field", "wigner-slice", "nv", "logneg"])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert calls == {"make_tmss": 1, "apply_beam_splitter": 1}
+
+
+def test_failed_sweep_leaves_no_aggregate_table(tmp_path):
+    out = tmp_path / "sweep-out"
+    table = out / "sweep.csv"
+    cfg = write_config(tmp_path, r_values=[0.3, 0.6], outputs=["logneg", "wigner-slice"],
+                       slice_grid="-2:2:5")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert table.exists()
+    # every slice overflows this far out, so every task of the new config fails
+    cfg = write_config(tmp_path, r_values=[0.3, 0.6], n_values=[14],
+                       outputs=["logneg", "wigner-slice"], slice_grid="-1e6:1e6:3")
+    assert main(["sweep", "--config", str(cfg)]) == 4
+    assert not table.exists()  # the old config's N = 2 rows are gone
+
+
+def test_failed_task_records_no_size_and_reruns(tmp_path, monkeypatch):
+    def fails(field):
+        raise RuntimeError("labeler failed")
+
+    cfg = write_config(tmp_path, r_values=[0.3], outputs=["vortices"], grid="-4:4:21")
+    out = tmp_path / "sweep-out"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "count_vortices", fails)
+        assert main(["sweep", "--config", str(cfg)]) == 4
+    assert (out / "field_r0p3_n2.csv").exists()  # written before the labeler ran
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "field_r0p3_n2.csv" not in manifest["artifact_sizes"]
+
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    statuses = {t["name"]: t["status"]
+                for t in json.loads((out / "manifest.json").read_text())["tasks"]}
+    assert statuses == {"point-r0p3_n2": "ok"}
+    assert (out / "vortices_r0p3_n2.json").exists()
+
+
+def test_interrupted_run_of_another_config_leaves_nothing_cached(tmp_path, monkeypatch):
+    # the two planes give slices of equal size that differ in their header
+    def config(plane):
+        return write_config(tmp_path, r_values=[0.3], outputs=["logneg", "wigner-slice"],
+                            slice_grid="-2:2:5", slice_plane=plane)
+
+    out = tmp_path / "sweep-out"
+    first = {"y": 0.0, "px": 0.0}
+    assert main(["sweep", "--config", str(config(first))]) == 0
+    victim = out / "slice_r0p3_n2.csv"
+    original = victim.read_bytes()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_logneg_row", interrupted)  # after the slice is written
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(config({"x": 0.0, "py": 0.0}))])
+    assert victim.read_bytes() != original and len(victim.read_bytes()) == len(original)
+
+    assert main(["sweep", "--config", str(config(first))]) == 0
+    assert victim.read_bytes() == original
+    statuses = {t["name"]: t["status"]
+                for t in json.loads((out / "manifest.json").read_text())["tasks"]}
+    assert statuses == {"point-r0p3_n2": "ok"}
 
 
 @pytest.mark.parametrize(

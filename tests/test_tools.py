@@ -124,6 +124,16 @@ def test_public_api_star_import():
         assert namespace[name] is getattr(fockvortex, name), name
 
 
+def test_package_version_matches_pyproject():
+    # resume trusts a manifest of the same version, so both must move together
+    import tomllib
+
+    import fockvortex
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == fockvortex.__version__
+
+
 def test_max_abs_delta_on_hand_made_artifacts(tmp_path):
     def write(name, text):
         path = tmp_path / name

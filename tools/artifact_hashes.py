@@ -6,10 +6,11 @@
 Runs ``fockvortex figure N`` for each FIGURE into a temporary directory,
 with the package imported from DIR (default: the ``src`` directory of this
 checkout), and prints one ``<sha256>  figN/<file>`` line per artifact,
-sorted, after a ``#`` header naming what the bytes depend on: numpy's
-version, its BLAS and the CPU features numpy dispatches on.  With no
-FIGURE it runs figures 1-5 and then ``SWEEP``, a small sweep with all five
-outputs, whose artifacts are listed as ``sweep/<file>``.
+sorted, after a ``#`` header naming what the bytes depend on: the
+package's version, numpy's version, its BLAS and the CPU features numpy
+dispatches on.  With no FIGURE it runs figures 1-5 and then ``SWEEP``, a
+small sweep with all five outputs, whose artifacts are listed as
+``sweep/<file>``.
 ``manifest.json`` is left out: it holds wall times.  With ``--compare FILE``
 (an earlier output of this tool) the hashes are checked against FILE
 instead; every differing, missing or extra artifact is printed and the exit
@@ -56,12 +57,16 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _env(src: str) -> Dict[str, str]:
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def pipeline_hashes(figures: List[int], src: str, sweep: bool = False,
                     keep: Optional[str] = None) -> Dict[str, str]:
     """{"figN/<file>": sha256} for every data artifact of the given figures,
     plus {"sweep/<file>": sha256} for the artifacts of ``SWEEP`` if ``sweep``;
     with ``keep``, each artifact is also copied to ``keep/<name>``."""
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = _env(src)
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
         runs = [(f"fig{figure}", ["figure", str(figure)]) for figure in figures]
@@ -88,9 +93,11 @@ def pipeline_hashes(figures: List[int], src: str, sweep: bool = False,
     return hashes
 
 
-def machine_header() -> List[str]:
-    """``#`` lines naming the numpy build and CPU the artifact bytes came from:
-    einsum and matmul loop choices and SIMD kernels can move a last bit."""
+def machine_header(src: str = SRC) -> List[str]:
+    """``#`` lines naming the package version imported from ``src`` (a change
+    of an artifact's bytes bumps it), and the numpy build and CPU the bytes
+    came from: einsum and matmul loop choices and SIMD kernels can move a
+    last bit."""
     import numpy as np
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -100,7 +107,10 @@ def machine_header() -> List[str]:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 prints its config only
         blas = {}
-    return [f"# numpy {np.__version__}",
+    version = subprocess.run([sys.executable, "-m", "fockvortex.cli", "--version"], env=_env(src),
+                             capture_output=True, text=True, check=True).stdout.strip()
+    return [f"# {version}",
+            f"# numpy {np.__version__}",
             f"# blas {blas.get('name')} {blas.get('version')}",
             "# cpu " + " ".join(name for name, on in __cpu_features__.items() if on)]
 
@@ -183,7 +193,7 @@ def main(argv=None) -> int:
         got = pipeline_hashes(args.figures or [1, 2, 3, 4, 5], os.path.abspath(args.src),
                               sweep=not args.figures, keep=keep)
         if args.compare is None:
-            print("\n".join(machine_header()))
+            print("\n".join(machine_header(os.path.abspath(args.src))))
             for name, digest in got.items():
                 print(f"{digest}  {name}")
             return 0

@@ -12,9 +12,9 @@ rename) and are byte-identical across runs with identical inputs.  Each
 pipeline directory carries a compact-JSON manifest.json recording the
 tool version, a hash of the resolved configuration, the size of every
 artifact whose task succeeded, and per-task status; the manifest holds
-wall times, so it is a run log rather than a deterministic artifact.
-Re-running a completed pipeline with an unchanged configuration and tool
-version recomputes nothing and rewrites nothing.
+wall times (a run log, not a deterministic artifact) and is written at most
+once a second and at the end.  Re-running a completed pipeline with an
+unchanged configuration and tool version recomputes and rewrites nothing.
 """
 from __future__ import annotations
 
@@ -182,8 +182,10 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
     cached when each of its outputs still has its recorded size (no hashing,
     so a warm rerun stays a few stat calls), and a cached one whose payload
     cannot be read back is recomputed.  Statuses, errors and wall times are
-    a run log.  The manifest is rewritten, as compact JSON, after each task;
-    a task's ``Exception`` is recorded and the next task runs, and an
+    a run log, written as compact JSON after a task that ends 1 s or more
+    after the last write and once as the run ends, however it ends: a hard
+    kill loses at most a second of records, whose tasks rerun on resume.
+    A task's ``Exception`` is recorded and the next task runs, and an
     interrupt aborts the run.  When anything must run, ``table`` is deleted
     first and written from every task's payload only if every task succeeds.
     """
@@ -245,26 +247,31 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
     to_run = [t for t in tasks if t.name not in payloads]
 
     failures: List[Exception] = []
-    for t in to_run:
-        entry = entries[t.name]
-        start = time.perf_counter()
-        try:
-            payloads[t.name] = t.run()
-        except Exception as exc:  # recorded per task; the pipeline continues
-            failures.append(exc)
-            entry["status"], entry["error"] = "failed", f"{type(exc).__name__}: {exc}"
-            print(f"FAIL {t.name}: {entry['error']}")
-        else:
-            entry["status"] = "ok"
-            record_sizes(t.outputs)
-            print(f"ok {t.name} ({time.perf_counter() - start:.2f}s)")
-        entry["wall_time_s"] = round(time.perf_counter() - start, 3)
-        flush_manifest()
+    flushed = time.monotonic()
+    try:
+        for t in to_run:
+            entry = entries[t.name]
+            start = time.perf_counter()
+            try:
+                payloads[t.name] = t.run()
+            except Exception as exc:  # recorded per task; the pipeline continues
+                failures.append(exc)
+                entry["status"], entry["error"] = "failed", f"{type(exc).__name__}: {exc}"
+                print(f"FAIL {t.name}: {entry['error']}")
+            else:
+                entry["status"] = "ok"
+                record_sizes(t.outputs)
+                print(f"ok {t.name} ({time.perf_counter() - start:.2f}s)")
+            entry["wall_time_s"] = round(time.perf_counter() - start, 3)
+            if time.monotonic() - flushed >= 1.0:  # a hard kill loses at most this much
+                flush_manifest()
+                flushed = time.monotonic()
 
-    if table is not None and not failures:
-        rel, header, rows = table
-        _write_table(os.path.join(out_dir, rel), header, rows(payloads))
-        record_sizes((rel,))
+        if table is not None and not failures:
+            rel, header, rows = table
+            _write_table(os.path.join(out_dir, rel), header, rows(payloads))
+            record_sizes((rel,))
+    finally:
         flush_manifest()
 
     if failures:

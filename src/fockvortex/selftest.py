@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from . import quadrature
+from . import quadrature, wigner
 from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
 from .cli import SLICE_GRID, SLICE_PLANES, _build_state
 from .config import TOL
@@ -218,14 +218,46 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
     def nv_reduced_vs_tensor():
         # the 4-D tensor engine, reached through the density matrix, is the
         # oracle for the symmetry-reduced pass the pure state takes; at one
-        # matched order both carry kink errors of |W| up to a few 1e-4
-        state = _build_state(0.8, 1, fock_input=False)
+        # matched order both carry kink errors of |W| up to a few 1e-4.  The
+        # input sits on one diagonal itself; nv-splitter-invariance covers
+        # the image, whose diagonal is found after one more splitter pass
+        state = _build_state(0.8, 1, fock_input=False, pre_bs=True)
         rule = WignerRule(order=48)
         fast = negativity_volume(state, rule, max_refinements=0)
         slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
         assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "dispatch changed"
         gap = abs(fast.volume - slow.volume)
         assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
+
+    def nv_tables_cached_vs_fresh():
+        # tables built for each pass are the oracle for the cached ones; a
+        # cache keyed on less than (dimension, order) serves N = 2's tables to
+        # N = 4, whose larger dimension then indexes past them
+        states = [_build_state(0.8, n, fock_input=False) for n in (4, 2)]
+        rules = [WignerRule(order=order) for order in (24, 48)]
+
+        def volumes(fresh: bool) -> List[float]:
+            out = []
+            for state in states:
+                for rule in rules:
+                    if fresh:
+                        wigner._radial_profiles.cache_clear()
+                    out.append(negativity_volume(state, rule, max_refinements=0).volume)
+            return out
+
+        fresh = volumes(fresh=True)
+        volumes(fresh=False)  # fills the cache with all four tables
+        warm = volumes(fresh=False)
+        assert warm == fresh, f"cached {warm} vs fresh {fresh}"
+
+    def nv_splitter_invariance():
+        # the splitter is a passive Gaussian unitary, so NV is the same before
+        # and after it; the image's diagonal is found after one more pass
+        before = _build_state(0.8, 2, fock_input=False, pre_bs=True)
+        results = [negativity_volume(state) for state in (before, apply_beam_splitter(before))]
+        assert [res.engine for res in results] == ["reduced-3d"] * 2, "dispatch changed"
+        gap = abs(results[0].volume - results[1].volume)
+        assert gap < TOL.nv, f"before {results[0].volume} vs after {results[1].volume}"
 
     # each check's name is its function's, with dashes
     return [(fn.__name__.replace("_", "-"), fn) for fn in (
@@ -234,6 +266,7 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         wigner_normalization, wigner_marginal, slice_vs_pointwise, csv_dedup_vs_direct,
         repr_fast_vs_python, wigner_diagonal_value, hermite_spot_values, transpose_involution,
         bell_spectrum, logneg_schmidt_vs_eigh, quadrature_rule_sound, nv_reduced_vs_tensor,
+        nv_tables_cached_vs_fresh, nv_splitter_invariance,
     )]
 
 

@@ -26,7 +26,7 @@ class SqueezeParams:
 
     def __post_init__(self):
         if not (self.r >= 0.0) or not math.isfinite(self.r):
-            raise InvalidParameterError(f"squeezing parameter must be >= 0, got {self.r}")
+            raise InvalidParameterError(f"squeezing parameter must be finite and >= 0, got {self.r}")
         if self.n_max < 0 or int(self.n_max) != self.n_max:
             raise InvalidParameterError(f"truncation order must be an integer >= 0, got {self.n_max}")
 

@@ -47,6 +47,12 @@ trigonometric polynomial in theta.  Density matrices, states without that
 symmetry and the ``uniform-box`` scheme take the 4-D tensor-product engine,
 which also serves as the oracle for the reduced pass in the tests and the
 selftest.
+
+``_radial_profiles`` keeps the radial profile tables, which no r or
+amplitude changes, of the last MAX_REFINEMENTS + 1 (dimension, order)
+pairs whose nodes fit the reduced pass's one block (larger orders stream
+block by block): an entry stays within that block's 2^22 doubles (32 MiB),
+and a dimension, whose cached orders quadruple in nodes, within 4/3 of it.
 """
 from __future__ import annotations
 
@@ -428,6 +434,21 @@ def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
+def _profiles(dim: int, u: np.ndarray) -> np.ndarray:
+    """Real radial profiles K[n, m](rho, 0), rho = sqrt(u / 2), at the nodes u."""
+    return _kernel_polys(dim, np.sqrt(0.5 * u), np.zeros(len(u))).real
+
+
+@lru_cache(maxsize=MAX_REFINEMENTS + 1)
+def _radial_profiles(dim: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_profiles`` of both modes on all of ``_radial_pair_rule(order)``: shared,
+    so read-only, and C-contiguous, so the per-s products read them densely."""
+    tables = tuple(np.ascontiguousarray(_profiles(dim, u)) for u in _radial_pair_rule(order)[:2])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
     """(c, n_a0, n_b0) when all but TOL.norm of the weight lies on one
     n_a - n_b diagonal; c[k] is the amplitude of |n_a0 + k, n_b0 + k>."""
@@ -466,7 +487,7 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
     (pi^2 / 4) / n_theta times the weighted node sum.  Per block of radial
     nodes, the real profiles K[n, m](rho, 0) give the coefficient table
     [Re G_s, Im G_s], and one GEMM against [cos(s theta); sin(s theta)]
-    gives W.
+    gives W; an order that fits one block takes ``_radial_profiles``.
     """
     ua, ub, wr = _radial_pair_rule(order)
     span = len(c)
@@ -481,10 +502,12 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
     block = max(1, (1 << 22) // max(n_theta, 2 * dim * dim))  # W block and profiles alike
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
-        rho_a, rho_b = np.sqrt(0.5 * ua[sl]), np.sqrt(0.5 * ub[sl])
-        prof_a = _kernel_polys(dim, rho_a, np.zeros_like(rho_a)).real
-        prof_b = _kernel_polys(dim, rho_b, np.zeros_like(rho_b)).real
-        coef = np.empty((len(rho_a), 2 * span - 1))
+        if len(wr) <= block:  # the whole order fits one block: its tables are cached
+            prof_a, prof_b = _radial_profiles(dim, order)
+        else:
+            prof_a = _profiles(dim, ua[sl])
+            prof_b = _profiles(dim, ub[sl])
+        coef = np.empty((prof_a.shape[-1], 2 * span - 1))
         for s in range(span):
             k = np.arange(s, span)
             g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])

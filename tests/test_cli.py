@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import types
 
 import numpy as np
 import pytest
@@ -59,6 +61,14 @@ def test_bad_figure_id_exits_usage(tmp_path, figure_id, capsys):
 def test_negative_squeezing_exits_usage(tmp_path, capsys):
     code = main(["field", "--r", "-0.5", "--n", "2", "-o", str(tmp_path / "f.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("r", ["inf", "nan"])
+def test_non_finite_squeezing_exits_usage(tmp_path, capsys, r):
+    out = tmp_path / "nv.json"
+    assert main(["nv", "--r", r, "--n", "2", "--json", str(out)]) == 2
+    assert f"squeezing parameter must be finite and >= 0, got {r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_plane_spec_exits_usage(tmp_path):
@@ -220,7 +230,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 22
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -231,7 +241,7 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 22
 
 
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
@@ -242,7 +252,7 @@ def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_pat
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["csv-dedup-vs-direct"]
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 22
 
 
 def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
@@ -253,7 +263,7 @@ def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["repr-fast-vs-python"]
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 22
 
 
 def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
@@ -263,7 +273,43 @@ def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["vortex-label-8conn"]
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 22
+
+
+def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_path):
+    exact = wigner._radial_profiles
+    served = {}
+
+    def by_order(dim, order):  # a cache that forgets the dimension
+        if order not in served:
+            served[order] = exact(dim, order)
+        return served[order]
+
+    by_order.cache_clear = served.clear
+    monkeypatch.setattr(wigner, "_radial_profiles", by_order)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
+    assert len(doc["checks"]) == 22
+
+
+def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path):
+    exact = wigner._pair_diagonal
+
+    def shifted(state):
+        found = exact(state)
+        if found is None or wigner._single_diagonal(state.amplitudes) is not None:
+            return found
+        c, na0, nb0 = found  # found after one more splitter pass
+        return c, na0 + 1, nb0 + 1
+
+    monkeypatch.setattr(wigner, "_pair_diagonal", shifted)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["nv-splitter-invariance"]
+    assert len(doc["checks"]) == 22
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
@@ -730,6 +776,75 @@ def test_interrupt_in_a_task_aborts_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_logneg_row", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", str(write_config(tmp_path))])
+
+
+def fake_clock(monkeypatch, step):
+    """cli reads a monotonic clock that advances ``step`` seconds per read."""
+    now = [0.0]
+
+    def monotonic():
+        now[0] += step
+        return now[0]
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=time.perf_counter,
+                                                            monotonic=monotonic))
+
+
+def count_manifest_writes(monkeypatch):
+    writes = []
+    write_atomic = cli._write_atomic
+
+    def spy(path, text):
+        if os.path.basename(path) == "manifest.json":
+            writes.append(path)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(cli, "_write_atomic", spy)
+    return writes
+
+
+@pytest.mark.parametrize("step,writes_per_task", [(0.0, 0), (2.0, 1)])
+def test_manifest_is_written_by_time_and_once_at_the_end(tmp_path, monkeypatch, step,
+                                                         writes_per_task):
+    fake_clock(monkeypatch, step)
+    writes = count_manifest_writes(monkeypatch)
+    out = tmp_path / "fig5"
+    assert main(["figure", "5", "--out", str(out)]) == 0
+    tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+    assert len(writes) == writes_per_task * len(tasks) + 1
+    assert {t["status"] for t in tasks} == {"ok"}
+    writes.clear()
+    assert main(["figure", "5", "--out", str(out)]) == 0  # cached: nothing rewritten
+    assert writes == []
+
+
+def test_interrupt_with_frozen_clock_keeps_the_finished_tasks(tmp_path, monkeypatch):
+    fake_clock(monkeypatch, 0.0)
+    cfg = write_config(tmp_path, r_values=[0.1, 0.2, 0.3, 0.4, 0.5])
+    out = tmp_path / "sweep-out"
+    logneg_row = cli._logneg_row
+    calls = []
+
+    def third_interrupted(*args):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return logneg_row(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_logneg_row", third_interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(cfg)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    statuses = [t["status"] for t in manifest["tasks"]]
+    assert statuses == ["ok", "ok", "pending", "pending", "pending"]
+    done = [rel for t in manifest["tasks"][:2] for rel in t["outputs"]]
+    assert manifest["artifact_sizes"] == {rel: (out / rel).stat().st_size for rel in done}
+
+    calls.clear()
+    monkeypatch.setattr(cli, "_logneg_row", lambda *args: calls.append(args[0]) or logneg_row(*args))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(calls) == 3
 
 
 def test_sweep_point_builds_its_states_once(tmp_path, monkeypatch):

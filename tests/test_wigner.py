@@ -29,7 +29,7 @@ from fockvortex import (
     wigner_state,
 )
 import fockvortex.wigner as wigner_module
-from fockvortex.cli import SLICE_GRID
+from fockvortex.cli import SLICE_GRID, main
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
 from fockvortex.wigner import _radial_pair_rule, plane_points
@@ -40,6 +40,15 @@ W_CROSS_21_RE = -0.21842777967552695624
 W_CROSS_21_IM = -0.16382083475664521718
 FOUR_OVER_PI_SQ = 0.40528473456935108578
 TWO_OVER_PI = 0.63661977236758134308
+
+
+@pytest.fixture
+def fresh_profiles():
+    """An empty profile-table cache before and after a test that patches what
+    fills it, so no test sees tables another one built."""
+    wigner_module._radial_profiles.cache_clear()
+    yield
+    wigner_module._radial_profiles.cache_clear()
 
 
 def _brute_mode_integrals(dim, x, p, s_half=8.0, s_pts=4001):
@@ -279,7 +288,7 @@ def test_reduced_pass_integrates_w_to_one_at_deep_truncation(r, n_max, order):
     assert abs(result.normalization_check - 1.0) <= 1e-10
 
 
-def test_under_resolved_result_is_never_converged(monkeypatch):
+def test_under_resolved_result_is_never_converged(monkeypatch, fresh_profiles):
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
     assert negativity_volume(state).converged
 
@@ -292,6 +301,40 @@ def test_under_resolved_result_is_never_converged(monkeypatch):
     assert result.normalization_check == pytest.approx(1.05, abs=1e-10)
     assert result.under_resolved
     assert not result.converged
+
+
+def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_profiles):
+    # 12 points, 2 dimensions (N = 2, 4), orders 24 and 48, 2 modes: a table
+    # per point and pass would take 48 calls
+    calls = []
+    kernel_polys = wigner_module._kernel_polys
+
+    def spy(dim, x, p):
+        calls.append(dim)
+        return kernel_polys(dim, x, p)
+
+    monkeypatch.setattr(wigner_module, "_kernel_polys", spy)
+    assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
+    assert len(calls) == 8
+
+
+def test_cached_profile_tables_are_read_only_and_contiguous():
+    for table in wigner_module._radial_profiles(5, 24):
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert table.shape == (5, 5, 24 * 24)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+
+def test_deep_ladder_is_equal_with_cached_and_fresh_tables():
+    # orders 24-96 fit one block at dimension 11 and take cached tables,
+    # 192 and 384 stream theirs block by block
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=10)))
+    wigner_module._radial_profiles.cache_clear()
+    fresh = negativity_volume(state, tol=1e-9)
+    warm = negativity_volume(state, tol=1e-9)
+    assert [order for order, _ in fresh.resolution_history] == [24, 48, 96, 192, 384]
+    assert warm == fresh
 
 
 @pytest.mark.parametrize(
@@ -438,7 +481,7 @@ def test_same_mode_slice_is_pointwise(plane):
     assert fast.tobytes() == wigner_state(state, plane_points(plane, grid)[1]).tobytes()
 
 
-def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch):
+def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_profiles):
     evaluated = []
     kernel_polys = wigner_module._kernel_polys
 

@@ -50,7 +50,6 @@ from .states import (
 )
 from .wigner import (
     NegativityResult,
-    WignerGrid,
     WignerRule,
     WignerSlice,
     build_wigner_grid,
@@ -85,7 +84,6 @@ __all__ = [
     "wigner_diagonal_form",
     "position_marginal",
     "WignerRule",
-    "WignerGrid",
     "WignerSlice",
     "build_wigner_grid",
     "NegativityResult",

@@ -562,7 +562,7 @@ def cmd_wigner_slice(args) -> int:
             raise InvalidParameterError("--diagonal-form takes neither --fock-input nor --pre-bs")
         free, point = plane_points(plane, grid)
         vals = wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point)
-        sl = WignerSlice(free, plane, grid, vals)
+        sl = WignerSlice(free, grid, vals)
     else:
         sl = wigner_slice(_build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs),
                           plane, grid)

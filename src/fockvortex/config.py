@@ -1,7 +1,8 @@
 """Shared numerical tolerances and engine defaults.
 
-Every tolerance used by the library lives here so that property tests
-have a single knob to turn.
+``TOL`` holds the tolerances that the library's checks share; no caller or
+test replaces it.  A bound that serves one check stays beside it, such as
+the 1e-10 residual factor of ``entanglement._eigvals_checked``.
 """
 from dataclasses import dataclass
 
@@ -24,5 +25,5 @@ TOL = Tolerances()
 GH_ORDER = 24
 MAX_REFINEMENTS = 4
 
-# uniform-box fallback: half-width scale vs photon cutoff
+# half-width scale of the uniform-box oracle rule: h = BOX_WIDTH_SCALE * sqrt(2 cutoff + 2)
 BOX_WIDTH_SCALE = 1.2

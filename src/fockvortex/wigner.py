@@ -48,17 +48,20 @@ symmetry and the ``uniform-box`` scheme take the 4-D tensor-product engine,
 which also serves as the oracle for the reduced pass in the tests and the
 selftest.
 
-``_radial_profiles`` keeps the radial profile tables, which no r or
-amplitude changes, of the last MAX_REFINEMENTS + 1 (dimension, order)
+Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
+loop (``wigner_state``, ``_nv_pass``, ``_reduced_pass``) sizes its block
+arrays from the one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of
+doubles).  ``_radial_profiles`` keeps the radial profile tables, which no
+r or amplitude changes, of the last MAX_REFINEMENTS + 1 (dimension, order)
 pairs whose nodes fit the reduced pass's one block (larger orders stream
-block by block): an entry stays within that block's 2^22 doubles (32 MiB),
-and a dimension, whose cached orders quadruple in nodes, within 4/3 of it.
+block by block): an entry stays within that budget, and a dimension,
+whose cached orders quadruple in nodes, within 4/3 of it.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from math import lgamma
 from typing import List, Optional, Tuple, Union
@@ -74,6 +77,7 @@ from .states import DensityMatrix, SqueezeParams, TwoModeState
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
 _MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
+_BLOCK_ENTRIES = 1 << 22  # entries per block array in every blocked loop
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     rho_p, m = _pair_matrix(state_or_rho)
     xf, pxf, yf, pyf = (c.ravel() for c in (x, px, y, py))
     vals = np.empty(xf.size)
-    chunk = max(256, (1 << 22) // (m * m))
+    chunk = max(256, _BLOCK_ENTRIES // (m * m))
     for s in range(0, xf.size, chunk):
         sl = slice(s, min(s + chunk, xf.size))
         ka = _kernel_polys(m, xf[sl], pxf[sl]).reshape(m * m, -1)
@@ -296,27 +300,17 @@ class WignerRule:
             raise InvalidParameterError(f"order must be >= 2, got {self.order}")
 
 
-@dataclass(frozen=True)
-class WignerGrid:
-    """Per-axis nodes and weights; the Gaussian envelope e^{-2q^2} is folded
-    into the weights, so integrands are evaluated as kernel polynomials."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def gaussian_check(self) -> float:
-        """|sum(weights) - integral of e^{-2 q^2}|; small for a sound rule."""
-        return abs(float(self.weights.sum()) - math.sqrt(math.pi / 2.0))
-
-
-def build_wigner_grid(rule: WignerRule, cutoff: int, order: Optional[int] = None) -> WignerGrid:
-    o = order if order is not None else rule.order
+def build_wigner_grid(rule: WignerRule, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis (nodes, weights) of ``rule`` at ``rule.order``; the Gaussian
+    envelope e^{-2q^2} is folded into the weights, so integrands are
+    evaluated as kernel polynomials and the weights sum to sqrt(pi/2)."""
+    o = rule.order
     if rule.scheme == "tensor-gauss-hermite":
-        return WignerGrid(*_gauss_hermite(o))
+        return _gauss_hermite(o)
     h = BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
     edges = np.linspace(-h, h, o + 1)
     q = 0.5 * (edges[:-1] + edges[1:])
-    return WignerGrid(q, (2.0 * h / o) * np.exp(-2.0 * q * q))
+    return q, (2.0 * h / o) * np.exp(-2.0 * q * q)
 
 
 @dataclass
@@ -333,14 +327,14 @@ class NegativityResult:
         return asdict(self)
 
 
-def _nv_pass(rho_p: np.ndarray, m: int, grid: WignerGrid) -> Tuple[float, float]:
+def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
     """One tensor-quadrature pass: (integral of |W|, integral of W).
 
     The 4-D lattice is the product of one (x, p) plane per mode sharing the
     same axis rule; W over the lattice is assembled as Re(Ka^T rho_p Kb) in
     row blocks, real-split so only real GEMMs run.
     """
-    q, w = grid.nodes, grid.weights
+    q, w = grid
     n1 = len(q)
     xs = np.repeat(q, n1)
     ps = np.tile(q, n1)
@@ -352,7 +346,7 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: WignerGrid) -> Tuple[float, float]
     npts = n1 * n1
     total_abs = 0.0
     total_w = 0.0
-    block = max(32, (1 << 24) // npts)
+    block = max(32, _BLOCK_ENTRIES // npts)
     for s in range(0, npts, block):
         sl = slice(s, min(s + block, npts))
         rows = kr[:, sl].T @ dr - ki[:, sl].T @ di  # Re(Ka^T D)
@@ -499,7 +493,7 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
     basis = np.concatenate([np.cos(harmonics), np.sin(harmonics[1:])])
     total_abs = 0.0
     total_w = 0.0
-    block = max(1, (1 << 22) // max(n_theta, 2 * dim * dim))  # W block and profiles alike
+    block = max(1, _BLOCK_ENTRIES // max(n_theta, 2 * dim * dim))  # W block and profiles alike
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         if len(wr) <= block:  # the whole order fits one block: its tables are cached
@@ -553,7 +547,7 @@ def negativity_volume(
         cutoff = 2 * (m - 1)
 
         def run_pass(order: int) -> Tuple[float, float]:
-            return _nv_pass(rho_p, m, build_wigner_grid(rule, cutoff, order=order))
+            return _nv_pass(rho_p, m, build_wigner_grid(replace(rule, order=order), cutoff))
 
     history: List[Tuple[int, float]] = []
     prev = None
@@ -591,11 +585,10 @@ _COORD_NAMES = ("x", "px", "y", "py")
 class WignerSlice:
     """W on a 2-D plane; values[i, j] indexed by (free coord 1, free coord 2)."""
 
-    __slots__ = ("free_names", "fixed", "grid", "values")
+    __slots__ = ("free_names", "grid", "values")
 
-    def __init__(self, free_names, fixed, grid, values):
+    def __init__(self, free_names, grid, values):
         self.free_names = tuple(free_names)
-        self.fixed = dict(fixed)
         self.grid = grid
         self.values = values
 
@@ -638,4 +631,4 @@ def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
     free, point = plane_points(plane, grid2d)
     per_mode = free[0] in ("x", "px") and free[1] in ("y", "py")
     evaluate = _product_grid_wigner if per_mode else wigner_state
-    return WignerSlice(free, plane, grid2d, evaluate(state_or_rho, point))
+    return WignerSlice(free, grid2d, evaluate(state_or_rho, point))

@@ -136,7 +136,7 @@ def test_slice_csv_with_repeated_values(tmp_path):
     palette = np.array([0.0, -0.0, 0.125, -2.5e-300, 0.1, 1.7976931348623157e308])
     rng = np.random.default_rng(3)
     values = palette[rng.integers(len(palette), size=(SLICE_GRID.n_x, SLICE_GRID.n_y))]
-    sl = WignerSlice(("x", "py"), {"y": 0.0, "px": 0.0}, SLICE_GRID, values)
+    sl = WignerSlice(("x", "py"), SLICE_GRID, values)
     path = tmp_path / "slice.csv"
     sl.to_csv(path)
     assert path.read_bytes() == grid_csv_oracle(("x", "py", "w"), SLICE_GRID, values)
@@ -273,7 +273,7 @@ def test_field_guard_agrees_with_csv_modulus():
 def test_slice_csv_round_trips_exactly(grid, data):
     values = data.draw(hnp.arrays(np.float64, (grid.n_x, grid.n_y),
                                   elements=st.floats(allow_nan=False, allow_infinity=False)))
-    rows = _parsed_rows(WignerSlice(("x", "py"), {"y": 0.0, "px": 0.0}, grid, values).to_csv)
+    rows = _parsed_rows(WignerSlice(("x", "py"), grid, values).to_csv)
     assert rows[0] == ["x", "py", "w"]
     assert len(rows) == 1 + grid.n_x * grid.n_y
     for row, (i, j, x, y) in zip(rows[1:], _points(grid)):

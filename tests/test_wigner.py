@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,19 +152,19 @@ def test_purity_bound():
 
 @pytest.mark.parametrize("scheme", ["tensor-gauss-hermite", "uniform-box"])
 def test_quadrature_rule_gaussian_check(scheme):
-    grid = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
-    assert grid.gaussian_check() < 1e-8
-    assert np.all(grid.weights > 0)
+    _, weights = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
+    assert abs(float(weights.sum()) - math.sqrt(math.pi / 2.0)) < 1e-8
+    assert np.all(weights > 0)
 
 
 @pytest.mark.parametrize("order", [3, 24, 96, 192, 384])
 def test_gauss_hermite_rule_matches_scipy(order):
     # scipy's roots_hermite is the oracle of the library's Golub-Welsch rule
-    grid = build_wigner_grid(WignerRule(order=order), cutoff=0)
+    q, w = build_wigner_grid(WignerRule(order=order), cutoff=0)
     nodes, weights = scipy.special.roots_hermite(order)
-    np.testing.assert_allclose(grid.nodes * math.sqrt(2.0), nodes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q * math.sqrt(2.0), nodes, rtol=0, atol=1e-12)
     # subnormal weights (order 384 has two) carry only a few digits on either side
-    np.testing.assert_allclose(grid.weights * math.sqrt(2.0), weights, rtol=2e-11,
+    np.testing.assert_allclose(w * math.sqrt(2.0), weights, rtol=2e-11,
                                atol=np.finfo(float).tiny)
 
 
@@ -242,6 +243,40 @@ def test_box_scheme_agrees_with_gauss_hermite():
     gh = negativity_volume(state)
     box = negativity_volume(state, WignerRule(scheme="uniform-box", order=48))
     assert box.volume == pytest.approx(gh.volume, abs=2e-3)
+
+
+def _splitter_image_density(n_max):
+    """The r = 0.8 splitter image as a density matrix, so NV takes the 4-D engine."""
+    return state_to_density(apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=n_max))))
+
+
+def test_tensor_pass_stays_within_the_block_budget():
+    # order 64 puts 4,096 points on each mode's plane: the whole 4,096 x 4,096
+    # W table and its |W| alone take 268 MB, so only blocked rows fit the bound
+    rho = _splitter_image_density(1)
+    tracemalloc.start()
+    try:
+        result = negativity_volume(rho, WignerRule(order=64), max_refinements=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.engine == "tensor-4d"
+    assert peak <= 150e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_tensor_ladder_builds_each_pass_at_its_own_order(monkeypatch):
+    orders = []
+    build = wigner_module.build_wigner_grid
+
+    def spy(rule, cutoff):
+        orders.append(rule.order)
+        return build(rule, cutoff)
+
+    monkeypatch.setattr(wigner_module, "build_wigner_grid", spy)
+    result = negativity_volume(_splitter_image_density(1), WignerRule(order=8), max_refinements=2)
+    assert result.engine == "tensor-4d"
+    assert len(orders) > 1
+    assert orders == [order for order, _ in result.resolution_history]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .states import (
 )
 from .wigner import (
     NegativityResult,
-    WignerRule,
     WignerSlice,
     build_wigner_grid,
     negativity_volume,
@@ -83,7 +82,6 @@ __all__ = [
     "wigner_state",
     "wigner_diagonal_form",
     "position_marginal",
-    "WignerRule",
     "WignerSlice",
     "build_wigner_grid",
     "NegativityResult",

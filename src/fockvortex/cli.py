@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -35,8 +34,8 @@ from .errors import FockVortexError, InvalidParameterError, NonConvergenceError
 from .quadrature import QuadratureGrid, count_vortices, evaluate_field
 from .states import SqueezeParams, TwoModeState, make_tmss
 from .wigner import (
-    WignerRule,
     WignerSlice,
+    check_ladder,
     negativity_volume,
     plane_free_coords,
     plane_points,
@@ -149,10 +148,11 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _build_state(r: float, n: int, fock_input: bool, pre_bs: bool = False) -> TwoModeState:
+    params = SqueezeParams(r=r, n_max=n)  # checks r for the Fock input too, which records it
     if fock_input:
         before = TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n)
     else:
-        before = make_tmss(SqueezeParams(r=r, n_max=n))
+        before = make_tmss(params)
     return before if pre_bs else apply_beam_splitter(before)
 
 
@@ -321,7 +321,7 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
             sl = wigner_slice(state, cfg["slice_plane"], QuadratureGrid.from_spec(cfg["slice_grid"]))
             _write_via(paths["wigner-slice"], sl.to_csv)
         if "nv" in kinds:
-            result = negativity_volume(state, WignerRule(order=cfg["nv_order"]), tol=cfg["nv_tol"])
+            result = negativity_volume(state, cfg["nv_order"], tol=cfg["nv_tol"])
             payload["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
             _write_json(paths["nv"], payload["nv"])
         if "logneg" in kinds:
@@ -501,9 +501,7 @@ def _load_sweep_config(path: str) -> dict:
     plane_free_coords(cfg["slice_plane"])
     QuadratureGrid.from_spec(cfg["grid"])
     QuadratureGrid.from_spec(cfg["slice_grid"])
-    WignerRule(order=cfg["nv_order"])
-    if not 0 < cfg["nv_tol"] < math.inf:
-        raise InvalidParameterError(f"nv_tol must be finite and > 0, got {cfg['nv_tol']}")
+    check_ladder(cfg["nv_order"], cfg["nv_tol"])
     return cfg
 
 
@@ -575,7 +573,7 @@ def cmd_wigner_slice(args) -> int:
 def cmd_nv(args) -> int:
     _check_outputs(args.json)
     state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
-    result = negativity_volume(state, WignerRule(order=args.order), tol=args.tol)
+    result = negativity_volume(state, args.order, tol=args.tol)
     history = ", ".join(f"{o}:{v:.6f}" for o, v in result.resolution_history)
     print(f"negativity volume = {result.volume:.6f} "
           f"(integral of W = {result.normalization_check:.6f}; orders {history})")

@@ -24,6 +24,3 @@ TOL = Tolerances()
 # tensor Gauss-Hermite defaults for phase-space integration
 GH_ORDER = 24
 MAX_REFINEMENTS = 4
-
-# half-width scale of the uniform-box oracle rule: h = BOX_WIDTH_SCALE * sqrt(2 cutoff + 2)
-BOX_WIDTH_SCALE = 1.2

@@ -11,10 +11,6 @@ class InvalidParameterError(FockVortexError):
     """A user-supplied parameter violates its precondition."""
 
 
-class InvalidStateError(FockVortexError):
-    """A state or density matrix breaks a structural invariant."""
-
-
 # -- numerical non-convergence (exit code 3) ------------------------------
 
 class NonConvergenceError(FockVortexError):
@@ -36,6 +32,10 @@ class GridTooCoarseError(NonConvergenceError):
 
 
 # -- invariant failures (exit code 4) --------------------------------------
+
+class InvalidStateError(FockVortexError):
+    """A state or density matrix breaks a structural invariant."""
+
 
 class InvariantError(FockVortexError):
     """A cross-checked mathematical invariant failed."""

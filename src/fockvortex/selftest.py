@@ -37,7 +37,6 @@ from .states import (
     total_photon_distribution,
 )
 from .wigner import (
-    WignerRule,
     build_wigner_grid,
     negativity_volume,
     plane_points,
@@ -210,11 +209,11 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
             assert np.max(np.abs(gaps)) < 1e-12, f"off by {np.max(np.abs(gaps))}"
 
     def quadrature_rule_sound():
-        for scheme in ("tensor-gauss-hermite", "uniform-box"):
-            _, weights = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
+        for name, (_, weights) in (("tensor-gauss-hermite", build_wigner_grid(48)),
+                                   ("uniform-box", wigner._box_rule(48, cutoff=8))):
             gap = abs(float(weights.sum()) - math.sqrt(math.pi / 2.0))  # integral of e^{-2 q^2}
-            assert gap < 1e-8, f"{scheme}: {gap}"
-            assert np.all(weights > 0), f"{scheme}: weights not positive"
+            assert gap < 1e-8, f"{name}: {gap}"
+            assert np.all(weights > 0), f"{name}: weights not positive"
 
     def nv_reduced_vs_tensor():
         # the 4-D tensor engine, reached through the density matrix, is the
@@ -223,9 +222,8 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         # input sits on one diagonal itself; nv-splitter-invariance covers
         # the image, whose diagonal is found after one more splitter pass
         state = _build_state(0.8, 1, fock_input=False, pre_bs=True)
-        rule = WignerRule(order=48)
-        fast = negativity_volume(state, rule, max_refinements=0)
-        slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
+        fast = negativity_volume(state, 48, max_refinements=0)
+        slow = negativity_volume(state_to_density(state), 48, max_refinements=0)
         assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "dispatch changed"
         gap = abs(fast.volume - slow.volume)
         assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
@@ -235,15 +233,14 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         # cache keyed on less than (dimension, order) serves N = 2's tables to
         # N = 4, whose larger dimension then indexes past them
         states = [_build_state(0.8, n, fock_input=False) for n in (4, 2)]
-        rules = [WignerRule(order=order) for order in (24, 48)]
 
         def volumes(fresh: bool) -> List[float]:
             out = []
             for state in states:
-                for rule in rules:
+                for order in (24, 48):
                     if fresh:
                         wigner._radial_profiles.cache_clear()
-                    out.append(negativity_volume(state, rule, max_refinements=0).volume)
+                    out.append(negativity_volume(state, order, max_refinements=0).volume)
             return out
 
         fresh = volumes(fresh=True)

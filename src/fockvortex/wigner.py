@@ -43,10 +43,10 @@ u_a + u_b times Gauss-Legendre in the ratio u_b / (u_a + u_b), see
 which keeps them accurate relative to their size at the largest nodes,
 where the degree-2N radial profiles are huge), times a trapezoid rule in
 theta with ``max(order, s_max + 1)`` nodes, which is exact for the
-trigonometric polynomial in theta.  Density matrices, states without that
-symmetry and the ``uniform-box`` scheme take the 4-D tensor-product engine,
-which also serves as the oracle for the reduced pass in the tests and the
-selftest.
+trigonometric polynomial in theta.  Density matrices and states without
+that symmetry take the 4-D tensor-product engine, which also serves as the
+oracle for the reduced pass in the tests and the selftest.  The ladder's one
+setting is its starting order; ``check_ladder`` states its bounds.
 
 Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
 loop (``wigner_state``, ``_nv_pass``, ``_reduced_pass``) sizes its block
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import lgamma
 from typing import List, Optional, Tuple, Union
@@ -69,7 +69,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .beamsplitter import _pair_terms, apply_beam_splitter
-from .config import BOX_WIDTH_SCALE, GH_ORDER, MAX_REFINEMENTS, TOL
+from .config import GH_ORDER, MAX_REFINEMENTS, TOL
 from .errors import InvalidParameterError, InvariantError, NonConvergenceError
 from .quadrature import _write_grid_csv
 from .states import DensityMatrix, SqueezeParams, TwoModeState
@@ -217,7 +217,7 @@ def position_marginal(state_or_rho, x: float, y: float) -> float:
     by the Jacobian 1/2 of the chart change.
     """
     rho_p, m = _pair_matrix(state_or_rho)
-    q, om = _gauss_hermite(_MARGINAL_ORDER)
+    q, om = build_wigner_grid(_MARGINAL_ORDER)
     xw, yw = x / _SQRT2, y / _SQRT2
     ka = _kernel_polys(m, np.full(q.size, xw), q).reshape(m * m, q.size) @ om
     kb = _kernel_polys(m, np.full(q.size, yw), q).reshape(m * m, q.size) @ om
@@ -285,32 +285,34 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
 # Negativity volume
 # ---------------------------------------------------------------------------
 
-_SCHEMES = ("tensor-gauss-hermite", "uniform-box")
+def check_ladder(order: int, tol: float) -> None:
+    """The bounds of the NV refinement ladder's settings: a starting order of
+    at least 2 nodes per axis, and a convergence tolerance in (0, inf)."""
+    if order < 2:
+        raise InvalidParameterError(f"order must be >= 2, got {order}")
+    if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
 
-@dataclass(frozen=True)
-class WignerRule:
-    scheme: str = "tensor-gauss-hermite"
-    order: int = GH_ORDER
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise InvalidParameterError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.order < 2:
-            raise InvalidParameterError(f"order must be >= 2, got {self.order}")
+def build_wigner_grid(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis Gauss rule (nodes, weights) for the weight e^{-2 q^2}: the
+    Gauss-Hermite rule (diagonal 0, off-diagonal sqrt(k/2), mass sqrt(pi))
+    scaled by 1/sqrt(2).  Integrands are evaluated as kernel polynomials, and
+    the weights sum to sqrt(pi/2)."""
+    k = np.arange(1, order, dtype=float)
+    u, w = _golub_welsch(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))
+    return u / _SQRT2, w / _SQRT2
 
 
-def build_wigner_grid(rule: WignerRule, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-axis (nodes, weights) of ``rule`` at ``rule.order``; the Gaussian
-    envelope e^{-2q^2} is folded into the weights, so integrands are
-    evaluated as kernel polynomials and the weights sum to sqrt(pi/2)."""
-    o = rule.order
-    if rule.scheme == "tensor-gauss-hermite":
-        return _gauss_hermite(o)
-    h = BOX_WIDTH_SCALE * math.sqrt(2.0 * cutoff + 2.0)
-    edges = np.linspace(-h, h, o + 1)
+def _box_rule(order: int, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Midpoint rule on [-h, h], h = 1.2 sqrt(2 cutoff + 2), with e^{-2 q^2}
+    folded into the weights: the independent oracle that the tests and the
+    selftest hold ``build_wigner_grid`` against.  The box spans the Wigner
+    envelope of Fock states with up to ``cutoff`` photons."""
+    h = 1.2 * math.sqrt(2.0 * cutoff + 2.0)
+    edges = np.linspace(-h, h, order + 1)
     q = 0.5 * (edges[:-1] + edges[1:])
-    return q, (2.0 * h / o) * np.exp(-2.0 * q * q)
+    return q, (2.0 * h / order) * np.exp(-2.0 * q * q)
 
 
 @dataclass
@@ -349,7 +351,8 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> 
     block = max(32, _BLOCK_ENTRIES // npts)
     for s in range(0, npts, block):
         sl = slice(s, min(s + block, npts))
-        rows = kr[:, sl].T @ dr - ki[:, sl].T @ di  # Re(Ka^T D)
+        rows = kr[:, sl].T @ dr  # Re(Ka^T D); subtracting in place keeps one block fewer live
+        rows -= ki[:, sl].T @ di
         total_w += float(wplane[sl] @ (rows @ wplane))
         total_abs += float(wplane[sl] @ (np.abs(rows) @ wplane))
     return total_abs, total_w
@@ -393,14 +396,6 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
             f"Gauss rule of order {len(diag)} produced non-finite nodes/weights"
         )
     return nodes, weights
-
-
-def _gauss_hermite(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight e^{-2 q^2}: the Gauss-Hermite rule
-    (diagonal 0, off-diagonal sqrt(k/2), mass sqrt(pi)) scaled by 1/sqrt(2)."""
-    k = np.arange(1, order, dtype=float)
-    u, w = _golub_welsch(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))
-    return u / _SQRT2, w / _SQRT2
 
 
 @lru_cache(maxsize=None)
@@ -517,25 +512,24 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
 
 def negativity_volume(
     state_or_rho,
-    rule: Optional[WignerRule] = None,
+    order: int = GH_ORDER,
     tol: float = TOL.nv,
     max_refinements: int = MAX_REFINEMENTS,
 ) -> NegativityResult:
-    """NV = (integral of |W| - integral of W) / 2 with order-doubling refinement.
+    """NV = (integral of |W| - integral of W) / 2 with order-doubling refinement
+    from ``order`` nodes per axis.
 
     A pure state on one n_a - n_b diagonal (directly or after the splitter)
-    takes the 3-D reduced rule; density matrices, other states and the
-    ``uniform-box`` scheme take the 4-D tensor rule (see the module notes).
-    Refinement stops when successive NV estimates differ by < tol; after
-    ``max_refinements`` doublings the best estimate is returned flagged
-    non-converged.  The computed integral of W stands in for the exact 1;
-    a deviation beyond 10*tol flags the result under-resolved, and an
-    under-resolved result is never reported as converged.
+    takes the 3-D reduced rule; density matrices and other states take the
+    4-D tensor rule (see the module notes).  Refinement stops when successive
+    NV estimates differ by < tol; after ``max_refinements`` doublings the
+    best estimate is returned flagged non-converged.  The computed integral
+    of W stands in for the exact 1; a deviation beyond 10*tol flags the
+    result under-resolved, and an under-resolved result is never reported as
+    converged.
     """
-    if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    rule = rule or WignerRule()
-    diagonal = _pair_diagonal(state_or_rho) if rule.scheme == "tensor-gauss-hermite" else None
+    check_ladder(order, tol)
+    diagonal = _pair_diagonal(state_or_rho)
     if diagonal is not None:
         engine = "reduced-3d"
 
@@ -544,16 +538,14 @@ def negativity_volume(
     else:
         engine = "tensor-4d"
         rho_p, m = _pair_matrix(state_or_rho)
-        cutoff = 2 * (m - 1)
 
         def run_pass(order: int) -> Tuple[float, float]:
-            return _nv_pass(rho_p, m, build_wigner_grid(replace(rule, order=order), cutoff))
+            return _nv_pass(rho_p, m, build_wigner_grid(order))
 
     history: List[Tuple[int, float]] = []
     prev = None
     converged = False
     integral_abs = total_w = 0.0
-    order = rule.order
     for _ in range(max_refinements + 1):
         integral_abs, total_w = run_pass(order)
         nv = 0.5 * (integral_abs - total_w)

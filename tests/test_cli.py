@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line front end: exit codes, artifacts,
 manifest caching, and agreement between pipeline output and direct library
 calls."""
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +18,7 @@ from scipy import ndimage
 import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
+import fockvortex.errors as errors
 import fockvortex.floatrepr as floatrepr
 import fockvortex.quadrature as quadrature
 import fockvortex.selftest as selftest
@@ -61,14 +64,41 @@ def test_bad_figure_id_exits_usage(tmp_path, figure_id, capsys):
 def test_negative_squeezing_exits_usage(tmp_path, capsys):
     code = main(["field", "--r", "-0.5", "--n", "2", "-o", str(tmp_path / "f.csv")])
     assert code == 2
-
-
-@pytest.mark.parametrize("r", ["inf", "nan"])
-def test_non_finite_squeezing_exits_usage(tmp_path, capsys, r):
+    # the Fock input does not use r, but its JSON records it, so r is checked too
     out = tmp_path / "nv.json"
-    assert main(["nv", "--r", r, "--n", "2", "--json", str(out)]) == 2
+    assert main(["nv", "--r", "-3", "--n", "1", "--fock-input", "--json", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r,options", [
+    pytest.param("inf", [], id="inf"),
+    pytest.param("nan", [], id="nan"),
+    pytest.param("inf", ["--fock-input"], id="inf-fock-input"),
+    pytest.param("nan", ["--fock-input"], id="nan-fock-input"),
+])
+def test_non_finite_squeezing_exits_usage(tmp_path, capsys, r, options):
+    out = tmp_path / "nv.json"
+    assert main(["nv", "--r", r, "--n", "2", *options, "--json", str(out)]) == 2
     assert f"squeezing parameter must be finite and >= 0, got {r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exit_code_matches_the_documented_error_groups():
+    # errors.py lists its classes under "(exit code N)" headings; each class
+    # must exit with its heading's code
+    documented, code = {}, None
+    for line in inspect.getsource(errors).splitlines():
+        heading = re.search(r"\(exit code (\d)\)", line)
+        if heading:
+            code = int(heading.group(1))
+        cls = re.match(r"class (\w+)\(", line)
+        if cls and code is not None:
+            documented[cls.group(1)] = code
+    assert set(documented.values()) == {2, 3, 4}
+    assert documented["InvalidStateError"] == 4
+    for name, want in documented.items():
+        cls = getattr(errors, name)
+        assert cli._exit_code(cls.__new__(cls)) == want, name  # constructors differ
 
 
 def test_bad_plane_spec_exits_usage(tmp_path):

@@ -15,7 +15,6 @@ from fockvortex import (
     QuadratureGrid,
     SqueezeParams,
     TwoModeState,
-    WignerRule,
     apply_beam_splitter,
     build_wigner_grid,
     evaluate_field,
@@ -33,7 +32,7 @@ import fockvortex.wigner as wigner_module
 from fockvortex.cli import SLICE_GRID, main
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
-from fockvortex.wigner import _radial_pair_rule, plane_points
+from fockvortex.wigner import _box_rule, _radial_pair_rule, plane_points
 
 # mpmath, 40 digits
 W_DIAG_3_AT_0P7 = -0.11010127013979758215
@@ -150,9 +149,10 @@ def test_purity_bound():
     assert np.max(np.abs(vals)) <= FOUR_OVER_PI_SQ + 1e-9
 
 
-@pytest.mark.parametrize("scheme", ["tensor-gauss-hermite", "uniform-box"])
-def test_quadrature_rule_gaussian_check(scheme):
-    _, weights = build_wigner_grid(WignerRule(scheme=scheme, order=48), cutoff=8)
+@pytest.mark.parametrize("rule", [build_wigner_grid, lambda order: _box_rule(order, 8)],
+                         ids=["tensor-gauss-hermite", "uniform-box"])
+def test_quadrature_rule_gaussian_check(rule):
+    _, weights = rule(48)
     assert abs(float(weights.sum()) - math.sqrt(math.pi / 2.0)) < 1e-8
     assert np.all(weights > 0)
 
@@ -160,7 +160,7 @@ def test_quadrature_rule_gaussian_check(scheme):
 @pytest.mark.parametrize("order", [3, 24, 96, 192, 384])
 def test_gauss_hermite_rule_matches_scipy(order):
     # scipy's roots_hermite is the oracle of the library's Golub-Welsch rule
-    q, w = build_wigner_grid(WignerRule(order=order), cutoff=0)
+    q, w = build_wigner_grid(order)
     nodes, weights = scipy.special.roots_hermite(order)
     np.testing.assert_allclose(q * math.sqrt(2.0), nodes, rtol=0, atol=1e-12)
     # subnormal weights (order 384 has two) carry only a few digits on either side
@@ -183,7 +183,7 @@ def test_golub_welsch_nodes_match_eigh_tridiagonal(order, monkeypatch):
         return nodes, weights
 
     monkeypatch.setattr(wigner_module, "_golub_welsch", spy)
-    wigner_module._gauss_hermite(order)
+    wigner_module.build_wigner_grid(order)
     wigner_module._radial_pair_rule.__wrapped__(order)
     assert len(calls) == 3
     for diag, off, nodes in calls:
@@ -191,10 +191,8 @@ def test_golub_welsch_nodes_match_eigh_tridiagonal(order, monkeypatch):
 
 
 def test_rule_validation():
-    with pytest.raises(InvalidParameterError):
-        WignerRule(scheme="monte-carlo")
-    with pytest.raises(InvalidParameterError):
-        WignerRule(order=1)
+    with pytest.raises(InvalidParameterError, match="order must be >= 2, got 1"):
+        negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), order=1)
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
@@ -225,7 +223,7 @@ def test_negativity_volume_frozen_trend_values():
 
 def test_refinement_history_doubles():
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
-    result = negativity_volume(state, WignerRule(order=12))
+    result = negativity_volume(state, order=12)
     orders = [o for o, _ in result.resolution_history]
     assert orders == [12 * 2**k for k in range(len(orders))]
     assert result.converged
@@ -233,15 +231,18 @@ def test_refinement_history_doubles():
 
 def test_refinement_budget_flag():
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
-    result = negativity_volume(state, WignerRule(order=6), tol=1e-12, max_refinements=1)
+    result = negativity_volume(state, order=6, tol=1e-12, max_refinements=1)
     assert not result.converged
     assert len(result.resolution_history) == 2
 
 
-def test_box_scheme_agrees_with_gauss_hermite():
+def test_box_scheme_agrees_with_gauss_hermite(monkeypatch):
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=2)))
     gh = negativity_volume(state)
-    box = negativity_volume(state, WignerRule(scheme="uniform-box", order=48))
+    # the box spans Fock states up to 2 (m - 1) = 8 photons, m = 5 levels per mode
+    monkeypatch.setattr(wigner_module, "build_wigner_grid", lambda order: _box_rule(order, 8))
+    box = negativity_volume(state_to_density(state), order=48)
+    assert box.engine == "tensor-4d"
     assert box.volume == pytest.approx(gh.volume, abs=2e-3)
 
 
@@ -252,28 +253,29 @@ def _splitter_image_density(n_max):
 
 def test_tensor_pass_stays_within_the_block_budget():
     # order 64 puts 4,096 points on each mode's plane: the whole 4,096 x 4,096
-    # W table and its |W| alone take 268 MB, so only blocked rows fit the bound
+    # W table and its |W| alone take 268 MB, so only blocked rows fit the bound,
+    # and only rows whose subtraction runs in place (103 MB otherwise)
     rho = _splitter_image_density(1)
     tracemalloc.start()
     try:
-        result = negativity_volume(rho, WignerRule(order=64), max_refinements=0)
+        result = negativity_volume(rho, order=64, max_refinements=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.engine == "tensor-4d"
-    assert peak <= 150e6, f"peak {peak / 1e6:.0f} MB"
+    assert peak <= 90e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_tensor_ladder_builds_each_pass_at_its_own_order(monkeypatch):
     orders = []
     build = wigner_module.build_wigner_grid
 
-    def spy(rule, cutoff):
-        orders.append(rule.order)
-        return build(rule, cutoff)
+    def spy(order):
+        orders.append(order)
+        return build(order)
 
     monkeypatch.setattr(wigner_module, "build_wigner_grid", spy)
-    result = negativity_volume(_splitter_image_density(1), WignerRule(order=8), max_refinements=2)
+    result = negativity_volume(_splitter_image_density(1), order=8, max_refinements=2)
     assert result.engine == "tensor-4d"
     assert len(orders) > 1
     assert orders == [order for order, _ in result.resolution_history]
@@ -318,7 +320,7 @@ def test_reduced_pass_integrates_w_to_one_at_deep_truncation(r, n_max, order):
     # the degree-2N radial profiles peak at large v, where the Laguerre
     # weights are tiny: they must be accurate relative to their own size
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=r, n_max=n_max)))
-    result = negativity_volume(state, WignerRule(order=order), max_refinements=0)
+    result = negativity_volume(state, order=order, max_refinements=0)
     assert result.engine == "reduced-3d"
     assert abs(result.normalization_check - 1.0) <= 1e-10
 
@@ -381,9 +383,8 @@ def test_deep_ladder_is_equal_with_cached_and_fresh_tables():
     ],
 )
 def test_reduced_pass_matches_tensor_oracle(state):
-    rule = WignerRule(order=96)
-    fast = negativity_volume(state, rule, max_refinements=0)
-    slow = negativity_volume(state_to_density(state), rule, max_refinements=0)
+    fast = negativity_volume(state, order=96, max_refinements=0)
+    slow = negativity_volume(state_to_density(state), order=96, max_refinements=0)
     assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d")
     assert fast.volume == pytest.approx(slow.volume, abs=2e-4)
     assert fast.normalization_check == pytest.approx(1.0, abs=1e-12)
@@ -395,7 +396,7 @@ def test_reduced_pass_matches_exact_fock_pair_value(n):
     # oracle is the exact factorized value
     state = apply_beam_splitter(TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n))
     exact = _fock_pair_nv(n)
-    single = negativity_volume(state, WignerRule(order=192), max_refinements=0)
+    single = negativity_volume(state, order=192, max_refinements=0)
     assert single.engine == "reduced-3d"
     assert single.volume == pytest.approx(exact, abs=2e-4)
     refined = negativity_volume(state)
@@ -426,10 +427,8 @@ def test_nv_is_splitter_invariant(pairs, d):
 
 
 def test_nv_dispatch_on_detected_symmetry():
-    rule = WignerRule(order=8)
-
-    def engine(state_or_rho, rule=rule):
-        return negativity_volume(state_or_rho, rule, max_refinements=0).engine
+    def engine(state_or_rho):
+        return negativity_volume(state_or_rho, order=8, max_refinements=0).engine
 
     tmss = make_tmss(SqueezeParams(r=0.5, n_max=2))
     assert engine(tmss) == "reduced-3d"
@@ -437,7 +436,6 @@ def test_nv_dispatch_on_detected_symmetry():
     assert engine(_neighbour_pair_state()) == "reduced-3d"
     assert engine(state_to_density(tmss)) == "tensor-4d"
     assert engine(random_state(np.random.default_rng(3), cutoff=3)) == "tensor-4d"
-    assert engine(tmss, WignerRule(scheme="uniform-box", order=8)) == "tensor-4d"
 
 
 def test_position_marginal_is_born_density():

@@ -1,4 +1,5 @@
-"""sha256 of every data artifact of the figure pipelines and a fixed sweep.
+"""sha256 of every data artifact of the figure pipelines, a fixed sweep and
+fixed single-shot commands.
 
     python tools/artifact_hashes.py [FIGURE ...] [--src DIR] [--keep DIR]
                                     [--compare FILE [--numeric DIR]]
@@ -8,9 +9,10 @@ with the package imported from DIR (default: the ``src`` directory of this
 checkout), and prints one ``<sha256>  figN/<file>`` line per artifact,
 sorted, after a ``#`` header naming what the bytes depend on: the
 package's version, numpy's version, its BLAS and the CPU features numpy
-dispatches on.  With no FIGURE it runs figures 1-5 and then ``SWEEP``, a
+dispatches on.  With no FIGURE it runs figures 1-5, then ``SWEEP``, a
 small sweep with all five outputs, whose artifacts are listed as
-``sweep/<file>``.
+``sweep/<file>``, and then the ``SINGLES`` commands, listed as
+``single/<file>``.
 ``manifest.json`` is left out: it holds wall times.  With ``--compare FILE``
 (an earlier output of this tool) the hashes are checked against FILE
 instead; every differing, missing or extra artifact is printed and the exit
@@ -48,6 +50,27 @@ SWEEP = {
     "slice_grid": "-2:2:21",
 }
 
+# single-shot commands, run in the artifact directory: NV with and without the
+# splitter, a Fock-input field with its vortices, a slice on a plane that frees
+# both coordinates of mode b (the pointwise Wigner path) and the diagonal form
+SINGLES = [
+    ["nv", "--r", "0.8", "--n", "2", "--json", "nv.json"],
+    ["nv", "--r", "0.8", "--n", "2", "--pre-bs", "--json", "nv_pre_bs.json"],
+    ["field", "--r", "0.02", "--n", "2", "--fock-input", "--grid=-3:3:31", "-o", "field_fock.csv",
+     "--vortices", "vortices_fock.json"],
+    ["wigner-slice", "--r", "0.8", "--n", "2", "--plane", "x=0.3,px=0", "--grid=-2:2:21",
+     "-o", "slice_mode_b.csv"],
+    ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--grid=-2:2:21",
+     "-o", "slice_diagonal_form.csv"],
+]
+# one interpreter runs all of SINGLES, so the set costs one import
+_RUN_SINGLES = """import json, sys
+from fockvortex.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -61,26 +84,29 @@ def _env(src: str) -> Dict[str, str]:
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
-def pipeline_hashes(figures: List[int], src: str, sweep: bool = False,
+def pipeline_hashes(figures: List[int], src: str, extras: bool = False,
                     keep: Optional[str] = None) -> Dict[str, str]:
     """{"figN/<file>": sha256} for every data artifact of the given figures,
-    plus {"sweep/<file>": sha256} for the artifacts of ``SWEEP`` if ``sweep``;
+    plus {"sweep/<file>": sha256} for the artifacts of ``SWEEP`` and
+    {"single/<file>": sha256} for those of ``SINGLES`` if ``extras``;
     with ``keep``, each artifact is also copied to ``keep/<name>``."""
     env = _env(src)
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
-        runs = [(f"fig{figure}", ["figure", str(figure)]) for figure in figures]
-        if sweep:
+        # each run writes into its own directory, which is its working directory
+        cli = ["-m", "fockvortex.cli"]
+        runs = [(f"fig{figure}", cli + ["figure", str(figure), "--out", "."]) for figure in figures]
+        if extras:
             config = os.path.join(work, "sweep.json")
             with open(config, "w") as fh:
                 json.dump(SWEEP, fh)
-            runs.append(("sweep", ["sweep", "--config", config]))
-        for label, argv in runs:
+            runs.append(("sweep", cli + ["sweep", "--config", config, "--out", "."]))
+            runs.append(("single", ["-c", _RUN_SINGLES, json.dumps(SINGLES)]))
+        for label, args in runs:
             out = os.path.join(work, label)
-            proc = subprocess.run(
-                [sys.executable, "-m", "fockvortex.cli", *argv, "--out", out],
-                env=env, capture_output=True, text=True,
-            )
+            os.mkdir(out)
+            proc = subprocess.run([sys.executable, *args], cwd=out, env=env,
+                                  capture_output=True, text=True)
             if proc.returncode != 0:
                 raise RuntimeError(f"{label} exited {proc.returncode}: "
                                    f"{proc.stderr.strip()[-2000:]}")
@@ -175,7 +201,7 @@ def compare(want: Dict[str, str], got: Dict[str, str]) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("figures", nargs="*", type=int, metavar="FIGURE",
-                        help="figure ids to run, 1-5 (default: all five and the sweep)")
+                        help="figure ids to run, 1-5 (default: all five, the sweep and SINGLES)")
     parser.add_argument("--src", default=SRC, help="directory the fockvortex package is imported from")
     parser.add_argument("--compare", metavar="FILE", help="check against an earlier output")
     parser.add_argument("--keep", metavar="DIR", help="also copy the artifacts into DIR")
@@ -191,7 +217,7 @@ def main(argv=None) -> int:
         # --numeric reads the new artifacts back, so they outlive the run
         keep = args.keep or (os.path.join(work, "new") if args.numeric else None)
         got = pipeline_hashes(args.figures or [1, 2, 3, 4, 5], os.path.abspath(args.src),
-                              sweep=not args.figures, keep=keep)
+                              extras=not args.figures, keep=keep)
         if args.compare is None:
             print("\n".join(machine_header(os.path.abspath(args.src))))
             for name, digest in got.items():

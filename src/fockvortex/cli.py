@@ -529,10 +529,13 @@ def _parse_plane(text: str) -> dict:
         if "=" not in part:
             raise InvalidParameterError(f"plane entries must look like coord=value, got {part!r}")
         key, _, val = part.partition("=")
+        key = key.strip()
+        if key in plane:
+            raise InvalidParameterError(f"plane coordinate {key!r} is given twice")
         try:
-            plane[key.strip()] = float(val)
+            plane[key] = float(val)
         except ValueError:
-            raise InvalidParameterError(f"plane value for {key.strip()!r} is not a number: {val!r}")
+            raise InvalidParameterError(f"plane value for {key!r} is not a number: {val!r}")
     return plane
 
 

@@ -137,11 +137,11 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
                 assert abs(marg - density) < 1e-6, f"marginal off at ({x}, {y})"
 
     def slice_vs_pointwise():
-        # the pointwise wigner_state is the oracle for the product-grid path
-        # that both slice planes take
+        # the pointwise wigner_state is the oracle for the slice evaluator, on
+        # both CLI planes and on a plane that frees both coordinates of one mode
         state = _build_state(0.7, 3, fock_input=False)
         grid = QuadratureGrid.from_spec(SLICE_GRID)
-        for plane in SLICE_PLANES:
+        for plane in (*SLICE_PLANES, {"y": 0.3, "py": 0.0}, {"x": 0.3, "px": 0.0}):
             gap = np.max(np.abs(wigner_slice(state, plane, grid).values
                                 - wigner_state(state, plane_points(plane, grid)[1])))
             assert gap < 1e-14, f"{plane}: off by {gap:.3e}"

@@ -49,13 +49,16 @@ oracle for the reduced pass in the tests and the selftest.  The ladder's one
 setting is its starting order; ``check_ladder`` states its bounds.
 
 Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
-loop (``wigner_state``, ``_nv_pass``, ``_reduced_pass``) sizes its block
-arrays from the one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of
-doubles).  ``_radial_profiles`` keeps the radial profile tables, which no
-r or amplitude changes, of the last MAX_REFINEMENTS + 1 (dimension, order)
-pairs whose nodes fit the reduced pass's one block (larger orders stream
-block by block): an entry stays within that budget, and a dimension,
-whose cached orders quadruple in nodes, within 4/3 of it.
+loop (``wigner_state``, ``_kernel_products``, ``_nv_pass``,
+``_reduced_pass``) sizes its block arrays from the one budget
+``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  ``_radial_profiles``
+keeps the radial profile tables, which no r or amplitude changes, of the
+last MAX_REFINEMENTS + 1 (dimension, order) pairs whose nodes fit the
+reduced pass's one block (larger orders stream block by block): an entry
+stays within that budget, and a dimension, whose cached orders quadruple in
+nodes, within 4/3 of it.  ``wigner_slice`` builds each mode's kernel on that
+mode's distinct points only; ``wigner_state``, which builds both at every
+point, is its oracle.
 """
 from __future__ import annotations
 
@@ -169,7 +172,8 @@ def _checked_real(w: np.ndarray, x, px, y, py) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value, see _checked_real
 def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
-    """W(x, p_x, y, p_y); accepts scalar coordinates or broadcastable arrays."""
+    """W(x, p_x, y, p_y) at scalar coordinates or broadcastable arrays: the
+    arbitrary-point API, and the oracle the tests and selftest hold slices to."""
     x, px, y, py = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
     scalar = x.ndim == 0
     shape = x.shape
@@ -186,26 +190,24 @@ def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     return float(vals[0]) if scalar else vals.reshape(shape)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _product_grid_wigner(state_or_rho, point) -> np.ndarray:
-    """W on a 2-D grid whose mode-a coordinates vary only along axis 0 and
-    mode-b coordinates only along axis 1.
-
-    W[i, j] = Re(K_a[:, i]^T rho_p K_b[:, j]) e^{-2 q^2}, with each kernel built
-    on its own axis points only.  In numpy 2.4 the einsum of ``wigner_state``
-    computes rho_p^T K_a and then one batched matmul per point; here the first
-    product runs once per grid and the second is one broadcast matmul over
-    strided views, which gives the same bytes.  C-contiguous per-point copies
-    of either operand would select another matmul loop and change the last
-    bits.
-    """
-    x, px, y, py = point
-    rho_p, m = _pair_matrix(state_or_rho)
-    ka = _kernel_polys(m, x[:, 0], px[:, 0]).reshape(m * m, -1)
-    kb = _kernel_polys(m, y[0], py[0]).reshape(m * m, -1)
-    d = rho_p.T @ ka
-    w = np.matmul(kb.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
-    return _checked_real(w, x, px, y, py)
+def _kernel_products(rho: np.ndarray, m: int, first, second) -> np.ndarray:
+    """K_1(P)^T rho K_2(Q) for every point P of ``first`` and Q of ``second``,
+    each one mode's (x, p) arrays of distinct points.  The mode with fewer
+    points (``first`` on a tie) is contracted into rho first, d = rho^T K_1;
+    the other kernel, in blocks of ``_BLOCK_ENTRIES``, meets d in a broadcast
+    matmul over strided views.  These are the two steps of ``wigner_state``'s
+    einsum in numpy 2.4, so a plane that frees one coordinate per mode keeps
+    its bytes; contiguous per-point copies would change the last bits."""
+    if second[0].size < first[0].size:
+        return _kernel_products(rho.T, m, second, first).T
+    d = rho.T @ _kernel_polys(m, *first).reshape(m * m, -1)
+    w = np.empty((d.shape[1], second[0].size), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // (m * m))
+    for s in range(0, w.shape[1], block):
+        k = _kernel_polys(m, second[0][s:s + block], second[1][s:s + block]).reshape(m * m, -1)
+        w[:, s:s + block] = np.matmul(k.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
+        del k  # else the next block's kernel is built while this one is alive
+    return w
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -285,11 +287,15 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
 # Negativity volume
 # ---------------------------------------------------------------------------
 
-def check_ladder(order: int, tol: float) -> None:
+def check_ladder(order: int, tol: float, max_refinements: int = MAX_REFINEMENTS) -> None:
     """The bounds of the NV refinement ladder's settings: a starting order of
-    at least 2 nodes per axis, and a convergence tolerance in (0, inf)."""
-    if order < 2:
-        raise InvalidParameterError(f"order must be >= 2, got {order}")
+    at least 2 nodes per axis, a convergence tolerance in (0, inf), and at
+    least 0 doublings; both counts are integers, and a bool is not one."""
+    for name, value, least in (("order", order, 2), ("max_refinements", max_refinements, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
     if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
@@ -528,7 +534,7 @@ def negativity_volume(
     result under-resolved, and an under-resolved result is never reported as
     converged.
     """
-    check_ladder(order, tol)
+    check_ladder(order, tol, max_refinements)
     diagonal = _pair_diagonal(state_or_rho)
     if diagonal is not None:
         engine = "reduced-3d"
@@ -613,14 +619,14 @@ def plane_points(plane: dict, grid2d) -> Tuple[List[str], tuple]:
     return free, tuple(coords[name] for name in _COORD_NAMES)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value, see _checked_real
 def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
-    """Evaluate W on the plane that fixes exactly two of (x, px, y, py).
-
-    A plane that frees one coordinate per mode, as both CLI slice planes do,
-    is a product grid and takes ``_product_grid_wigner``; a plane that frees
-    both coordinates of one mode takes the pointwise ``wigner_state``.
-    """
+    """Evaluate W on the plane that fixes exactly two of (x, px, y, py), with
+    each mode's kernel on its distinct points only (``_kernel_products``)."""
     free, point = plane_points(plane, grid2d)
-    per_mode = free[0] in ("x", "px") and free[1] in ("y", "py")
-    evaluate = _product_grid_wigner if per_mode else wigner_state
-    return WignerSlice(free, grid2d, evaluate(state_or_rho, point))
+    rho_p, m = _pair_matrix(state_or_rho)
+    # free coordinates come in (x, px, y, py) order, so mode a's run along the leading axes
+    n_a = math.prod(point[0].shape[:sum(name in ("x", "px") for name in free)])
+    pq = [c.reshape(n_a, -1) for c in point]  # pq[k][P, Q]: mode a's point P, mode b's point Q
+    w = _kernel_products(rho_p, m, (pq[0][:, 0], pq[1][:, 0]), (pq[2][0], pq[3][0]))
+    return WignerSlice(free, grid2d, _checked_real(w.reshape(point[0].shape), *point))

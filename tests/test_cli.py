@@ -109,6 +109,15 @@ def test_bad_plane_spec_exits_usage(tmp_path):
     assert code == 2
 
 
+def test_repeated_plane_coordinate_exits_usage(tmp_path, capsys):
+    # a later value must not silently replace an earlier one
+    out = tmp_path / "s.csv"
+    argv = ["wigner-slice", "--r", "0.3", "--n", "1", "--plane", "y=0,y=1,px=0", "--grid=-1:1:3"]
+    assert main([*argv, "-o", str(out)]) == 2
+    assert "plane coordinate 'y' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["field", "wigner-slice"])
 def test_non_finite_grid_exits_usage(tmp_path, command):
     out = tmp_path / "out.csv"
@@ -264,9 +273,8 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
-    exact = wigner._product_grid_wigner
-    monkeypatch.setattr(wigner, "_product_grid_wigner",
-                        lambda state, point: exact(state, point) * (1 + 1e-6))
+    exact = wigner._kernel_products
+    monkeypatch.setattr(wigner, "_kernel_products", lambda *args: exact(*args) * (1 + 1e-6))
     report = tmp_path / "selftest.json"
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())

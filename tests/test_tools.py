@@ -1,8 +1,10 @@
 """tools/artifact_hashes.py: figure artifact hashes, the --compare check and its
 numeric mode, and every artifact against the committed hashes; the library
 names the benchmark tracer wraps; the public API list."""
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import shutil
 from pathlib import Path
@@ -35,10 +37,25 @@ def _parse(printed: str) -> dict:
                 if not line.startswith("#"))
 
 
-def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
-    assert artifact_hashes.main(["5"]) == 0
-    printed = capsys.readouterr().out
-    hashes = _parse(printed)
+@pytest.fixture(scope="session")
+def every_artifact(tmp_path_factory):
+    """(printed hashes, --keep directory) of one run of the tool over every
+    figure, the sweep and the single-shot commands; the tests below read it
+    and copy before they change anything."""
+    kept = tmp_path_factory.mktemp("artifacts")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert artifact_hashes.main(["--keep", str(kept)]) == 0
+    return out.getvalue(), kept
+
+
+def _fig5(hashes: dict) -> dict:
+    return {name: digest for name, digest in hashes.items() if name.startswith("fig5/")}
+
+
+def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys, every_artifact):
+    printed, _ = every_artifact
+    hashes = _fig5(_parse(printed))
     assert sorted(hashes) == FIG5_NAMES
 
     direct = tmp_path / "fig5"
@@ -47,7 +64,8 @@ def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
     for name, digest in hashes.items():
         assert hashlib.sha256((direct / name.split("/")[1]).read_bytes()).hexdigest() == digest
 
-    # one recorded hash altered: the rerun matches the others, flags that one
+    # one recorded hash altered: the rerun of figure 5 matches the others,
+    # flags that one
     saved = tmp_path / "hashes.txt"
     saved.write_text(printed.replace(hashes["fig5/logneg_n4_r0p3.json"], "0" * 64))
     assert artifact_hashes.main(["5", "--compare", str(saved)]) == 1
@@ -55,15 +73,15 @@ def test_artifact_hashes_of_figure5_and_compare(tmp_path, capsys):
     assert report == ["differs  fig5/logneg_n4_r0p3.json", "1 of 46 artifacts not identical"]
 
 
-def test_artifacts_match_committed_hashes(capsys):
-    # every figure and the fixed sweep, byte for byte.  A change that declares
-    # new bytes regenerates the file:
+def test_artifacts_match_committed_hashes(every_artifact):
+    # every figure, the fixed sweep and the single-shot commands, byte for
+    # byte.  A change that declares new bytes regenerates the file:
     #   python tools/artifact_hashes.py > tests/data/artifact_hashes.txt
-    code = artifact_hashes.main(["--compare", str(HASHES)])
-    report = capsys.readouterr().out
+    problems = artifact_hashes.compare(artifact_hashes.read_hashes(str(HASHES)),
+                                       _parse(every_artifact[0]))
     recorded = [line for line in HASHES.read_text().splitlines() if line.startswith("#")]
-    assert code == 0, "\n".join([
-        report, "hashes recorded with:", *recorded,
+    assert not problems, "\n".join([
+        *problems, "hashes recorded with:", *recorded,
         "this machine:", *artifact_hashes.machine_header(),
         "the bytes depend on numpy's build and the CPU's SIMD, so on another "
         "machine this can fail without a regression"])
@@ -160,13 +178,13 @@ def test_max_abs_delta_on_hand_made_artifacts(tmp_path):
         artifact_hashes.max_abs_delta(old_csv, write("text.csv", "r,n,ratio\n0.0,2,\n0.5,2,x\n"))
 
 
-def test_compare_numeric_reports_largest_delta(tmp_path, capsys):
-    kept = tmp_path / "kept"
-    assert artifact_hashes.main(["5", "--keep", str(kept)]) == 0
-    printed = capsys.readouterr().out
-    hashes = _parse(printed)
-    assert sorted(p.name for p in (kept / "fig5").iterdir()) == [
+def test_compare_numeric_reports_largest_delta(tmp_path, capsys, every_artifact):
+    printed, shared = every_artifact
+    hashes = _fig5(_parse(printed))
+    assert sorted(p.name for p in (shared / "fig5").iterdir()) == [
         name.split("/")[1] for name in sorted(hashes)]
+    kept = tmp_path / "kept"
+    shutil.copytree(shared / "fig5", kept / "fig5")
 
     # an earlier run whose log-negativity differed by 1e-3 in one entry
     doc_path = kept / "fig5" / "logneg_n4_r0p3.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -196,6 +196,15 @@ def test_rule_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
+    # each count is an integer and a bool is not one; no setting reaches the
+    # ladder to fail there as IndexError or TypeError
+    for setting, match in [({"max_refinements": -1}, "max_refinements must be >= 0, got -1"),
+                           ({"order": 2.5}, "order must be an integer, got 2.5"),
+                           ({"max_refinements": 2.5}, "max_refinements must be an integer"),
+                           ({"max_refinements": True}, "max_refinements must be an integer"),
+                           ({"order": True}, "order must be an integer")]:
+        with pytest.raises(InvalidParameterError, match=match):
+            negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), **setting)
 
 
 @pytest.mark.parametrize("r,n_max", [(0.3, 2), (0.8, 3)])
@@ -463,15 +472,16 @@ def test_slice_values_and_symmetry():
     )
 
 
-# Planes that free one coordinate per mode take the product-grid path; the
-# two CLI slice planes first, then the other two.  wigner_state, the
-# per-point einsum, is their oracle.
+# Planes that free one coordinate per mode, the two CLI slice planes first,
+# then the other two; and the planes that free both coordinates of one mode.
+# wigner_state, the per-point einsum, is the oracle of every slice.
 _MIXED_PLANES = (
     {"y": 0.0, "px": 0.0},
     {"x": 0.0, "py": 0.0},
     {"px": 0.0, "py": 0.0},
     {"x": 0.0, "y": 0.0},
 )
+_SAME_MODE_PLANES = ({"y": 0.0, "py": 0.0}, {"x": 0.0, "px": 0.0})
 _SLICE_GRID = QuadratureGrid.from_spec(SLICE_GRID)
 
 
@@ -490,13 +500,17 @@ def test_product_slice_is_byte_identical_to_pointwise(n_max, plane):
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=0, max_value=8),
-    st.sampled_from(_MIXED_PLANES),
+    st.sampled_from(_MIXED_PLANES + _SAME_MODE_PLANES),
     st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
     st.booleans(),
 )
+@example(0, 3, {"y": 0.0, "py": 0.0}, (0.0, 0.0), False)
+@example(0, 3, {"x": 0.0, "px": 0.0}, (0.4, -0.2), False)
 def test_product_slice_matches_pointwise_on_random_input(seed, cutoff, plane, fixed, density):
     # nonzero fixed coordinates make both kernels complex, and OpenBLAS may
-    # then round the 21-column GEMM differently from the per-point one
+    # then round the 21-column GEMM differently from the per-point one; on a
+    # same-mode plane the one fixed point's kernel is contracted first, which
+    # the einsum does only for mode a
     state = random_state(np.random.default_rng(seed), cutoff=cutoff)
     source = state_to_density(state) if density else state
     plane = dict(zip(plane, fixed))
@@ -504,14 +518,6 @@ def test_product_slice_matches_pointwise_on_random_input(seed, cutoff, plane, fi
     fast = wigner_slice(source, plane, grid).values
     slow = wigner_state(source, plane_points(plane, grid)[1])
     assert np.max(np.abs(fast - slow)) <= 1e-15
-
-
-@pytest.mark.parametrize("plane", [{"y": 0.0, "py": 0.0}, {"x": 0.4, "px": -0.2}])
-def test_same_mode_slice_is_pointwise(plane):
-    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=3)))
-    grid = QuadratureGrid.square(3.0, 21)
-    fast = wigner_slice(state, plane, grid).values
-    assert fast.tobytes() == wigner_state(state, plane_points(plane, grid)[1]).tobytes()
 
 
 def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_profiles):
@@ -527,6 +533,26 @@ def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_pro
     sl = wigner_slice(state, {"y": 0.0, "px": 0.0}, _SLICE_GRID)
     assert sl.values.shape == (101, 101)
     assert sum(evaluated) <= 202
+    # a same-mode plane: the whole plane and the one fixed point, where
+    # wigner_state builds both kernels at all 101^2 points
+    for plane in _SAME_MODE_PLANES:
+        evaluated.clear()
+        assert wigner_slice(state, plane, _SLICE_GRID).values.shape == (101, 101)
+        assert sum(evaluated) <= 101 ** 2 + 1, plane
+
+
+@pytest.mark.parametrize("plane", _SAME_MODE_PLANES, ids=lambda p: "fix-" + "-".join(p))
+def test_same_mode_slice_memory_is_bounded(plane):
+    # m = 29 per mode: rho_p takes 16 m^4 = 11 MB and one kernel block
+    # 16 * 2^22 = 67 MB; wigner_state on the same points peaks at 216 MB
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=14)))
+    tracemalloc.start()
+    try:
+        wigner_slice(state, plane, _SLICE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 29 ** 4 + 1.5 * 16 * wigner_module._BLOCK_ENTRIES, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_far_point_raises_instead_of_returning_nan():

@@ -52,7 +52,8 @@ SWEEP = {
 
 # single-shot commands, run in the artifact directory: NV with and without the
 # splitter, a Fock-input field with its vortices, a slice on a plane that frees
-# both coordinates of mode b (the pointwise Wigner path) and the diagonal form
+# both coordinates of mode b (mode a's one fixed point is contracted first) and
+# the diagonal form
 SINGLES = [
     ["nv", "--r", "0.8", "--n", "2", "--json", "nv.json"],
     ["nv", "--r", "0.8", "--n", "2", "--pre-bs", "--json", "nv_pre_bs.json"],

@@ -520,6 +520,18 @@ def test_product_slice_matches_pointwise_on_random_input(seed, cutoff, plane, fi
     assert np.max(np.abs(fast - slow)) <= 1e-15
 
 
+@pytest.mark.parametrize("plane", [{"y": 0.0, "py": 0.0}, {"x": 0.4, "px": -0.2}])
+def test_same_mode_slice_is_pointwise(plane):
+    # the fixed point's kernel is contracted into rho first, so the bytes may
+    # differ from wigner_state's; the values agree to the slices' 1e-15 bound
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=3)))
+    grid = QuadratureGrid.square(3.0, 21)
+    fast = wigner_slice(state, plane, grid).values
+    slow = wigner_state(state, plane_points(plane, grid)[1])
+    assert fast.shape == slow.shape
+    assert np.max(np.abs(fast - slow)) <= 1e-15
+
+
 def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_profiles):
     evaluated = []
     kernel_polys = wigner_module._kernel_polys

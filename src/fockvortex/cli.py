@@ -1,11 +1,11 @@
 """Command-line front end: figure pipelines, parameter sweeps, selftest.
 
 Every figure and every sweep point run the same per-(r, N) task,
-``_point_task``: it builds the input and its splitter image once and
-writes the requested field CSV, vortex JSON, Wigner-slice CSV, NV JSON and
-log-negativity JSON, each from one place.  The tables (``nv_table.csv``,
-``logneg_table.csv``, ``sweep.csv``) all go through one writer,
-``_write_table``.
+``_point_task``: it builds the input, and its splitter image when a kind
+other than NV needs it, once each, and writes the requested field CSV,
+vortex JSON, Wigner-slice CSV, NV JSON and log-negativity JSON, each from
+one place.  The tables (``nv_table.csv``, ``logneg_table.csv``,
+``sweep.csv``) all go through one writer, ``_write_table``.
 
 Artifacts (CSV/JSON data files) are written atomically (temp file +
 rename) and are byte-identical across runs with identical inputs.  Each
@@ -294,12 +294,14 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
                 fock_input: bool = False) -> Task:
     """The one production path of every per-(r, N) artifact.
 
-    Builds the input and its splitter image once, whatever kinds are asked
-    for, and writes each kind in ``cfg["outputs"]`` as ``_ARTIFACT_NAMES[kind]``
-    with ``tag``; the other ``POINT_DEFAULTS`` keys of ``cfg`` set grids,
-    slice plane and NV rule.  Vortices are counted on the field, so asking
-    for them writes the field too.  The payload holds r, n and the NV and
-    log-negativity documents that were asked for.
+    Builds the input once, and its splitter image once if a kind other than
+    NV is asked for: the splitter is passive, so NV integrates the input,
+    whose diagonal needs no splitter pass.  It writes each kind in
+    ``cfg["outputs"]`` as ``_ARTIFACT_NAMES[kind]`` with ``tag``; the other
+    ``POINT_DEFAULTS`` keys of ``cfg`` set grids, slice plane and NV rule.
+    Vortices are counted on the field, so asking for them writes the field
+    too.  The payload holds r, n and the NV and log-negativity documents
+    that were asked for.
     """
     kinds = set(cfg["outputs"])
     if "vortices" in kinds:
@@ -310,7 +312,8 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
     def run() -> dict:
         payload = {"r": r, "n": n}
         before = _build_state(r, n, fock_input, pre_bs=True)
-        state = apply_beam_splitter(before)
+        if kinds & {"field", "wigner-slice", "logneg"}:  # NV integrates the input alone
+            state = apply_beam_splitter(before)
         if "field" in kinds:
             fld = evaluate_field(state, QuadratureGrid.from_spec(cfg["grid"]))
             _write_via(paths["field"], fld.to_csv)
@@ -321,7 +324,7 @@ def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
             sl = wigner_slice(state, cfg["slice_plane"], QuadratureGrid.from_spec(cfg["slice_grid"]))
             _write_via(paths["wigner-slice"], sl.to_csv)
         if "nv" in kinds:
-            result = negativity_volume(state, cfg["nv_order"], tol=cfg["nv_tol"])
+            result = negativity_volume(before, cfg["nv_order"], tol=cfg["nv_tol"])
             payload["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
             _write_json(paths["nv"], payload["nv"])
         if "logneg" in kinds:
@@ -575,7 +578,9 @@ def cmd_wigner_slice(args) -> int:
 
 def cmd_nv(args) -> int:
     _check_outputs(args.json)
-    state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
+    # the splitter is passive, so the output's NV is the input's: integrate the
+    # input either way, and record --pre-bs
+    state = _build_state(args.r, args.n, args.fock_input, pre_bs=True)
     result = negativity_volume(state, args.order, tol=args.tol)
     history = ", ".join(f"{o}:{v:.6f}" for o, v in result.resolution_history)
     print(f"negativity volume = {result.volume:.6f} "
@@ -632,7 +637,9 @@ def _point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, required=True, help="squeezing parameter")
     p.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
     p.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
-    p.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
+    p.add_argument("--pre-bs", action="store_true",
+                   help="evaluate the input state, no splitter (nv: the same volume, "
+                        "since the splitter is passive)")
 
 
 def _field_args(p: argparse.ArgumentParser) -> None:

@@ -219,8 +219,8 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         # the 4-D tensor engine, reached through the density matrix, is the
         # oracle for the symmetry-reduced pass the pure state takes; at one
         # matched order both carry kink errors of |W| up to a few 1e-4.  The
-        # input sits on one diagonal itself; nv-splitter-invariance covers
-        # the image, whose diagonal is found after one more splitter pass
+        # input, which the pipelines integrate, sits on one diagonal itself;
+        # nv-splitter-invariance covers an image a library caller may pass
         state = _build_state(0.8, 1, fock_input=False, pre_bs=True)
         fast = negativity_volume(state, 48, max_refinements=0)
         slow = negativity_volume(state_to_density(state), 48, max_refinements=0)
@@ -257,6 +257,21 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         gap = abs(results[0].volume - results[1].volume)
         assert gap < TOL.nv, f"before {results[0].volume} vs after {results[1].volume}"
 
+    def nv_fold_vs_full_circle():
+        # a global phase leaves W unchanged but leaves the pair products
+        # complex in their last bits, so the phased diagonal takes the full
+        # [0, 2 pi) theta rule: the oracle for the fold the real one takes,
+        # at even orders and at an odd one, which is rounded up to even
+        c, na0, nb0 = wigner._pair_diagonal(_build_state(0.8, 2, fock_input=False, pre_bs=True))
+        phased = c * np.exp(1j * math.pi / 3)
+        assert any((phased[s:] * phased[:len(c) - s].conj()).imag.any() for s in range(len(c))), (
+            "the phased diagonal would fold too")
+        for order in (24, 25, 48):
+            fold = wigner._reduced_pass(c, na0, nb0, order)
+            full = wigner._reduced_pass(phased, na0, nb0, order)
+            gap = max(abs(a - b) for a, b in zip(fold, full))
+            assert gap < 1e-14, f"order {order}: folded {fold} vs full circle {full}"
+
     # each check's name is its function's, with dashes
     return [(fn.__name__.replace("_", "-"), fn) for fn in (
         tmss_normalization, tmss_amplitude_decay, splitter_unitarity, splitter_pair_interference,
@@ -264,7 +279,7 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         wigner_normalization, wigner_marginal, slice_vs_pointwise, csv_dedup_vs_direct,
         repr_fast_vs_python, wigner_diagonal_value, hermite_spot_values, transpose_involution,
         bell_spectrum, logneg_schmidt_vs_eigh, quadrature_rule_sound, nv_reduced_vs_tensor,
-        nv_tables_cached_vs_fresh, nv_splitter_invariance,
+        nv_tables_cached_vs_fresh, nv_splitter_invariance, nv_fold_vs_full_circle,
     )]
 
 

@@ -35,18 +35,23 @@ pipelines build:
   sine terms vanish when the amplitudes are real up to a global phase.
 
 ``negativity_volume`` therefore dispatches on the input: a pure
-``TwoModeState`` that, directly or after one more splitter pass, carries
-all but ``TOL.norm`` of its weight on one diagonal is integrated on
-order^2 radial nodes in (u_a, u_b), u = 2 rho^2 (Gauss-Laguerre in
-u_a + u_b times Gauss-Legendre in the ratio u_b / (u_a + u_b), see
-``_radial_pair_rule``; the weights come from the Christoffel function,
-which keeps them accurate relative to their size at the largest nodes,
-where the degree-2N radial profiles are huge), times a trapezoid rule in
-theta with ``max(order, s_max + 1)`` nodes, which is exact for the
-trigonometric polynomial in theta.  Density matrices and states without
-that symmetry take the 4-D tensor-product engine, which also serves as the
-oracle for the reduced pass in the tests and the selftest.  The ladder's one
-setting is its starting order; ``check_ladder`` states its bounds.
+``TwoModeState`` that carries all but ``TOL.norm`` of its weight on one
+diagonal is integrated on order^2 radial nodes in (u_a, u_b), u = 2 rho^2
+(Gauss-Laguerre in u_a + u_b times Gauss-Legendre in the ratio
+u_b / (u_a + u_b), see ``_radial_pair_rule``; the weights come from the
+Christoffel function, which keeps them accurate relative to their size at
+the largest nodes, where the degree-2N radial profiles are huge), times a
+trapezoid rule in theta with ``max(order, s_max + 1)`` nodes rounded up to
+even, which is exact for the trigonometric polynomial in theta.  On a real
+diagonal W is even in theta, and the rule folds onto the
+n_theta / 2 + 1 nodes of [0, pi] (``_theta_rule``).  The pipelines and
+``nv`` pass the splitter's input, whose diagonal needs no splitter pass; a
+splitter image that a library caller passes has its diagonal found after
+one more pass, and the selftest holds the two volumes together.  Density
+matrices and states without that symmetry take the 4-D tensor-product
+engine, which also serves as the oracle for the reduced pass in the tests
+and the selftest.  The ladder's one setting is its starting order;
+``check_ladder`` states its bounds.
 
 Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
 loop (``wigner_state``, ``_kernel_products``, ``_nv_pass``,
@@ -290,12 +295,15 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
 def check_ladder(order: int, tol: float, max_refinements: int = MAX_REFINEMENTS) -> None:
     """The bounds of the NV refinement ladder's settings: a starting order of
     at least 2 nodes per axis, a convergence tolerance in (0, inf), and at
-    least 0 doublings; both counts are integers, and a bool is not one."""
+    least 0 doublings; both counts are integers, the tolerance is a real
+    number, and a bool is none of them."""
     for name, value, least in (("order", order, 2), ("max_refinements", max_refinements, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise InvalidParameterError(f"tol must be a real number, got {tol!r}")
     if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
@@ -464,6 +472,9 @@ def _pair_diagonal(state_or_rho) -> Optional[Tuple[np.ndarray, int, int]]:
     """The diagonal of a pure state or of its splitter image, if it has one.
 
     The splitter is passive, so NV is the same for the state and its image.
+    The pipelines and ``nv`` pass the input, which takes the first branch; the
+    second serves a library caller who passes an image, and is the oracle the
+    selftest's ``nv-splitter-invariance`` holds the input's volume to.
     """
     if not isinstance(state_or_rho, TwoModeState):
         return None
@@ -473,28 +484,48 @@ def _pair_diagonal(state_or_rho) -> Optional[Tuple[np.ndarray, int, int]]:
     return found
 
 
+def _theta_rule(n_theta: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes and weights for n_theta (even) points on [0, 2 pi): all
+    of them with weight 1, or, ``folded`` for a W even in theta, the
+    n_theta / 2 + 1 nodes on [0, pi] with weights 1, 2, ..., 2, 1, whose
+    weighted sum is the same."""
+    count = n_theta // 2 + 1 if folded else n_theta
+    weights = np.ones(count)
+    if folded:
+        weights[1:-1] = 2.0
+    return (2.0 * math.pi / n_theta) * np.arange(count), weights
+
+
 def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float, float]:
     """One pass of the 3-D rule: (integral of |W|, integral of W).
 
     Nodes: ``_radial_pair_rule(order)`` in u = 2 rho^2 per mode times a
-    trapezoid rule in theta = phi_a + phi_b.  The volume element
+    trapezoid rule in theta = phi_a + phi_b with n_theta = max(order, span)
+    nodes, rounded up to even.  The volume element
     d^4z = rho_a drho_a rho_b drho_b dphi_a dphi_b integrates to
     (pi^2 / 4) / n_theta times the weighted node sum.  Per block of radial
     nodes, the real profiles K[n, m](rho, 0) give the coefficient table
     [Re G_s, Im G_s], and one GEMM against [cos(s theta); sin(s theta)]
-    gives W; an order that fits one block takes ``_radial_profiles``.
+    gives W; an order that fits one block takes ``_radial_profiles``.  When
+    every pair product is real, so is every G_s: the sine columns go, and W,
+    even in theta, is summed over the folded rule on [0, pi]
+    (``_theta_rule``).  A complex diagonal keeps the full circle, which is
+    the fold's oracle.
     """
     ua, ub, wr = _radial_pair_rule(order)
     span = len(c)
     dim = max(na0, nb0) + span
     pairs = [(2.0 if s else 1.0) * c[s:] * np.conj(c[:span - s]) for s in range(span)]
-    n_theta = max(order, span)
-    theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
+    real = not any(p.imag.any() for p in pairs)  # then every Im G_s is 0 and W(theta) = W(-theta)
+    n_theta = max(order, span) + max(order, span) % 2  # even, so the fold ends on theta = pi
+    theta, theta_w = _theta_rule(n_theta, real)
     harmonics = np.arange(span)[:, None] * theta
-    basis = np.concatenate([np.cos(harmonics), np.sin(harmonics[1:])])
+    basis = np.cos(harmonics)
+    if not real:
+        basis = np.concatenate([basis, np.sin(harmonics[1:])])
     total_abs = 0.0
     total_w = 0.0
-    block = max(1, _BLOCK_ENTRIES // max(n_theta, 2 * dim * dim))  # W block and profiles alike
+    block = max(1, _BLOCK_ENTRIES // max(len(theta), 2 * dim * dim))  # W block and profiles alike
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         if len(wr) <= block:  # the whole order fits one block: its tables are cached
@@ -502,16 +533,16 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
         else:
             prof_a = _profiles(dim, ua[sl])
             prof_b = _profiles(dim, ub[sl])
-        coef = np.empty((prof_a.shape[-1], 2 * span - 1))
+        coef = np.empty((prof_a.shape[-1], len(basis)))
         for s in range(span):
             k = np.arange(s, span)
             g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])
             coef[:, s] = g.real
-            if s:
+            if s and not real:
                 coef[:, span - 1 + s] = g.imag
         w = coef @ basis
-        total_w += float(wr[sl] @ w.sum(axis=1))
-        total_abs += float(wr[sl] @ np.abs(w).sum(axis=1))
+        total_w += float(wr[sl] @ (w @ theta_w))
+        total_abs += float(wr[sl] @ (np.abs(w) @ theta_w))
     scale = 0.25 * math.pi ** 2 / n_theta
     return scale * total_abs, scale * total_w
 

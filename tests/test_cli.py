@@ -253,11 +253,13 @@ def test_selftest_passes_and_reports(tmp_path, capsys):
     assert "checks passed" in out
 
 
-def test_selftest_fault_injection_bites_then_resets(capsys):
-    code = main(["selftest", "--inject-fault"])
+def test_selftest_fault_injection_bites_then_resets(capsys, tmp_path):
+    report = tmp_path / "selftest.json"
+    code = main(["selftest", "--inject-fault", "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 4
     assert "FAIL closed-form-oracle" in out
+    assert json.loads(report.read_text())["failures"] == ["closed-form-oracle"]  # and no other
     # the fault is always unwound: a plain rerun is clean again
     assert main(["selftest"]) == 0
 
@@ -269,7 +271,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -279,7 +281,7 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
@@ -290,7 +292,7 @@ def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_pat
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["csv-dedup-vs-direct"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
@@ -301,7 +303,7 @@ def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["repr-fast-vs-python"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
@@ -311,7 +313,7 @@ def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["vortex-label-8conn"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_path):
@@ -329,7 +331,7 @@ def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
 
 
 def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path):
@@ -347,7 +349,24 @@ def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["nv-splitter-invariance"]
-    assert len(doc["checks"]) == 22
+    assert len(doc["checks"]) == 23
+
+
+def test_selftest_catches_a_broken_fold_end_weight(monkeypatch, tmp_path):
+    exact = wigner._theta_rule
+
+    def broken(n_theta, folded):
+        theta, weights = exact(n_theta, folded)
+        if folded:
+            weights[-1] *= 1 + 1e-9  # the theta = pi node
+        return theta, weights
+
+    monkeypatch.setattr(wigner, "_theta_rule", broken)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["nv-fold-vs-full-circle"]
+    assert len(doc["checks"]) == 23
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
@@ -417,6 +436,17 @@ def test_field_pre_splitter_never_applies_the_splitter(tmp_path, monkeypatch):
     assert main(["field", "--r", "1.5", "--n", "26", "--pre-bs", "--grid=-2:2:5",
                  "-o", str(out)]) == 0
     assert out.exists()
+
+
+def test_nv_past_the_splitter_norm_wall_integrates_the_input(tmp_path):
+    # the splitter image misses TOL.norm at this N (exit 4 when nv applied the
+    # splitter); NV is splitter-invariant, so nv integrates the input either way
+    docs = []
+    for flags, name in (([], "nv.json"), (["--pre-bs"], "nv_pre_bs.json")):
+        assert main(["nv", "--r", "1.5", "--n", "26", *flags, "--json", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name).read_text()))
+    assert [doc.pop("pre_bs") for doc in docs] == [False, True]
+    assert docs[0] == docs[1]  # the volume, its history and checks, bit for bit
 
 
 def test_wigner_slice_csv_layout(tmp_path):
@@ -902,6 +932,19 @@ def test_sweep_point_builds_its_states_once(tmp_path, monkeypatch):
                        slice_grid="-2:2:7", outputs=["field", "wigner-slice", "nv", "logneg"])
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert calls == {"make_tmss": 1, "apply_beam_splitter": 1}
+
+
+def test_figure4_makes_no_splitter_pass(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(state):
+        calls.append(state)
+        return apply_beam_splitter(state)
+
+    monkeypatch.setattr(cli, "apply_beam_splitter", spy)
+    monkeypatch.setattr(wigner, "apply_beam_splitter", spy)
+    assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
+    assert calls == []
 
 
 def test_failed_sweep_leaves_no_aggregate_table(tmp_path):

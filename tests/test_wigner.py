@@ -29,7 +29,7 @@ from fockvortex import (
     wigner_state,
 )
 import fockvortex.wigner as wigner_module
-from fockvortex.cli import SLICE_GRID, main
+from fockvortex.cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, main
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
 from fockvortex.wigner import _box_rule, _radial_pair_rule, plane_points
@@ -195,6 +195,11 @@ def test_rule_validation():
         negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), order=1)
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
+            negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
+    # tol is a real number and a bool is not one: True would run as tol = 1
+    # and stop converged after two passes, '0.1' would fail in the comparison
+    for tol in (True, "0.1"):
+        with pytest.raises(InvalidParameterError, match="tol must be a real number"):
             negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
     # each count is an integer and a bool is not one; no setting reaches the
     # ladder to fail there as IndexError or TypeError
@@ -411,6 +416,39 @@ def test_reduced_pass_matches_exact_fock_pair_value(n):
     refined = negativity_volume(state)
     assert refined.converged
     assert refined.volume == pytest.approx(exact, abs=TOL.nv)
+
+
+@pytest.mark.parametrize("order", [24, 25, 48, 96])
+def test_folded_theta_rule_matches_full_circle_on_figure4_points(order, monkeypatch):
+    # a global phase leaves W unchanged, but leaves the pair products complex
+    # in their last bits, so the phased diagonal takes the full [0, 2 pi)
+    # rule, the oracle of the fold; the odd order is rounded up to even in both
+    rules = []
+    exact = wigner_module._theta_rule
+
+    def recorded(n_theta, folded):
+        rules.append((n_theta, folded))
+        return exact(n_theta, folded)
+
+    monkeypatch.setattr(wigner_module, "_theta_rule", recorded)
+    phase = np.exp(1j * math.pi / 3)
+    for n in FIG4_N_VALUES:
+        for r in FIG4_R_VALUES:
+            c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n)))
+            fold = wigner_module._reduced_pass(c, na0, nb0, order)
+            full = wigner_module._reduced_pass(c * phase, na0, nb0, order)
+            assert rules[-2:] == [(order + order % 2, True), (order + order % 2, False)]
+            assert fold == pytest.approx(full, abs=1e-14), (r, n)
+            assert 0.5 * (fold[0] - fold[1]) == pytest.approx(0.5 * (full[0] - full[1]), abs=1e-14)
+
+
+def test_theta_rule_folds_onto_half_the_circle():
+    theta, weights = wigner_module._theta_rule(8, folded=False)
+    assert np.array_equal(weights, np.ones(8))
+    assert theta == pytest.approx(np.arange(8) * math.pi / 4)
+    theta, weights = wigner_module._theta_rule(8, folded=True)
+    assert weights.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
+    assert theta == pytest.approx(np.arange(5) * math.pi / 4)
 
 
 _unit_float = st.floats(min_value=-1.0, max_value=1.0)

@@ -7,7 +7,7 @@ quantifies the output: transverse quadrature fields with phase-winding
 detection, Wigner functions with negativity volume, and logarithmic
 negativity across the splitter.
 """
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .beamsplitter import (
     apply_beam_splitter,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature, wigner
 from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
-from .cli import SLICE_GRID, SLICE_PLANES, _build_state
+from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES, _build_state
 from .config import TOL
 from .entanglement import log_negativity, partial_transpose
 from .floatrepr import REPR_WIDTH, hard_cases, repr_table
@@ -230,9 +230,12 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
 
     def nv_tables_cached_vs_fresh():
         # tables built for each pass are the oracle for the cached ones; a
-        # cache keyed on less than (dimension, order) serves N = 2's tables to
-        # N = 4, whose larger dimension then indexes past them
-        states = [_build_state(0.8, n, fock_input=False) for n in (4, 2)]
+        # cache keyed on less than (dimension, order, fold) serves N = 2's
+        # tables to N = 4, whose larger dimension then indexes past them, or
+        # N = 4's folded tables to the asymmetric diagonal of the same
+        # dimension, whose full radial rule has twice the nodes
+        asym = TwoModeState.from_pairs({(j + 1, j): 0.5 for j in range(4)}, cutoff=7)
+        states = [_build_state(0.8, 4, fock_input=False), asym, _build_state(0.8, 2, fock_input=False)]
 
         def volumes(fresh: bool) -> List[float]:
             out = []
@@ -244,7 +247,7 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
             return out
 
         fresh = volumes(fresh=True)
-        volumes(fresh=False)  # fills the cache with all four tables
+        volumes(fresh=False)  # fills the cache with all six tables
         warm = volumes(fresh=False)
         assert warm == fresh, f"cached {warm} vs fresh {fresh}"
 
@@ -272,6 +275,22 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
             gap = max(abs(a - b) for a, b in zip(fold, full))
             assert gap < 1e-14, f"order {order}: folded {fold} vs full circle {full}"
 
+    def nv_radial_fold_vs_full():
+        # on a mode-symmetric diagonal W(u_a, u_b) = W(u_b, u_a), and the
+        # pass folds the radial rule onto t <= 1/2; the full rule, on tables
+        # built for each pass, is its oracle on the figure-4 inputs, at even
+        # orders and at an odd one, whose middle node t = 1/2 is not doubled
+        for n in FIG4_N_VALUES:
+            for r in FIG4_R_VALUES:
+                c, na0, nb0 = wigner._pair_diagonal(_build_state(r, n, fock_input=False, pre_bs=True))
+                for order in (24, 25, 48):
+                    wigner._radial_profiles.cache_clear()
+                    fold = wigner._reduced_pass(c, na0, nb0, order)
+                    wigner._radial_profiles.cache_clear()
+                    full = wigner._reduced_pass(c, na0, nb0, order, radial_fold=False)
+                    gap = max(abs(a - b) for a, b in zip(fold, full))
+                    assert gap < 1e-14, f"r={r}, n={n}, order {order}: folded {fold} vs full {full}"
+
     # each check's name is its function's, with dashes
     return [(fn.__name__.replace("_", "-"), fn) for fn in (
         tmss_normalization, tmss_amplitude_decay, splitter_unitarity, splitter_pair_interference,
@@ -280,6 +299,7 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         repr_fast_vs_python, wigner_diagonal_value, hermite_spot_values, transpose_involution,
         bell_spectrum, logneg_schmidt_vs_eigh, quadrature_rule_sound, nv_reduced_vs_tensor,
         nv_tables_cached_vs_fresh, nv_splitter_invariance, nv_fold_vs_full_circle,
+        nv_radial_fold_vs_full,
     )]
 
 

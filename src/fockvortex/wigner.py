@@ -38,13 +38,16 @@ pipelines build:
 ``TwoModeState`` that carries all but ``TOL.norm`` of its weight on one
 diagonal is integrated on order^2 radial nodes in (u_a, u_b), u = 2 rho^2
 (Gauss-Laguerre in u_a + u_b times Gauss-Legendre in the ratio
-u_b / (u_a + u_b), see ``_radial_pair_rule``; the weights come from the
+t = u_b / (u_a + u_b), see ``_radial_pair_rule``; the weights come from the
 Christoffel function, which keeps them accurate relative to their size at
 the largest nodes, where the degree-2N radial profiles are huge), times a
 trapezoid rule in theta with ``max(order, s_max + 1)`` nodes rounded up to
 even, which is exact for the trigonometric polynomial in theta.  On a real
 diagonal W is even in theta, and the rule folds onto the
-n_theta / 2 + 1 nodes of [0, pi] (``_theta_rule``).  The pipelines and
+n_theta / 2 + 1 nodes of [0, pi] (``_theta_rule``).  On a mode-symmetric
+diagonal (n_a0 = n_b0, every pipeline input) W is symmetric under
+u_a <-> u_b, and the radial rule folds onto t <= 1/2: order * ceil(order / 2)
+nodes.  The pipelines and
 ``nv`` pass the splitter's input, whose diagonal needs no splitter pass; a
 splitter image that a library caller passes has its diagonal found after
 one more pass, and the selftest holds the two volumes together.  Density
@@ -56,14 +59,17 @@ and the selftest.  The ladder's one setting is its starting order;
 Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
 loop (``wigner_state``, ``_kernel_products``, ``_nv_pass``,
 ``_reduced_pass``) sizes its block arrays from the one budget
-``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  ``_radial_profiles``
-keeps the radial profile tables, which no r or amplitude changes, of the
-last MAX_REFINEMENTS + 1 (dimension, order) pairs whose nodes fit the
+``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  The kernel table
+comes from one Laguerre recurrence over every alpha and one product per
+column (``_kernel_columns``); the reduced pass's radial profiles are its
+real lower triangle, built in float64 (``_profiles``).  ``_radial_profiles``
+keeps the profile tables, which no r or amplitude changes, of the last
+MAX_REFINEMENTS + 1 (dimension, order, fold) keys whose nodes fit the
 reduced pass's one block (larger orders stream block by block): an entry
-stays within that budget, and a dimension, whose cached orders quadruple in
-nodes, within 4/3 of it.  ``wigner_slice`` builds each mode's kernel on that
-mode's distinct points only; ``wigner_state``, which builds both at every
-point, is its oracle.
+stays within that budget, and a (dimension, fold) pair, whose cached orders
+about quadruple in nodes, within about 4/3 of it.  ``wigner_slice`` builds
+each mode's kernel on that mode's distinct points only; ``wigner_state``,
+which builds both at every point, is its oracle.
 """
 from __future__ import annotations
 
@@ -92,15 +98,58 @@ _BLOCK_ENTRIES = 1 << 22  # entries per block array in every blocked loop
 # Fock-basis kernels
 # ---------------------------------------------------------------------------
 
-def _laguerre_rows(n_max: int, alpha: int, u: np.ndarray) -> np.ndarray:
-    """Associated Laguerre table L_0^a .. L_nmax^a at points u (recurrence)."""
-    rows = np.empty((n_max + 1,) + u.shape)
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = 1.0 + alpha - u
-    for n in range(1, n_max):
-        rows[n + 1] = ((2 * n + 1 + alpha - u) * rows[n] - (n + alpha) * rows[n - 1]) / (n + 1)
-    return rows
+def _laguerre_rows(n_max: int, alpha, u: np.ndarray):
+    """Associated Laguerre rows L_n^alpha(u), n = 0 .. n_max, yielded one at a
+    time by the three-term recurrence.
+
+    ``alpha`` is an integer, or an ascending 1-D integer array whose alphas
+    run along each row's first axis: one recurrence serves every alpha, with
+    the float steps of the one-alpha recurrence, so the bits are the same.
+    Row n holds the alphas with n + alpha <= n_max only, the triangle of
+    degrees the kernel table reads."""
+    alphas = np.atleast_1d(alpha)
+    col = alphas.reshape(alphas.shape + (1,) * u.ndim)
+    prev = row = None
+    for n in range(n_max + 1):
+        a = col[:int(np.searchsorted(alphas, n_max - n, side="right"))]
+        k = len(a)
+        if n == 0:
+            nxt = np.ones((k,) + u.shape)
+        elif n == 1:
+            nxt = 1.0 + a - u
+        else:
+            nxt = ((2 * n - 1 + a - u) * row[:k] - (n - 1 + a) * prev[:k]) / n
+        prev, row = row, nxt
+        yield row if np.ndim(alpha) else row[0]
+
+
+@lru_cache(maxsize=None)
+def _kernel_prefactors(dim: int) -> np.ndarray:
+    """pref[m, a] = (2/pi) (-1)^m sqrt(m!/(m+a)!) for m + a < dim, else 0."""
+    lg = [lgamma(k + 1) for k in range(dim)]
+    pref = np.zeros((dim, dim))
+    for m in range(dim):
+        pref[m, :dim - m] = [_TWO_OVER_PI * (-1.0) ** m * math.exp(0.5 * (lg[m] - lg[m + a]))
+                             for a in range(dim - m)]
+    pref.setflags(write=False)
+    return pref
+
+
+def _kernel_columns(dim: int, z: np.ndarray, u: np.ndarray):
+    """Per column m of the kernel table's lower triangle: (m, K[m + a, m] for
+    a = 0 .. dim - 1 - m), each column one product pref * z^a * L_m^a(u) over
+    every a, as the Laguerre recurrence on every alpha reaches degree m.
+    Only two Laguerre rows and the powers of z live at once, not a table of
+    every (m, a)."""
+    pref = _kernel_prefactors(dim).reshape((dim, dim) + (1,) * u.ndim)
+    zpow = np.empty((dim,) + z.shape, dtype=z.dtype)
+    zpow[0] = 1.0
+    for a in range(1, dim):
+        zpow[a] = zpow[a - 1] * z
+    for m, lag in enumerate(_laguerre_rows(dim - 1, np.arange(dim), u)):
+        col = pref[m, :dim - m] * zpow[:dim - m]
+        col *= lag  # in place: one column temporary, not two
+        yield m, col
 
 
 def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -111,20 +160,18 @@ def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    u = 4.0 * (x * x + p * p)
-    lg = [lgamma(k + 1) for k in range(dim)]
     out = np.empty((dim, dim) + x.shape, dtype=complex)
-    z = 2.0 * (x - 1j * p)
-    zpow = np.ones_like(z)
-    for a in range(dim):  # a = n - m
-        if a > 0:
-            zpow = zpow * z
-        lag = _laguerre_rows(dim - 1 - a, a, u)
-        for m in range(dim - a):
-            pref = _TWO_OVER_PI * (-1.0) ** m * math.exp(0.5 * (lg[m] - lg[m + a]))
-            out[m + a, m] = pref * zpow * lag[m]
-            if a > 0:
-                out[m, m + a] = np.conj(out[m + a, m])
+    if x.ndim:  # chunks of points keep the columns' temporaries small next to out
+        x, p, flat = x.ravel(), p.ravel(), out.reshape(dim, dim, -1)
+        step = max(1, _BLOCK_ENTRIES // (64 * dim))
+        chunks = [slice(start, start + step) for start in range(0, x.size, step)]
+    else:  # one point in 0-d arithmetic, whose last bits can differ from an array's
+        flat, chunks = out, [...]
+    for sl in chunks:
+        xs, ps = x[sl], p[sl]
+        for m, col in _kernel_columns(dim, 2.0 * (xs - 1j * ps), 4.0 * (xs * xs + ps * ps)):
+            flat[m:, m, sl] = col
+            np.conj(col[1:], out=flat[m, m + 1:, sl])
     return out
 
 
@@ -133,7 +180,7 @@ def wigner_fock_diagonal(n: int, q_squared: Union[float, np.ndarray]):
     if n < 0:
         raise InvalidParameterError(f"order must be >= 0, got {n}")
     q2 = np.asarray(q_squared, dtype=float)
-    lag = _laguerre_rows(n, 0, 4.0 * q2)[n]
+    *_, lag = _laguerre_rows(n, 0, 4.0 * q2)
     val = _TWO_OVER_PI * (-1.0) ** n * lag * np.exp(-2.0 * q2)
     return float(val) if np.isscalar(q_squared) else val
 
@@ -277,8 +324,8 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
     up = 8.0 * (q0 + q1)
     um = 8.0 * (q0 - q1)
     nmax = 2 * params.n_max
-    lp = _laguerre_rows(nmax, 0, up)
-    lm = _laguerre_rows(nmax, 0, um)
+    lp = list(_laguerre_rows(nmax, 0, up))
+    lm = list(_laguerre_rows(nmax, 0, um))
     out = np.zeros_like(np.asarray(q0))
     for (j, m), w in sorted(_diagonal_form_weights(params).items()):
         # (-1)^{j+m} (-1)^{j-m} = (-1)^{2j} = 1: the sign prints as +1 identically
@@ -413,7 +460,7 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
 
 
 @lru_cache(maxsize=None)
-def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radial_pair_rule(order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u_a, u_b, weights) for the integral of e^{-u_a - u_b} f(u_a, u_b) over u >= 0.
 
     In v = u_a + u_b and t = u_b / v the measure is v e^{-v} dv dt, so the rule
@@ -426,10 +473,18 @@ def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     tensor rule in (u_a, u_b) would put the zero lines u = const of a
     Fock-pair W on the grid axes, where the kink errors of |W| add up instead
     of averaging out.
+
+    ``folded``, for an f symmetric under u_a <-> u_b (t -> 1 - t), keeps the
+    Legendre nodes with t < 1/2 at twice their weight, and the middle node at
+    its own weight when the order is odd: order * ceil(order / 2) nodes whose
+    weighted sum is the full rule's.
     """
     k = np.arange(order, dtype=float)
     v, wv = _golub_welsch(2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0)
     x, wx = _golub_welsch(np.zeros(order), k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0), 2.0)
+    if folded:  # the nodes come sorted, so t < 1/2 first
+        x, wx = x[:(order + 1) // 2], wx[:(order + 1) // 2]
+        wx[:order // 2] *= 2.0
     t = 0.5 * (x + 1.0)
     rule = (np.outer(v, 1.0 - t).ravel(), np.outer(v, t).ravel(), 0.5 * np.outer(wv, wx).ravel())
     for arr in rule:
@@ -438,15 +493,23 @@ def _radial_pair_rule(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _profiles(dim: int, u: np.ndarray) -> np.ndarray:
-    """Real radial profiles K[n, m](rho, 0), rho = sqrt(u / 2), at the nodes u."""
-    return _kernel_polys(dim, np.sqrt(0.5 * u), np.zeros(len(u))).real
+    """Real radial profiles K[n, m](rho, 0), rho = sqrt(u / 2), at the nodes u,
+    on the lower triangle n >= m, the only one the reduced pass reads (the
+    upper stays 0).  At p = 0 every kernel value is real, and these are the
+    float steps of ``_kernel_polys``'s real parts, so the bits are the same."""
+    x = np.sqrt(0.5 * u)
+    out = np.zeros((dim, dim, len(u)))
+    for m, col in _kernel_columns(dim, 2.0 * x, 4.0 * (x * x)):
+        out[m:, m] = col
+    return out
 
 
 @lru_cache(maxsize=MAX_REFINEMENTS + 1)
-def _radial_profiles(dim: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_profiles`` of both modes on all of ``_radial_pair_rule(order)``: shared,
-    so read-only, and C-contiguous, so the per-s products read them densely."""
-    tables = tuple(np.ascontiguousarray(_profiles(dim, u)) for u in _radial_pair_rule(order)[:2])
+def _radial_profiles(dim: int, order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """``_profiles`` of both modes on all of ``_radial_pair_rule(order, folded)``:
+    shared, so read-only, and C-contiguous, so the per-s products read them
+    densely."""
+    tables = tuple(_profiles(dim, u) for u in _radial_pair_rule(order, folded)[:2])
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -496,10 +559,11 @@ def _theta_rule(n_theta: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
     return (2.0 * math.pi / n_theta) * np.arange(count), weights
 
 
-def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float, float]:
+def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int,
+                  radial_fold: bool = True) -> Tuple[float, float]:
     """One pass of the 3-D rule: (integral of |W|, integral of W).
 
-    Nodes: ``_radial_pair_rule(order)`` in u = 2 rho^2 per mode times a
+    Nodes: ``_radial_pair_rule(order, folded)`` in u = 2 rho^2 per mode times a
     trapezoid rule in theta = phi_a + phi_b with n_theta = max(order, span)
     nodes, rounded up to even.  The volume element
     d^4z = rho_a drho_a rho_b drho_b dphi_a dphi_b integrates to
@@ -510,9 +574,13 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
     every pair product is real, so is every G_s: the sine columns go, and W,
     even in theta, is summed over the folded rule on [0, pi]
     (``_theta_rule``).  A complex diagonal keeps the full circle, which is
-    the fold's oracle.
+    the fold's oracle.  On a mode-symmetric diagonal (na0 == nb0) W is the
+    same at (u_a, u_b) and (u_b, u_a), and the radial rule folds onto
+    t <= 1/2; ``radial_fold=False`` keeps the full rule there, the radial
+    fold's oracle, as an asymmetric diagonal does.
     """
-    ua, ub, wr = _radial_pair_rule(order)
+    folded = radial_fold and na0 == nb0
+    ua, ub, wr = _radial_pair_rule(order, folded)
     span = len(c)
     dim = max(na0, nb0) + span
     pairs = [(2.0 if s else 1.0) * c[s:] * np.conj(c[:span - s]) for s in range(span)]
@@ -529,7 +597,7 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         if len(wr) <= block:  # the whole order fits one block: its tables are cached
-            prof_a, prof_b = _radial_profiles(dim, order)
+            prof_a, prof_b = _radial_profiles(dim, order, folded)
         else:
             prof_a = _profiles(dim, ua[sl])
             prof_b = _profiles(dim, ub[sl])
@@ -542,7 +610,9 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int) -> Tuple[float,
                 coef[:, span - 1 + s] = g.imag
         w = coef @ basis
         total_w += float(wr[sl] @ (w @ theta_w))
-        total_abs += float(wr[sl] @ (np.abs(w) @ theta_w))
+        # in place: with a second block live, the heap trimmed both after each
+        # pass and page-faulted them back in on the next (glibc's trim threshold)
+        total_abs += float(wr[sl] @ (np.abs(w, out=w) @ theta_w))
     scale = 0.25 * math.pi ** 2 / n_theta
     return scale * total_abs, scale * total_w
 

@@ -271,7 +271,7 @@ def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["logneg-schmidt-vs-eigh"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
@@ -281,7 +281,7 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["slice-vs-pointwise"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
@@ -292,7 +292,7 @@ def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_pat
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["csv-dedup-vs-direct"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
@@ -303,7 +303,7 @@ def test_selftest_catches_a_removal_loop_capped_at_1e17(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["repr-fast-vs-python"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
@@ -313,25 +313,39 @@ def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["vortex-label-8conn"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
-def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_path):
+def _selftest_with_profile_cache(monkeypatch, tmp_path, key):
+    """The selftest's report with ``_radial_profiles`` replaced by a cache
+    keyed on ``key(dim, order, folded)`` alone."""
     exact = wigner._radial_profiles
     served = {}
 
-    def by_order(dim, order):  # a cache that forgets the dimension
-        if order not in served:
-            served[order] = exact(dim, order)
-        return served[order]
+    def keyed(dim, order, folded):
+        if key(dim, order, folded) not in served:
+            served[key(dim, order, folded)] = exact(dim, order, folded)
+        return served[key(dim, order, folded)]
 
-    by_order.cache_clear = served.clear
-    monkeypatch.setattr(wigner, "_radial_profiles", by_order)
+    keyed.cache_clear = served.clear
+    monkeypatch.setattr(wigner, "_radial_profiles", keyed)
     report = tmp_path / "selftest.json"
     assert main(["selftest", "--out", str(report)]) == 4
-    doc = json.loads(report.read_text())
+    return json.loads(report.read_text())
+
+
+def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_path):
+    # a cache that forgets the dimension
+    doc = _selftest_with_profile_cache(monkeypatch, tmp_path, lambda dim, order, folded: (order, folded))
     assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
+
+
+def test_selftest_catches_profile_tables_cached_without_the_fold(monkeypatch, tmp_path):
+    # a cache that forgets whether the radial rule was folded
+    doc = _selftest_with_profile_cache(monkeypatch, tmp_path, lambda dim, order, folded: (dim, order))
+    assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path):
@@ -349,7 +363,7 @@ def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["nv-splitter-invariance"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_a_broken_fold_end_weight(monkeypatch, tmp_path):
@@ -366,7 +380,25 @@ def test_selftest_catches_a_broken_fold_end_weight(monkeypatch, tmp_path):
     assert main(["selftest", "--out", str(report)]) == 4
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["nv-fold-vs-full-circle"]
-    assert len(doc["checks"]) == 23
+    assert len(doc["checks"]) == 24
+
+
+def test_selftest_catches_a_broken_radial_fold_middle_weight(monkeypatch, tmp_path):
+    exact = wigner._radial_pair_rule
+
+    def broken(order, folded):
+        ua, ub, w = exact(order, folded)
+        if folded and order % 2:
+            w = w.copy()
+            w[(order - 1) // 2::(order + 1) // 2] *= 1 + 1e-9  # the t = 1/2 node of each v
+        return ua, ub, w
+
+    monkeypatch.setattr(wigner, "_radial_pair_rule", broken)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["nv-radial-fold-vs-full"]
+    assert len(doc["checks"]) == 24
 
 
 def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):

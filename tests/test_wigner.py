@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -83,6 +83,82 @@ def _fock_cross(n, m, x, p):
     """Wigner transform of |n><m| at (x, p), from the kernel polynomials."""
     poly = wigner_module._kernel_polys(max(n, m) + 1, np.atleast_1d(x), np.atleast_1d(p))[n, m, 0]
     return complex(poly * math.exp(-2.0 * (x * x + p * p)))
+
+
+def _laguerre_one_alpha(n_max, alpha, u):
+    """L_0^alpha .. L_nmax^alpha at u by the three-term recurrence, one alpha."""
+    rows = np.empty((n_max + 1,) + u.shape)
+    rows[0] = 1.0
+    if n_max >= 1:
+        rows[1] = 1.0 + alpha - u
+    for n in range(1, n_max):
+        rows[n + 1] = ((2 * n + 1 + alpha - u) * rows[n] - (n + alpha) * rows[n - 1]) / (n + 1)
+    return rows
+
+
+def _kernel_polys_per_entry(dim, x, p):
+    """The kernel table one (a, m) entry at a time, one Laguerre recurrence per
+    alpha: the oracle whose bits the column builder must keep."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    u = 4.0 * (x * x + p * p)
+    lg = [math.lgamma(k + 1) for k in range(dim)]
+    out = np.empty((dim, dim) + x.shape, dtype=complex)
+    z = 2.0 * (x - 1j * p)
+    zpow = np.ones_like(z)
+    for a in range(dim):  # a = n - m
+        if a > 0:
+            zpow = zpow * z
+        lag = _laguerre_one_alpha(dim - 1 - a, a, u)
+        for m in range(dim - a):
+            pref = (2.0 / math.pi) * (-1.0) ** m * math.exp(0.5 * (lg[m] - lg[m + a]))
+            out[m + a, m] = pref * zpow * lag[m]
+            if a > 0:
+                out[m, m + a] = np.conj(out[m + a, m])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 6)], ids=["0d", "1d", "2d"])
+def test_kernel_polys_columns_are_bit_identical_to_per_entry_loop(shape):
+    rng = np.random.default_rng(len(shape))
+    for dim in range(1, 31):
+        x, p = rng.normal(scale=2.0, size=(2,) + shape)
+        got = wigner_module._kernel_polys(dim, x, p)
+        want = _kernel_polys_per_entry(dim, x, p)
+        assert got.shape == want.shape == (dim, dim) + shape
+        assert got.tobytes() == want.tobytes(), dim
+
+
+def test_kernel_polys_chunks_are_bit_identical_to_per_entry_loop():
+    # past _BLOCK_ENTRIES // (64 dim) points the builder runs in chunks
+    x, p = np.random.default_rng(3).normal(scale=2.0, size=(2, 5000))
+    for dim in (23, 30):
+        assert 5000 > wigner_module._BLOCK_ENTRIES // (64 * dim)
+        got = wigner_module._kernel_polys(dim, x, p)
+        assert got.tobytes() == _kernel_polys_per_entry(dim, x, p).tobytes(), dim
+
+
+def test_laguerre_rows_run_every_alpha_in_one_recurrence():
+    u = np.random.default_rng(4).uniform(0.0, 60.0, 50)
+    n_max = 12
+    rows = list(wigner_module._laguerre_rows(n_max, np.arange(n_max + 1), u))
+    assert [len(row) for row in rows] == list(range(n_max + 1, 0, -1))  # n + alpha <= n_max
+    for alpha in range(n_max + 1):
+        one = _laguerre_one_alpha(n_max - alpha, alpha, u)
+        assert np.array([row[alpha] for row in rows[:n_max - alpha + 1]]).tobytes() == one.tobytes()
+    single = np.array(list(wigner_module._laguerre_rows(n_max, 0, u)))
+    assert single.tobytes() == _laguerre_one_alpha(n_max, 0, u).tobytes()
+
+
+@pytest.mark.parametrize("dim,order", [(9, 48), (41, 24)])
+def test_real_profiles_are_the_kernel_real_parts_on_the_lower_triangle(dim, order):
+    lower = np.tril(np.ones((dim, dim), dtype=bool))
+    for u in _radial_pair_rule(order, False)[:2]:
+        got = wigner_module._profiles(dim, u)
+        want = wigner_module._kernel_polys(dim, np.sqrt(0.5 * u), np.zeros(len(u))).real
+        assert got.dtype == np.float64
+        assert got[lower].tobytes() == want[lower].tobytes()
+        assert not got[~lower].any()
 
 
 def test_frozen_cross_value():
@@ -184,7 +260,7 @@ def test_golub_welsch_nodes_match_eigh_tridiagonal(order, monkeypatch):
 
     monkeypatch.setattr(wigner_module, "_golub_welsch", spy)
     wigner_module.build_wigner_grid(order)
-    wigner_module._radial_pair_rule.__wrapped__(order)
+    wigner_module._radial_pair_rule.__wrapped__(order, False)
     assert len(calls) == 3
     for diag, off, nodes in calls:
         assert np.array_equal(nodes, scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True))
@@ -320,13 +396,32 @@ def _fock_pair_nv(n):
 
 def test_radial_rule_finite_and_exact_at_ladder_top():
     # 384 is the last order of the default 24 -> 384 refinement ladder, where
-    # scipy.special.roots_laguerre returns NaN
-    ua, ub, w = _radial_pair_rule(384)
-    assert all(np.isfinite(a).all() for a in (ua, ub, w))
-    assert np.all(w >= 0)
+    # scipy.special.roots_laguerre returns NaN; the folded rule integrates the
+    # mode-symmetric part of each moment, u_a^i u_b^j + u_a^j u_b^i
+    ua, ub, w = _radial_pair_rule(384, False)
+    fa, fb, fw = _radial_pair_rule(384, True)
+    assert len(fw) == 384 * 192
+    assert all(np.isfinite(a).all() for a in (ua, ub, w, fa, fb, fw))
+    assert np.all(w >= 0) and np.all(fw >= 0)
+    assert np.all(fb <= fa)  # t = u_b / (u_a + u_b) <= 1/2
     for i, j in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         moment = float(w @ (ua**i * ub**j))
         assert moment == pytest.approx(math.factorial(i) * math.factorial(j), rel=1e-12)
+        folded = float(fw @ (fa**i * fb**j + fa**j * fb**i))
+        assert folded == pytest.approx(2 * math.factorial(i) * math.factorial(j), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 3, 24, 25])
+def test_folded_radial_rule_keeps_the_lower_half_and_the_middle_node(order):
+    _, _, w = _radial_pair_rule(order, False)
+    fa, fb, fw = _radial_pair_rule(order, True)
+    half, keep = order // 2, (order + 1) // 2
+    full = w.reshape(order, order)
+    assert np.array_equal(fw.reshape(order, keep)[:, :half], 2.0 * full[:, :half])
+    if order % 2:  # the middle node t = 1/2 keeps its own weight
+        assert np.array_equal(fw.reshape(order, keep)[:, half], full[:, half])
+        assert fa.reshape(order, keep)[:, half] == pytest.approx(fb.reshape(order, keep)[:, half])
+    assert float(fw.sum()) == pytest.approx(float(w.sum()), rel=1e-14)
 
 
 @pytest.mark.parametrize("r,n_max,order", [(1.1, 10, 192), (1.1, 14, 96)])
@@ -343,8 +438,8 @@ def test_under_resolved_result_is_never_converged(monkeypatch, fresh_profiles):
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
     assert negativity_volume(state).converged
 
-    def scaled_rule(order, rule=_radial_pair_rule):
-        ua, ub, w = rule(order)
+    def scaled_rule(order, folded, rule=_radial_pair_rule):
+        ua, ub, w = rule(order, folded)
         return ua, ub, 1.05 * w
 
     monkeypatch.setattr(wigner_module, "_radial_pair_rule", scaled_rule)
@@ -358,23 +453,24 @@ def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_pro
     # 12 points, 2 dimensions (N = 2, 4), orders 24 and 48, 2 modes: a table
     # per point and pass would take 48 calls
     calls = []
-    kernel_polys = wigner_module._kernel_polys
+    profiles = wigner_module._profiles
 
-    def spy(dim, x, p):
+    def spy(dim, u):
         calls.append(dim)
-        return kernel_polys(dim, x, p)
+        return profiles(dim, u)
 
-    monkeypatch.setattr(wigner_module, "_kernel_polys", spy)
+    monkeypatch.setattr(wigner_module, "_profiles", spy)
     assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
     assert len(calls) == 8
 
 
 def test_cached_profile_tables_are_read_only_and_contiguous():
-    for table in wigner_module._radial_profiles(5, 24):
-        assert table.flags.c_contiguous and not table.flags.writeable
-        assert table.shape == (5, 5, 24 * 24)
-        with pytest.raises(ValueError):
-            table[0, 0, 0] = 0.0
+    for folded, nodes in ((False, 24 * 24), (True, 24 * 12)):
+        for table in wigner_module._radial_profiles(5, 24, folded):
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert table.shape == (5, 5, nodes)
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.0
 
 
 def test_deep_ladder_is_equal_with_cached_and_fresh_tables():
@@ -451,6 +547,49 @@ def test_theta_rule_folds_onto_half_the_circle():
     assert theta == pytest.approx(np.arange(5) * math.pi / 4)
 
 
+def _record_radial_rules(monkeypatch):
+    """The set of (order, folded) radial rules the passes ask for."""
+    rules = set()
+    exact = wigner_module._radial_pair_rule
+
+    def recorded(order, folded):
+        rules.add((order, folded))
+        return exact(order, folded)
+
+    monkeypatch.setattr(wigner_module, "_radial_pair_rule", recorded)
+    return rules
+
+
+@pytest.mark.parametrize("order", [24, 25, 48])
+def test_folded_radial_rule_matches_full_rule_on_figure4_points(order, monkeypatch, fresh_profiles):
+    # W(u_a, u_b) = W(u_b, u_a) on a mode-symmetric diagonal; the full radial
+    # rule is the fold's oracle, and the odd order's middle node is not doubled
+    rules = _record_radial_rules(monkeypatch)
+    for n in FIG4_N_VALUES:
+        for r in FIG4_R_VALUES:
+            c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n)))
+            assert na0 == nb0
+            fold = wigner_module._reduced_pass(c, na0, nb0, order)
+            full = wigner_module._reduced_pass(c, na0, nb0, order, radial_fold=False)
+            assert fold == pytest.approx(full, abs=1e-14), (r, n)
+            assert 0.5 * (fold[0] - fold[1]) == pytest.approx(0.5 * (full[0] - full[1]), abs=1e-14)
+    assert rules == {(order, True), (order, False)}
+
+
+def test_asymmetric_diagonal_takes_the_full_radial_rule(monkeypatch, fresh_profiles):
+    # |j + 1, j> is not symmetric under u_a <-> u_b; |j, j> is
+    rules = _record_radial_rules(monkeypatch)
+    c = np.array([0.6, -0.5, 0.4])
+    c /= np.linalg.norm(c)
+    shifted = TwoModeState.from_pairs({(j + 1, j): c[j] for j in range(3)}, cutoff=5)
+    negativity_volume(shifted, order=8, max_refinements=1)
+    assert rules == {(8, False), (16, False)}
+    rules.clear()
+    paired = TwoModeState.from_pairs({(j, j): c[j] for j in range(3)}, cutoff=4)
+    negativity_volume(paired, order=8, max_refinements=1)
+    assert rules == {(8, True), (16, True)}
+
+
 _unit_float = st.floats(min_value=-1.0, max_value=1.0)
 
 
@@ -471,6 +610,26 @@ def test_nv_is_splitter_invariant(pairs, d):
     before = negativity_volume(state)
     after = negativity_volume(apply_beam_splitter(state))
     assert after.volume == pytest.approx(before.volume, abs=2 * TOL.nv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(_unit_float, _unit_float), min_size=1, max_size=5).filter(
+        lambda c: sum(re * re + im * im for re, im in c) > 1e-2
+    ),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([2, 3, 8, 9, 24, 25]),
+)
+def test_radial_fold_matches_full_rule_on_symmetric_diagonals(pairs, real, j, order):
+    # the two rules sum the same terms in another order: up to ~450 ulps of
+    # the result, whose terms can exceed it at a low order and a high degree
+    c = np.array([complex(re, 0.0 if real else im) for re, im in pairs])
+    assume(np.linalg.norm(c) > 1e-1)
+    c /= np.linalg.norm(c)
+    fold = wigner_module._reduced_pass(c, j, j, order)
+    full = wigner_module._reduced_pass(c, j, j, order, radial_fold=False)
+    assert fold == pytest.approx(full, rel=1e-13, abs=1e-14)
 
 
 def test_nv_dispatch_on_detected_symmetry():

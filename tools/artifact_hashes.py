@@ -8,10 +8,12 @@ Runs ``fockvortex figure N`` for each FIGURE into a temporary directory,
 with the package imported from DIR (default: the ``src`` directory of this
 checkout), and prints one ``<sha256>  figN/<file>`` line per artifact,
 sorted, after a ``#`` header naming what the bytes depend on: the
-package's version, numpy's version, its BLAS and the CPU features numpy
-dispatches on.  With no FIGURE it runs figures 1-5, then ``SWEEP``, a
-small sweep with all five outputs, whose artifacts are listed as
-``sweep/<file>``, and then the ``SINGLES`` commands, listed as
+package's version, numpy's version, its BLAS, the BLAS thread count and the
+CPU features numpy dispatches on.  Every run pins OpenBLAS and OpenMP to one
+thread (``THREADS``), as the benchmark harness does, so the hashes do not
+depend on the machine's CPU count.  With no FIGURE it runs figures 1-5,
+then ``SWEEP``, a small sweep with all five outputs, whose artifacts are
+listed as ``sweep/<file>``, and then the ``SINGLES`` commands, listed as
 ``single/<file>``.
 ``manifest.json`` is left out: it holds wall times.  With ``--compare FILE``
 (an earlier output of this tool) the hashes are checked against FILE
@@ -81,8 +83,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+# one BLAS thread, as the benchmark harness runs it: OpenBLAS splits a GEMM
+# by its thread count, which moves the last bits of the N = 6 slices
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 def _env(src: str) -> Dict[str, str]:
-    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ, **THREADS,
+                PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
 def pipeline_hashes(figures: List[int], src: str, extras: bool = False,
@@ -139,6 +147,7 @@ def machine_header(src: str = SRC) -> List[str]:
     return [f"# {version}",
             f"# numpy {np.__version__}",
             f"# blas {blas.get('name')} {blas.get('version')}",
+            "# threads " + " ".join(f"{name}={value}" for name, value in THREADS.items()),
             "# cpu " + " ".join(name for name, on in __cpu_features__.items() if on)]
 
 

@@ -233,22 +233,27 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         # cache keyed on less than (dimension, order, fold) serves N = 2's
         # tables to N = 4, whose larger dimension then indexes past them, or
         # N = 4's folded tables to the asymmetric diagonal of the same
-        # dimension, whose full radial rule has twice the nodes
+        # dimension, whose full radial rule has twice the nodes.  The five
+        # keys fit the cache, so every warm pass must read cached tables
         asym = TwoModeState.from_pairs({(j + 1, j): 0.5 for j in range(4)}, cutoff=7)
-        states = [_build_state(0.8, 4, fock_input=False), asym, _build_state(0.8, 2, fock_input=False)]
+        runs = [(_build_state(0.8, 4, fock_input=False), (24, 48)), (asym, (24,)),
+                (_build_state(0.8, 2, fock_input=False), (24, 48))]
 
         def volumes(fresh: bool) -> List[float]:
             out = []
-            for state in states:
-                for order in (24, 48):
+            for state, orders in runs:
+                for order in orders:
                     if fresh:
                         wigner._radial_profiles.cache_clear()
                     out.append(negativity_volume(state, order, max_refinements=0).volume)
             return out
 
         fresh = volumes(fresh=True)
-        volumes(fresh=False)  # fills the cache with all six tables
+        volumes(fresh=False)  # fills the cache with all five tables
+        hits = wigner._radial_profiles.cache_info().hits
         warm = volumes(fresh=False)
+        served = wigner._radial_profiles.cache_info().hits - hits
+        assert served == len(warm), f"{served} of {len(warm)} warm passes read cached tables"
         assert warm == fresh, f"cached {warm} vs fresh {fresh}"
 
     def nv_splitter_invariance():

@@ -102,16 +102,18 @@ def _laguerre_rows(n_max: int, alpha, u: np.ndarray):
     """Associated Laguerre rows L_n^alpha(u), n = 0 .. n_max, yielded one at a
     time by the three-term recurrence.
 
-    ``alpha`` is an integer, or an ascending 1-D integer array whose alphas
-    run along each row's first axis: one recurrence serves every alpha, with
-    the float steps of the one-alpha recurrence, so the bits are the same.
-    Row n holds the alphas with n + alpha <= n_max only, the triangle of
-    degrees the kernel table reads."""
+    ``alpha`` is an integer, whose rows run to degree n_max, or an ascending
+    1-D integer array whose alphas run along each row's first axis: one
+    recurrence serves every alpha, with the float steps of the one-alpha
+    recurrence, so the bits are the same.  Row n of an array then holds the
+    alphas with n + alpha <= n_max only, the triangle of degrees the kernel
+    table reads."""
     alphas = np.atleast_1d(alpha)
     col = alphas.reshape(alphas.shape + (1,) * u.ndim)
+    triangle = np.ndim(alpha) > 0
     prev = row = None
     for n in range(n_max + 1):
-        a = col[:int(np.searchsorted(alphas, n_max - n, side="right"))]
+        a = col[:int(np.searchsorted(alphas, n_max - n, side="right"))] if triangle else col
         k = len(a)
         if n == 0:
             nxt = np.ones((k,) + u.shape)
@@ -161,13 +163,10 @@ def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     out = np.empty((dim, dim) + x.shape, dtype=complex)
-    if x.ndim:  # chunks of points keep the columns' temporaries small next to out
-        x, p, flat = x.ravel(), p.ravel(), out.reshape(dim, dim, -1)
-        step = max(1, _BLOCK_ENTRIES // (64 * dim))
-        chunks = [slice(start, start + step) for start in range(0, x.size, step)]
-    else:  # one point in 0-d arithmetic, whose last bits can differ from an array's
-        flat, chunks = out, [...]
-    for sl in chunks:
+    x, p, flat = x.ravel(), p.ravel(), out.reshape(dim, dim, -1)
+    step = max(1, _BLOCK_ENTRIES // (64 * dim))  # chunks keep the columns' temporaries small next to out
+    for start in range(0, x.size, step):
+        sl = slice(start, start + step)
         xs, ps = x[sl], p[sl]
         for m, col in _kernel_columns(dim, 2.0 * (xs - 1j * ps), 4.0 * (xs * xs + ps * ps)):
             flat[m:, m, sl] = col
@@ -559,7 +558,7 @@ def _theta_rule(n_theta: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
     return (2.0 * math.pi / n_theta) * np.arange(count), weights
 
 
-def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int,
+def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
                   radial_fold: bool = True) -> Tuple[float, float]:
     """One pass of the 3-D rule: (integral of |W|, integral of W).
 
@@ -576,8 +575,9 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int,
     (``_theta_rule``).  A complex diagonal keeps the full circle, which is
     the fold's oracle.  On a mode-symmetric diagonal (na0 == nb0) W is the
     same at (u_a, u_b) and (u_b, u_a), and the radial rule folds onto
-    t <= 1/2; ``radial_fold=False`` keeps the full rule there, the radial
-    fold's oracle, as an asymmetric diagonal does.
+    t <= 1/2.  ``radial_fold=False``, for the tests and the selftest only,
+    keeps the full rule there, as an asymmetric diagonal does: the radial
+    fold's oracle.
     """
     folded = radial_fold and na0 == nb0
     ua, ub, wr = _radial_pair_rule(order, folded)

@@ -321,13 +321,17 @@ def _selftest_with_profile_cache(monkeypatch, tmp_path, key):
     keyed on ``key(dim, order, folded)`` alone."""
     exact = wigner._radial_profiles
     served = {}
+    hits = []
 
     def keyed(dim, order, folded):
-        if key(dim, order, folded) not in served:
+        if key(dim, order, folded) in served:
+            hits.append(1)
+        else:
             served[key(dim, order, folded)] = exact(dim, order, folded)
         return served[key(dim, order, folded)]
 
     keyed.cache_clear = served.clear
+    keyed.cache_info = lambda: types.SimpleNamespace(hits=len(hits))
     monkeypatch.setattr(wigner, "_radial_profiles", keyed)
     report = tmp_path / "selftest.json"
     assert main(["selftest", "--out", str(report)]) == 4

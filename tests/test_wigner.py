@@ -118,7 +118,7 @@ def _kernel_polys_per_entry(dim, x, p):
     return out
 
 
-@pytest.mark.parametrize("shape", [(), (7,), (4, 6)], ids=["0d", "1d", "2d"])
+@pytest.mark.parametrize("shape", [(7,), (4, 6)], ids=["1d", "2d"])
 def test_kernel_polys_columns_are_bit_identical_to_per_entry_loop(shape):
     rng = np.random.default_rng(len(shape))
     for dim in range(1, 31):
@@ -126,6 +126,17 @@ def test_kernel_polys_columns_are_bit_identical_to_per_entry_loop(shape):
         got = wigner_module._kernel_polys(dim, x, p)
         want = _kernel_polys_per_entry(dim, x, p)
         assert got.shape == want.shape == (dim, dim) + shape
+        assert got.tobytes() == want.tobytes(), dim
+
+
+def test_kernel_polys_takes_a_0d_point_as_a_one_point_array():
+    # a 0-d point goes through the array path and keeps only its shape
+    rng = np.random.default_rng(0)
+    for dim in range(1, 31):
+        x, p = rng.normal(scale=2.0, size=2)
+        got = wigner_module._kernel_polys(dim, np.float64(x), np.float64(p))
+        want = _kernel_polys_per_entry(dim, np.array([x]), np.array([p]))
+        assert got.shape == (dim, dim)
         assert got.tobytes() == want.tobytes(), dim
 
 
@@ -146,8 +157,9 @@ def test_laguerre_rows_run_every_alpha_in_one_recurrence():
     for alpha in range(n_max + 1):
         one = _laguerre_one_alpha(n_max - alpha, alpha, u)
         assert np.array([row[alpha] for row in rows[:n_max - alpha + 1]]).tobytes() == one.tobytes()
-    single = np.array(list(wigner_module._laguerre_rows(n_max, 0, u)))
-    assert single.tobytes() == _laguerre_one_alpha(n_max, 0, u).tobytes()
+    for alpha in (0, 3):  # an integer alpha keeps every degree up to n_max
+        single = np.array(list(wigner_module._laguerre_rows(n_max, alpha, u)))
+        assert single.tobytes() == _laguerre_one_alpha(n_max, alpha, u).tobytes()
 
 
 @pytest.mark.parametrize("dim,order", [(9, 48), (41, 24)])

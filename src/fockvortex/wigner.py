@@ -61,13 +61,18 @@ loop (``wigner_state``, ``_kernel_products``, ``_nv_pass``,
 ``_reduced_pass``) sizes its block arrays from the one budget
 ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  The kernel table
 comes from one Laguerre recurrence over every alpha and one product per
-column (``_kernel_columns``); the reduced pass's radial profiles are its
-real lower triangle, built in float64 (``_profiles``).  ``_radial_profiles``
-keeps the profile tables, which no r or amplitude changes, of the last
-MAX_REFINEMENTS + 1 (dimension, order, fold) keys whose nodes fit the
-reduced pass's one block (larger orders stream block by block): an entry
-stays within that budget, and a (dimension, fold) pair, whose cached orders
-about quadruple in nodes, within about 4/3 of it.  ``wigner_slice`` builds
+column (``_kernel_columns``).  The reduced pass's radial profiles are its
+real lower triangle in float64, stored as band-layout profile tables
+B[a, m] = K[m + a, m] (``_profiles``), so the factor of harmonic s is the
+contiguous slice B[s, n0:n0 + span - s].  The radial rule's Laguerre and
+Legendre matrices run through one Christoffel recurrence
+(``_golub_welsch``), and one table build serves both modes' cached tables.
+``_radial_profiles`` keeps the profile tables, which no r or amplitude
+changes, of the last MAX_REFINEMENTS + 1 (dimension, order, fold) keys whose
+nodes fit the reduced pass's one block (larger orders stream block by
+block): an entry, both modes' tables together, stays within that budget,
+and a (dimension, fold) pair, whose cached orders about quadruple in nodes,
+within about 4/3 of it.  ``wigner_slice`` builds
 each mode's kernel on that mode's distinct points only; ``wigner_state``,
 which builds both at every point, is its oracle.
 """
@@ -75,7 +80,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
 from typing import List, Optional, Tuple, Union
@@ -360,7 +365,7 @@ def build_wigner_grid(order: int) -> Tuple[np.ndarray, np.ndarray]:
     scaled by 1/sqrt(2).  Integrands are evaluated as kernel polynomials, and
     the weights sum to sqrt(pi/2)."""
     k = np.arange(1, order, dtype=float)
-    u, w = _golub_welsch(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))
+    [(u, w)] = _golub_welsch([(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))])
     return u / _SQRT2, w / _SQRT2
 
 
@@ -386,7 +391,7 @@ class NegativityResult:
     engine: str = "tensor-4d"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
@@ -418,16 +423,17 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> 
     return total_abs, total_w
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights from a Jacobi matrix; finite at any order, where
-    ``scipy.special.roots_laguerre`` overflows to NaN (order 384).
+def _golub_welsch(matrices) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Gauss nodes and weights, one (nodes, weights) pair per Jacobi matrix
+    (diag, off, mass) of ``matrices``, all of one order; finite at any order,
+    where ``scipy.special.roots_laguerre`` overflows to NaN (order 384).
 
-    The nodes are the eigenvalues, from ``np.linalg.eigvalsh`` on the dense
-    matrix (LAPACK ``dsyevd`` without vectors).  Its reduction to
-    tridiagonal form leaves a tridiagonal matrix unchanged (every
-    Householder factor is 0), and the eigenvalues then come from ``dsterf``,
-    as in ``scipy.linalg.eigh_tridiagonal``, so the nodes equal that
-    solver's bit for bit (``test_golub_welsch_nodes_match_eigh_tridiagonal``).
+    The nodes are the eigenvalues, from ``np.linalg.eigvalsh`` on the stacked
+    dense matrices (LAPACK ``dsyevd`` without vectors, one matrix at a time).
+    Its reduction to tridiagonal form leaves a tridiagonal matrix unchanged
+    (every Householder factor is 0), and the eigenvalues then come from
+    ``dsterf``, as in ``scipy.linalg.eigh_tridiagonal``, so the nodes equal
+    that solver's bit for bit (``test_golub_welsch_nodes_match_eigh_tridiagonal``).
 
     The weights are not taken from the
     eigenvectors, whose components are accurate only in absolute terms (at
@@ -437,14 +443,19 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
     w_i = 1 / sum_k p_k(x_i)^2 of the orthonormal polynomials, run through
     their three-term recurrence with the running sum rescaled to 1 at every
     step, so the weight is exp(-2 log scale) and underflows cleanly to 0.
-    At order 192 these weights match 60-digit values to 1.2e-12 relative at
-    every node whose weight is above 1e-300.
+    One recurrence runs every matrix as a row; each row takes the float
+    steps of a one-matrix run, so its bits are the same.  At order 192
+    these weights match 60-digit values to 1.2e-12 relative at every node
+    whose weight is above 1e-300.
     """
+    diag, off, mass = (np.array(part, dtype=float) for part in zip(*matrices))
     # eigvalsh reads the lower triangle only
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    nodes = np.linalg.eigvalsh(np.stack([np.diag(d) + np.diag(o, -1) for d, o in zip(diag, off)]))
     p_prev = np.zeros_like(nodes)
     p = np.ones_like(nodes)
-    log_scale = np.full_like(nodes, -0.5 * math.log(mass))  # p_0 = mass^-1/2
+    log_scale = np.empty_like(nodes)
+    log_scale[:] = [[-0.5 * math.log(m)] for m in mass]  # p_0 = mass^-1/2
+    diag, off = diag.T[:, :, None], off.T[:, :, None]  # diag[k]: step k's entry of every row
     for k in range(len(diag) - 1):
         p_next = ((nodes - diag[k]) * p - (off[k - 1] * p_prev if k else 0.0)) / off[k]
         norm = np.sqrt(1.0 + p_next * p_next)  # running sum of p^2 is 1 before this step
@@ -455,7 +466,7 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> Tuple[np.nd
         raise NonConvergenceError(
             f"Gauss rule of order {len(diag)} produced non-finite nodes/weights"
         )
-    return nodes, weights
+    return list(zip(nodes, weights))
 
 
 @lru_cache(maxsize=None)
@@ -479,8 +490,8 @@ def _radial_pair_rule(order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray,
     weighted sum is the full rule's.
     """
     k = np.arange(order, dtype=float)
-    v, wv = _golub_welsch(2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0)
-    x, wx = _golub_welsch(np.zeros(order), k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0), 2.0)
+    (v, wv), (x, wx) = _golub_welsch([(2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0),
+                                      (np.zeros(order), k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0), 2.0)])
     if folded:  # the nodes come sorted, so t < 1/2 first
         x, wx = x[:(order + 1) // 2], wx[:(order + 1) // 2]
         wx[:order // 2] *= 2.0
@@ -493,25 +504,27 @@ def _radial_pair_rule(order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray,
 
 def _profiles(dim: int, u: np.ndarray) -> np.ndarray:
     """Real radial profiles K[n, m](rho, 0), rho = sqrt(u / 2), at the nodes u,
-    on the lower triangle n >= m, the only one the reduced pass reads (the
-    upper stays 0).  At p = 0 every kernel value is real, and these are the
-    float steps of ``_kernel_polys``'s real parts, so the bits are the same."""
+    in band layout: B[a, m] = K[m + a, m] for m + a < dim, and 0 elsewhere.
+    The lower triangle is the only one the reduced pass reads, and a band a
+    is the factor of the harmonic s = a, so each factor is a contiguous
+    slice of one row.  At p = 0 every kernel value is real, and these are
+    the float steps of ``_kernel_polys``'s real parts, so the bits are the
+    same.  Nodes of shape (modes, n) give one table per mode, stacked first."""
     x = np.sqrt(0.5 * u)
-    out = np.zeros((dim, dim, len(u)))
+    out = np.zeros(u.shape[:-1] + (dim, dim, u.shape[-1]))
     for m, col in _kernel_columns(dim, 2.0 * x, 4.0 * (x * x)):
-        out[m:, m] = col
+        out[..., :dim - m, m, :] = col.swapaxes(0, -2)  # (modes,) a, nodes
     return out
 
 
 @lru_cache(maxsize=MAX_REFINEMENTS + 1)
 def _radial_profiles(dim: int, order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """``_profiles`` of both modes on all of ``_radial_pair_rule(order, folded)``:
-    shared, so read-only, and C-contiguous, so the per-s products read them
-    densely."""
-    tables = tuple(_profiles(dim, u) for u in _radial_pair_rule(order, folded)[:2])
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
+    """``_profiles`` of both modes on all of ``_radial_pair_rule(order, folded)``,
+    from one build over both modes' nodes: shared, so read-only, and each
+    table C-contiguous, so the per-s products read them densely."""
+    tables = _profiles(dim, np.stack(_radial_pair_rule(order, folded)[:2]))
+    tables.setflags(write=False)
+    return tables[0], tables[1]
 
 
 def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
@@ -519,12 +532,12 @@ def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]
     n_a - n_b diagonal; c[k] is the amplitude of |n_a0 + k, n_b0 + k>."""
     m = dense.shape[0]
     weight = np.abs(dense) ** 2
-    offsets = range(1 - m, m)  # n_b - n_a
-    per_diag = [float(np.trace(weight, offset=k)) for k in offsets]
+    offset = np.arange(m) - np.arange(m)[:, None]  # n_b - n_a
+    per_diag = np.bincount((offset + (m - 1)).ravel(), weights=weight.ravel(), minlength=2 * m - 1)
     best = int(np.argmax(per_diag))
-    if float(weight.sum()) - per_diag[best] > TOL.norm:
+    if float(weight.sum()) - float(per_diag[best]) > TOL.norm:
         return None
-    k = offsets[best]
+    k = best - (m - 1)
     c = np.diagonal(dense, offset=k)
     nz = np.flatnonzero(c)
     return c[nz[0]:nz[-1] + 1], int(nz[0]) + max(0, -k), int(nz[0]) + max(0, k)
@@ -599,12 +612,15 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
         if len(wr) <= block:  # the whole order fits one block: its tables are cached
             prof_a, prof_b = _radial_profiles(dim, order, folded)
         else:
+            # one build per mode: a pair of streamed tables fills the whole
+            # 32 MiB budget, above glibc's largest mmap threshold, so every
+            # block would map and page-fault it afresh (3x the faults at order 384)
             prof_a = _profiles(dim, ua[sl])
             prof_b = _profiles(dim, ub[sl])
         coef = np.empty((prof_a.shape[-1], len(basis)))
         for s in range(span):
-            k = np.arange(s, span)
-            g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])
+            # K[n0 + k, n0 + k - s] for k = s .. span - 1 is band s from column n0
+            g = pairs[s] @ (prof_a[s, na0:na0 + span - s] * prof_b[s, nb0:nb0 + span - s])
             coef[:, s] = g.real
             if s and not real:
                 coef[:, span - 1 + s] = g.imag

@@ -352,6 +352,30 @@ def test_selftest_catches_profile_tables_cached_without_the_fold(monkeypatch, tm
     assert len(doc["checks"]) == 24
 
 
+def test_selftest_catches_band_tables_shifted_by_one_band(monkeypatch, tmp_path):
+    # B[a] read as B[a + 1]: every harmonic takes the next band's profiles
+    exact = wigner._profiles
+
+    def shifted(dim, u):
+        table = exact(dim, u)
+        out = np.zeros_like(table)
+        out[..., :-1, :, :] = table[..., 1:, :, :]
+        return out
+
+    monkeypatch.setattr(wigner, "_profiles", shifted)
+    wigner._radial_profiles.cache_clear()  # no table another test built
+    try:
+        report = tmp_path / "selftest.json"
+        assert main(["selftest", "--out", str(report)]) == 4
+    finally:
+        wigner._radial_profiles.cache_clear()  # no shifted table for later tests
+    doc = json.loads(report.read_text())
+    # the checks that hold the reduced pass to an independent value fail; the
+    # ones that hold two reduced passes on the same tables together do not
+    assert doc["failures"] == ["wigner-normalization", "nv-reduced-vs-tensor"]
+    assert len(doc["checks"]) == 24
+
+
 def test_selftest_catches_an_image_diagonal_one_photon_off(monkeypatch, tmp_path):
     exact = wigner._pair_diagonal
 

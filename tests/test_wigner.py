@@ -164,13 +164,27 @@ def test_laguerre_rows_run_every_alpha_in_one_recurrence():
 
 @pytest.mark.parametrize("dim,order", [(9, 48), (41, 24)])
 def test_real_profiles_are_the_kernel_real_parts_on_the_lower_triangle(dim, order):
-    lower = np.tril(np.ones((dim, dim), dtype=bool))
+    # band layout: B[a, m] = K[m + a, m] where m + a < dim, and 0 elsewhere;
+    # the bands hold every entry of the lower triangle once
+    a, m = np.indices((dim, dim))
+    inside = m + a < dim
     for u in _radial_pair_rule(order, False)[:2]:
         got = wigner_module._profiles(dim, u)
         want = wigner_module._kernel_polys(dim, np.sqrt(0.5 * u), np.zeros(len(u))).real
-        assert got.dtype == np.float64
-        assert got[lower].tobytes() == want[lower].tobytes()
-        assert not got[~lower].any()
+        assert got.dtype == np.float64 and got.shape == (dim, dim, len(u))
+        assert got[inside].tobytes() == want[(m + a)[inside], m[inside]].tobytes()
+        assert not got[~inside].any()
+
+
+@pytest.mark.parametrize("dim,order,folded", [(5, 24, True), (11, 48, False), (41, 24, True)])
+def test_one_profile_build_serves_both_modes(dim, order, folded, fresh_profiles):
+    # the cached tables come from one build over both modes' nodes, which is
+    # elementwise in the nodes: each is bit-equal to its own mode's build
+    ua, ub, _ = _radial_pair_rule(order, folded)
+    tables = wigner_module._radial_profiles(dim, order, folded)
+    assert len(tables) == 2
+    for table, u in zip(tables, (ua, ub)):
+        assert table.tobytes() == wigner_module._profiles(dim, u).tobytes()
 
 
 def test_frozen_cross_value():
@@ -261,21 +275,60 @@ def test_golub_welsch_nodes_match_eigh_tridiagonal(order, monkeypatch):
     # every Jacobi matrix the library builds (Hermite for the marginal rule at
     # order 32 and the NV axes, Laguerre alpha = 1 and Legendre for the
     # reduced NV rule, at every ladder order 24 * 2^k <= 384): the dense
-    # eigvalsh nodes must equal the tridiagonal solver's bit for bit
+    # eigvalsh nodes must equal the tridiagonal solver's bit for bit.  The
+    # Hermite rule runs alone, the radial rule's two matrices in one call
     calls = []
+    batches = []
     exact = wigner_module._golub_welsch
 
-    def spy(diag, off, mass):
-        nodes, weights = exact(diag, off, mass)
-        calls.append((diag, off, nodes))
-        return nodes, weights
+    def spy(matrices):
+        rules = exact(matrices)
+        batches.append(len(matrices))
+        calls.extend((diag, off, nodes) for (diag, off, _), (nodes, _) in zip(matrices, rules))
+        return rules
 
     monkeypatch.setattr(wigner_module, "_golub_welsch", spy)
     wigner_module.build_wigner_grid(order)
     wigner_module._radial_pair_rule.__wrapped__(order, False)
+    assert batches == [1, 2]
     assert len(calls) == 3
     for diag, off, nodes in calls:
         assert np.array_equal(nodes, scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True))
+
+
+def _jacobi_matrices(order):
+    """The Hermite, Laguerre (alpha = 1) and Legendre Jacobi matrices of
+    ``build_wigner_grid`` and ``_radial_pair_rule``, as (diag, off, mass)."""
+    k = np.arange(order, dtype=float)
+    return [(np.zeros(order), np.sqrt(0.5 * k[1:]), math.sqrt(math.pi)),
+            (2.0 * k + 2.0, np.sqrt(k[1:] * (k[1:] + 1.0)), 1.0),
+            (np.zeros(order), k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0), 2.0)]
+
+
+def _christoffel_one_matrix(diag, off, mass, nodes):
+    """Christoffel weights of one Jacobi matrix at its nodes, one scalar
+    recurrence per call: the oracle of the stacked recurrence's bits."""
+    p_prev = np.zeros_like(nodes)
+    p = np.ones_like(nodes)
+    log_scale = np.full_like(nodes, -0.5 * math.log(mass))
+    for k in range(len(diag) - 1):
+        p_next = ((nodes - diag[k]) * p - (off[k - 1] * p_prev if k else 0.0)) / off[k]
+        norm = np.sqrt(1.0 + p_next * p_next)
+        p_prev, p = p / norm, p_next / norm
+        log_scale += np.log(norm)
+    return np.exp(-2.0 * log_scale)
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 96, 192, 384])
+def test_stacked_golub_welsch_is_bit_equal_to_one_matrix_runs(order):
+    matrices = _jacobi_matrices(order)
+    stacked = wigner_module._golub_welsch(matrices)
+    assert len(stacked) == 3
+    for (diag, off, mass), (nodes, weights) in zip(matrices, stacked):
+        [(one_nodes, one_weights)] = wigner_module._golub_welsch([(diag, off, mass)])
+        assert nodes.tobytes() == one_nodes.tobytes()
+        assert weights.tobytes() == one_weights.tobytes()
+        assert weights.tobytes() == _christoffel_one_matrix(diag, off, mass, nodes).tobytes()
 
 
 def test_rule_validation():
@@ -462,8 +515,9 @@ def test_under_resolved_result_is_never_converged(monkeypatch, fresh_profiles):
 
 
 def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_profiles):
-    # 12 points, 2 dimensions (N = 2, 4), orders 24 and 48, 2 modes: a table
-    # per point and pass would take 48 calls
+    # 12 points, 2 dimensions (N = 2, 4), orders 24 and 48, one build for both
+    # modes: one build per (dimension, order) key; a table per point, pass and
+    # mode would take 48 calls
     calls = []
     profiles = wigner_module._profiles
 
@@ -473,7 +527,7 @@ def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_pro
 
     monkeypatch.setattr(wigner_module, "_profiles", spy)
     assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
-    assert len(calls) == 8
+    assert sorted(calls) == [3, 3, 5, 5]  # dimension N + 1 at orders 24 and 48
 
 
 def test_cached_profile_tables_are_read_only_and_contiguous():
@@ -494,6 +548,130 @@ def test_deep_ladder_is_equal_with_cached_and_fresh_tables():
     warm = negativity_volume(state, tol=1e-9)
     assert [order for order, _ in fresh.resolution_history] == [24, 48, 96, 192, 384]
     assert warm == fresh
+
+
+def _square_profiles(dim, u):
+    """Real radial profiles in square layout, K[n, m] at [n, m] on the lower
+    triangle and 0 above it."""
+    x = np.sqrt(0.5 * u)
+    out = np.zeros((dim, dim, len(u)))
+    for m, col in wigner_module._kernel_columns(dim, 2.0 * x, 4.0 * (x * x)):
+        out[m:, m] = col
+    return out
+
+
+def _reduced_pass_square_gather(c, na0, nb0, order, radial_fold=True):
+    """The reduced pass on square-layout tables, each G_s factor gathered by
+    fancy indexes, on tables built for each block: the oracle whose bits the
+    band layout's contiguous views must keep."""
+    folded = radial_fold and na0 == nb0
+    ua, ub, wr = wigner_module._radial_pair_rule(order, folded)
+    span = len(c)
+    dim = max(na0, nb0) + span
+    pairs = [(2.0 if s else 1.0) * c[s:] * np.conj(c[:span - s]) for s in range(span)]
+    real = not any(p.imag.any() for p in pairs)
+    n_theta = max(order, span) + max(order, span) % 2
+    theta, theta_w = wigner_module._theta_rule(n_theta, real)
+    harmonics = np.arange(span)[:, None] * theta
+    basis = np.cos(harmonics)
+    if not real:
+        basis = np.concatenate([basis, np.sin(harmonics[1:])])
+    total_abs = total_w = 0.0
+    block = max(1, wigner_module._BLOCK_ENTRIES // max(len(theta), 2 * dim * dim))
+    for start in range(0, len(wr), block):
+        sl = slice(start, start + block)
+        prof_a, prof_b = _square_profiles(dim, ua[sl]), _square_profiles(dim, ub[sl])
+        coef = np.empty((prof_a.shape[-1], len(basis)))
+        for s in range(span):
+            k = np.arange(s, span)
+            g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])
+            coef[:, s] = g.real
+            if s and not real:
+                coef[:, span - 1 + s] = g.imag
+        w = coef @ basis
+        total_w += float(wr[sl] @ (w @ theta_w))
+        total_abs += float(wr[sl] @ (np.abs(w) @ theta_w))
+    scale = 0.25 * math.pi ** 2 / n_theta
+    return scale * total_abs, scale * total_w
+
+
+@pytest.mark.parametrize("order", [24, 25, 48, 96])
+def test_band_pass_is_bit_equal_to_the_square_gather_on_figure4_points(order, fresh_profiles):
+    # the real diagonal folds theta, the phased copy keeps the full circle
+    phase = np.exp(1j * math.pi / 3)
+    for n in FIG4_N_VALUES:
+        for r in FIG4_R_VALUES:
+            c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n)))
+            for amps in (c, c * phase):
+                want = _reduced_pass_square_gather(amps, na0, nb0, order)
+                assert wigner_module._reduced_pass(amps, na0, nb0, order) == want, (r, n)
+
+
+@pytest.mark.parametrize("order", [8, 25, 48])
+def test_band_pass_is_bit_equal_to_the_square_gather_off_the_main_diagonal(order, fresh_profiles):
+    # |j + 1, j> takes the full radial rule and reads mode a's tables one row down
+    c = np.array([0.6, -0.5, 0.4])
+    c /= np.linalg.norm(c)
+    for amps in (c, c * np.exp(0.7j)):
+        want = _reduced_pass_square_gather(amps, 1, 0, order)
+        assert wigner_module._reduced_pass(amps, 1, 0, order) == want
+
+
+def test_band_pass_is_bit_equal_to_the_square_gather_on_a_streamed_order(fresh_profiles):
+    # N = 10 at order 192: 18,432 folded nodes stream in two blocks
+    c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=0.8, n_max=10)))
+    dim = na0 + len(c)
+    assert 192 * 96 > wigner_module._BLOCK_ENTRIES // (2 * dim * dim)
+    assert wigner_module._reduced_pass(c, na0, nb0, 192) == _reduced_pass_square_gather(c, na0, nb0, 192)
+
+
+def _single_diagonal_per_offset(dense):
+    """``_single_diagonal`` with one ``np.trace`` per n_b - n_a offset: the
+    oracle of the one-call diagonal search."""
+    m = dense.shape[0]
+    weight = np.abs(dense) ** 2
+    offsets = range(1 - m, m)
+    per_diag = [float(np.trace(weight, offset=k)) for k in offsets]
+    best = int(np.argmax(per_diag))
+    if float(weight.sum()) - per_diag[best] > TOL.norm:
+        return None
+    k = offsets[best]
+    c = np.diagonal(dense, offset=k)
+    nz = np.flatnonzero(c)
+    return c[nz[0]:nz[-1] + 1], int(nz[0]) + max(0, -k), int(nz[0]) + max(0, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_diagonal_matches_the_per_offset_traces(data):
+    # a planted diagonal, with zero ends that the finder trims, carries all
+    # but 10^e TOL.norm of the weight, which the rest of the matrix holds (or
+    # none of it); |e| >= 0.5, since exactly at TOL.norm the verdict is
+    # rounding noise that any summation order may decide either way
+    m = data.draw(st.integers(min_value=0, max_value=10), label="cutoff") + 1
+    k = data.draw(st.integers(min_value=1 - m, max_value=m - 1), label="offset")
+    length = m - abs(k)
+    lead = data.draw(st.integers(min_value=0, max_value=length - 1), label="leading zeros")
+    trail = data.draw(st.integers(min_value=0, max_value=length - 1 - lead), label="trailing zeros")
+    exponent = data.draw(st.none() | st.floats(-4.0, -0.5) | st.floats(0.5, 4.0), label="e")
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed"))
+    rest = 0.0 if exponent is None else 10.0 ** exponent * TOL.norm
+    dense = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    rows = np.arange(length) + max(0, -k)
+    dense[rows, rows + k] = 0.0
+    off_weight = float((np.abs(dense) ** 2).sum())
+    rest = rest if off_weight else 0.0  # one level has no off-diagonal entries
+    dense *= math.sqrt(rest / off_weight) if off_weight else 0.0
+    diag = rng.normal(size=length) + 1j * rng.normal(size=length)
+    diag[:lead] = 0.0
+    diag[length - trail:] = 0.0
+    dense[rows, rows + k] = diag * math.sqrt((1.0 - rest) / float((np.abs(diag) ** 2).sum()))
+    got = wigner_module._single_diagonal(dense)
+    want = _single_diagonal_per_offset(dense)
+    assert (got is None) == (want is None) == (rest > TOL.norm)
+    if want is not None:
+        assert got[1:] == want[1:]
+        assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize(

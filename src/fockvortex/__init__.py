@@ -1,19 +1,15 @@
 """fockvortex: two-mode Fock-space engine for beam-splitter vortex states.
 
 Builds truncated photon-number two-mode squeezed states, interferes them
-on a balanced beam splitter (exact Fock-basis unitary plus an
-independently derived closed form used as a cross-check oracle), and
-quantifies the output: transverse quadrature fields with phase-winding
-detection, Wigner functions with negativity volume, and logarithmic
-negativity across the splitter.
+on a balanced beam splitter, and quantifies the output: transverse
+quadrature fields with phase-winding detection, Wigner slices with
+negativity volume, and logarithmic negativity across the splitter, each by
+one production path for a pure ``TwoModeState``.  Their oracles live in
+``fockvortex.oracles``, which the package does not import.
 """
 __version__ = "0.3.3"
 
-from .beamsplitter import (
-    apply_beam_splitter,
-    closed_form_vortex_state,
-    inject_fault,
-)
+from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, TOL, Tolerances
 from .entanglement import (
     EntanglementReport,
@@ -37,27 +33,21 @@ from .quadrature import (
     count_vortices,
     evaluate_field,
     hermite_basis,
-    hermite_function,
 )
 from .states import (
     DensityMatrix,
     SqueezeParams,
     TwoModeState,
     make_tmss,
-    random_state,
     state_to_density,
-    total_photon_distribution,
 )
 from .wigner import (
     NegativityResult,
     WignerSlice,
     build_wigner_grid,
     negativity_volume,
-    position_marginal,
-    wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
-    wigner_state,
 )
 
 __all__ = [
@@ -66,22 +56,14 @@ __all__ = [
     "DensityMatrix",
     "make_tmss",
     "state_to_density",
-    "total_photon_distribution",
-    "random_state",
     "apply_beam_splitter",
-    "closed_form_vortex_state",
-    "inject_fault",
-    "hermite_function",
     "hermite_basis",
     "QuadratureGrid",
     "QuadratureField",
     "evaluate_field",
     "VortexReport",
     "count_vortices",
-    "wigner_fock_diagonal",
-    "wigner_state",
     "wigner_diagonal_form",
-    "position_marginal",
     "WignerSlice",
     "build_wigner_grid",
     "NegativityResult",

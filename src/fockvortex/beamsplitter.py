@@ -1,16 +1,11 @@
 """50:50 beam-splitter unitary on two-mode Fock states.
 
-Two independent constructions are kept side by side:
-
-* ``apply_beam_splitter`` expands the mode map
-  a+ -> (a+ + i b+)/sqrt(2),  b+ -> (b+ + i a+)/sqrt(2)
-  binomially on every Fock component.  This is the ground-truth oracle.
-* ``closed_form_vortex_state`` builds the same output from the per-pair
-  coefficient formula and is validated against the oracle.  The binomial
-  algebra forces the per-term prefactor tanh(r)^j * j! / 2^j per |j, j>
-  component, which the oracle confirms (a j-independent constant is
-  absorbed by normalization and would be invisible - a j-dependent one
-  is not).
+``apply_beam_splitter`` expands the mode map
+a+ -> (a+ + i b+)/sqrt(2),  b+ -> (b+ + i a+)/sqrt(2)
+binomially on every Fock component.  ``_pair_terms`` gives the per-pair
+coefficients of that expansion for a pair input |j, j>, which the diagonal
+closed form of ``fockvortex.wigner`` and the closed-form vortex state of
+``fockvortex.oracles`` (the splitter's independent cross-check) both sum.
 """
 from __future__ import annotations
 
@@ -20,18 +15,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .config import TOL
-from .errors import CoefficientMismatchError
-from .states import SqueezeParams, TwoModeState, make_tmss
-
-# debug hook for the selftest's mutation check: flips the sign of the
-# closed form's summation phase (i -> -i).  Never set in normal operation.
-_FAULT_INJECTED = False
-
-
-def inject_fault(enabled: bool) -> None:
-    global _FAULT_INJECTED
-    _FAULT_INJECTED = bool(enabled)
+from .states import SqueezeParams, TwoModeState
 
 
 def _lgamma_table(n: int) -> np.ndarray:
@@ -78,29 +62,3 @@ def _pair_terms(params: SqueezeParams) -> Iterator[Tuple[int, int, int, float]]:
                     0.5 * (lg[j - l + k] + lg[j + l - k])
                     - lg[k] - lg[j - k] - lg[l] - lg[j - l]
                 )
-
-
-def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
-    """Normalized closed-form amplitudes on the (2N+1)^2 grid."""
-    n = params.n_max
-    t = math.tanh(params.r)
-    pref = [t ** j * math.exp(lgamma(j + 1) - j * math.log(2.0)) for j in range(n + 1)]
-    phase_base = -1j if _FAULT_INJECTED else 1j
-    out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    for j, k, l, c in _pair_terms(params):
-        m = l - k
-        out[j - m, j + m] += pref[j] * phase_base ** (k + l) * c
-    return out / np.linalg.norm(out)
-
-
-def closed_form_vortex_state(params: SqueezeParams, verify: bool = True) -> TwoModeState:
-    """Vortex state from the coefficient formula, validated against the oracle
-    unless ``verify`` is False."""
-    dense = _closed_form_dense(params)
-    if verify:
-        dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)
-        worst = float(dev.max())
-        if worst > TOL.oracle:
-            na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
-    return TwoModeState(dense)

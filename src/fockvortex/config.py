@@ -2,7 +2,7 @@
 
 ``TOL`` holds the tolerances that the library's checks share; no caller or
 test replaces it.  A bound that serves one check stays beside it, such as
-the 1e-10 residual factor of ``entanglement._eigvals_checked``.
+the 1e-10 residual factor of ``oracles._eigvals_checked``.
 """
 from dataclasses import dataclass
 

@@ -2,7 +2,9 @@
 
 The partial transpose of a pure state has eigenvalues s_i**2 and
 +-s_i*s_j (i < j) over its Schmidt coefficients s_i (Vidal & Werner, PRA 65,
-032314 (2002)); a density matrix takes an ``eigh``, the pure path's oracle.
+032314 (2002)), so ``log_negativity`` takes them from one SVD.  An ``eigh``
+of the partial transpose, the pure path's oracle, is
+``fockvortex.oracles.log_negativity_eigh``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import EigensolverError, InvalidParameterError
-from .states import DensityMatrix, TwoModeState, state_to_density
+from .states import DensityMatrix, TwoModeState, check_state, state_to_density
 
 
 @dataclass(frozen=True)
@@ -47,18 +49,6 @@ def partial_transpose(rho: Union[TwoModeState, DensityMatrix]) -> DensityMatrix:
     return DensityMatrix(np.ascontiguousarray(rho.tensor.transpose(2, 1, 0, 3)))
 
 
-def _eigvals_checked(mat: np.ndarray) -> np.ndarray:
-    try:
-        vals, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(mat.shape[0], float("nan")) from exc
-    residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
-    norm = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    if not residual <= 1e-10 * norm * mat.shape[0]:
-        raise EigensolverError(mat.shape[0], residual)
-    return vals
-
-
 def _schmidt_values(state: TwoModeState) -> np.ndarray:
     """Singular values of the amplitude matrix, checked to square-sum to 1."""
     amps = state.amplitudes
@@ -72,19 +62,9 @@ def _schmidt_values(state: TwoModeState) -> np.ndarray:
     return values
 
 
-def log_negativity(state_or_rho) -> EntanglementReport:
-    """log2 of the trace norm of the partial transpose across the a|b split.
-
-    The negative eigenvalues are the -s_i*s_j of a ``TwoModeState``'s Schmidt
-    coefficients, or those of a checked ``eigh`` of a ``DensityMatrix``'s
-    partial transpose; values in (-TOL.eig_zero, 0) count as zero.
-    """
-    if isinstance(state_or_rho, TwoModeState):
-        s = _schmidt_values(state_or_rho)
-        vals, dimension = -np.outer(s, s)[np.triu_indices(s.size, 1)], s.size * s.size
-    else:
-        pt = partial_transpose(state_or_rho).as_matrix()
-        vals, dimension = _eigvals_checked(pt), pt.shape[0]
+def _report(vals: np.ndarray, dimension: int) -> EntanglementReport:
+    """The report of a partial-transpose spectrum ``vals``; values in
+    (-TOL.eig_zero, 0) count as zero."""
     negatives = np.sort(vals[vals <= -TOL.eig_zero])
     negativity = float(-negatives.sum())
     return EntanglementReport(
@@ -94,3 +74,13 @@ def log_negativity(state_or_rho) -> EntanglementReport:
         matrix_dimension=dimension,
     )
 
+
+def log_negativity(state: TwoModeState) -> EntanglementReport:
+    """log2 of the trace norm of the partial transpose across the a|b split of
+    a pure state, whose negative eigenvalues are the -s_i*s_j of its Schmidt
+    coefficients.  Any other input raises ``InvalidParameterError``:
+    ``fockvortex.oracles.log_negativity_eigh`` takes it.
+    """
+    check_state(state, "log_negativity_eigh")
+    s = _schmidt_values(state)
+    return _report(-np.outer(s, s)[np.triu_indices(s.size, 1)], s.size * s.size)

@@ -1,4 +1,6 @@
-"""Exception types, grouped by the CLI exit code they map to."""
+"""Exception types, grouped by the CLI exit code they map to, and the
+checks of numeric parameters that raise ``InvalidParameterError``."""
+import numbers
 
 
 class FockVortexError(Exception):
@@ -9,6 +11,20 @@ class FockVortexError(Exception):
 
 class InvalidParameterError(FockVortexError):
     """A user-supplied parameter violates its precondition."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """A count is an integer of at least ``least``, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """A real number, which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
 # -- numerical non-convergence (exit code 3) ------------------------------

@@ -244,19 +244,3 @@ def repr_table(values: np.ndarray) -> np.ndarray:
         text = np.array(list(map(repr, values[slow].tolist())), dtype=f"S{REPR_WIDTH}")
         table[slow] = text.view(np.uint8).reshape(len(slow), REPR_WIDTH)
     return table
-
-
-def hard_cases() -> np.ndarray:
-    """Doubles where a shortest-repr formatter goes wrong first: signed zeros,
-    the subnormal and normal extremes, values that round up into a new digit
-    (0.2, 0.3), exact ties that round half to even, the edges of repr's fixed
-    notation (1e-4, 1e-5, 1e15, 1e16) and of the Ryū branch (2^50 and its
-    neighbours), every power of ten from 1e-320 to 1e308, every power of two
-    (whose lower neighbour is closer) and a 24-character repr."""
-    tiny = np.finfo(float).tiny
-    edge = 2.0 ** 50
-    cases = [0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), -tiny, np.finfo(float).max,
-             0.2, 0.3, -0.2, 562949953421312.25, 562949953421312.75, 17179869200.1640625,
-             1e-4, 1e-5, 1e15, 1e16, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
-    cases += [float(f"1e{e}") for e in range(-320, 309)]
-    return np.concatenate([cases, 2.0 ** np.arange(-1074, 1024)])

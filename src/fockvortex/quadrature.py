@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .config import TOL
-from .errors import GridTooCoarseError, InvalidParameterError
+from .errors import GridTooCoarseError, InvalidParameterError, check_count, check_real
 from .floatrepr import REPR_WIDTH, repr_table as _repr_table
 from .states import TwoModeState
 
@@ -35,15 +35,6 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def hermite_function(n: int, x: Union[float, np.ndarray]):
-    """psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x)."""
-    if n < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {n}")
-    scalar = np.isscalar(x)
-    out = hermite_basis(n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     x_min: float
@@ -54,12 +45,14 @@ class QuadratureGrid:
     n_y: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            check_real(name, getattr(self, name))
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
             raise InvalidParameterError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid bounds must satisfy min < max")
-        if self.n_x < 2 or self.n_y < 2:
-            raise InvalidParameterError("grid needs at least 2 samples per axis")
+        check_count("n_x", self.n_x, 2)
+        check_count("n_y", self.n_y, 2)
 
     @classmethod
     def square(cls, half_width: float, n: int) -> "QuadratureGrid":

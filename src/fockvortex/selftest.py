@@ -2,8 +2,9 @@
 its oracle or a pinned value.
 
 ``checks`` lists them in run order and ``run`` runs them, printing one
-verdict line each.  ``fockvortex.cli`` imports this module only when the
-``selftest`` command runs, so no other command loads these oracles.
+verdict line each.  Every oracle comes from ``fockvortex.oracles``, and
+``fockvortex.cli`` imports this module only when the ``selftest`` command
+runs, so no other command loads them.
 """
 from __future__ import annotations
 
@@ -16,35 +17,17 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import quadrature, wigner
-from .beamsplitter import apply_beam_splitter, closed_form_vortex_state, inject_fault
+from .beamsplitter import apply_beam_splitter
 from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES, _build_state
 from .config import TOL
 from .entanglement import log_negativity, partial_transpose
-from .floatrepr import REPR_WIDTH, hard_cases, repr_table
-from .quadrature import (
-    QuadratureField,
-    QuadratureGrid,
-    count_vortices,
-    evaluate_field,
-    hermite_function,
-)
-from .states import (
-    SqueezeParams,
-    TwoModeState,
-    make_tmss,
-    random_state,
-    state_to_density,
-    total_photon_distribution,
-)
-from .wigner import (
-    build_wigner_grid,
-    negativity_volume,
-    plane_points,
-    position_marginal,
-    wigner_fock_diagonal,
-    wigner_slice,
-    wigner_state,
-)
+from .floatrepr import REPR_WIDTH, repr_table
+from .oracles import (_box_rule, closed_form_vortex_state, hard_cases, hermite_function, inject_fault,
+                      log_negativity_eigh, position_marginal, random_state, tensor_negativity_volume,
+                      total_photon_distribution, wigner_fock_diagonal, wigner_state)
+from .quadrature import QuadratureField, QuadratureGrid, count_vortices, evaluate_field
+from .states import SqueezeParams, TwoModeState, make_tmss, state_to_density
+from .wigner import build_wigner_grid, negativity_volume, plane_points, wigner_slice
 
 
 def checks() -> List[Tuple[str, Callable[[], None]]]:
@@ -195,14 +178,14 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
         # pins the eigensolver path, the oracle of logneg-schmidt-vs-eigh
         amp = 1 / math.sqrt(2)
         bell = TwoModeState.from_pairs({(0, 0): amp, (1, 1): amp}, cutoff=2)
-        report = log_negativity(state_to_density(bell))
+        report = log_negativity_eigh(state_to_density(bell))
         assert abs(report.log_negativity - 1.0) < 1e-9, f"got {report.log_negativity}"
         assert abs(min(report.negative_eigenvalues) + 0.5) < 1e-12
 
     def logneg_schmidt_vs_eigh():
         rng = np.random.default_rng(5)
         for state in (_build_state(0.7, 3, fock_input=False), random_state(rng, cutoff=4)):
-            fast, slow = log_negativity(state), log_negativity(state_to_density(state))
+            fast, slow = log_negativity(state), log_negativity_eigh(state_to_density(state))
             assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues), "spectrum size"
             gaps = np.subtract([fast.log_negativity, *fast.negative_eigenvalues],
                                [slow.log_negativity, *slow.negative_eigenvalues])
@@ -210,21 +193,21 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
 
     def quadrature_rule_sound():
         for name, (_, weights) in (("tensor-gauss-hermite", build_wigner_grid(48)),
-                                   ("uniform-box", wigner._box_rule(48, cutoff=8))):
+                                   ("uniform-box", _box_rule(48, cutoff=8))):
             gap = abs(float(weights.sum()) - math.sqrt(math.pi / 2.0))  # integral of e^{-2 q^2}
             assert gap < 1e-8, f"{name}: {gap}"
             assert np.all(weights > 0), f"{name}: weights not positive"
 
     def nv_reduced_vs_tensor():
-        # the 4-D tensor engine, reached through the density matrix, is the
-        # oracle for the symmetry-reduced pass the pure state takes; at one
-        # matched order both carry kink errors of |W| up to a few 1e-4.  The
-        # input, which the pipelines integrate, sits on one diagonal itself;
+        # the 4-D tensor engine, on the density matrix, is the oracle for the
+        # symmetry-reduced pass the pure state takes; at one matched order
+        # both carry kink errors of |W| up to a few 1e-4.  The input, which
+        # the pipelines integrate, sits on one diagonal itself;
         # nv-splitter-invariance covers an image a library caller may pass
         state = _build_state(0.8, 1, fock_input=False, pre_bs=True)
         fast = negativity_volume(state, 48, max_refinements=0)
-        slow = negativity_volume(state_to_density(state), 48, max_refinements=0)
-        assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "dispatch changed"
+        slow = tensor_negativity_volume(state_to_density(state), 48, max_refinements=0)
+        assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "engine changed"
         gap = abs(fast.volume - slow.volume)
         assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
 

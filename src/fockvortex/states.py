@@ -3,18 +3,18 @@
 A pure two-mode state is its complex amplitude matrix A[n_a, n_b] over
 photon-number pairs, zero beyond a total-photon cutoff.  The photon-number
 squeezed input family lives here, together with the outer-product density
-matrix and total-photon diagnostics.
+matrix, which no production path takes (see ``fockvortex.oracles``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from .config import TOL
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError, InvalidStateError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,10 @@ class SqueezeParams:
     n_max: int
 
     def __post_init__(self):
+        check_real("squeezing parameter", self.r)
         if not (self.r >= 0.0) or not math.isfinite(self.r):
             raise InvalidParameterError(f"squeezing parameter must be finite and >= 0, got {self.r}")
-        if self.n_max < 0 or int(self.n_max) != self.n_max:
-            raise InvalidParameterError(f"truncation order must be an integer >= 0, got {self.n_max}")
+        check_count("truncation order", self.n_max, 0)
 
 
 def _total_photons(m: int) -> np.ndarray:
@@ -65,8 +65,7 @@ class TwoModeState:
     @classmethod
     def from_pairs(cls, pairs: Mapping[Tuple[int, int], complex], cutoff: int) -> "TwoModeState":
         """State from a {(n_a, n_b): amplitude} map; absent pairs are zero."""
-        if cutoff < 0:
-            raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
+        check_count("cutoff", cutoff, 0)
         amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         for (na, nb), value in pairs.items():
             # negative indices would wrap around instead of failing
@@ -90,6 +89,14 @@ class TwoModeState:
 
     def __repr__(self):
         return f"TwoModeState(terms={np.count_nonzero(self.amplitudes)}, cutoff={self.cutoff})"
+
+
+def check_state(value, oracle: str) -> None:
+    """Refuse anything but a ``TwoModeState`` on a production path, naming
+    the general path in ``fockvortex.oracles`` that takes it."""
+    if not isinstance(value, TwoModeState):
+        raise InvalidParameterError(f"expected a TwoModeState, got {type(value).__name__}: "
+                                    f"fockvortex.oracles.{oracle} takes it")
 
 
 class DensityMatrix:
@@ -150,24 +157,3 @@ def state_to_density(state: TwoModeState) -> DensityMatrix:
     amps = state.amplitudes
     tensor = np.einsum("ab,cd->abcd", amps, amps.conj())
     return DensityMatrix(tensor)
-
-
-def total_photon_distribution(state: TwoModeState) -> Dict[int, float]:
-    """Probability of total photon number n_a + n_b over the nonzero
-    amplitudes, sorted by total."""
-    occupied = np.nonzero(state.amplitudes)
-    totals = _total_photons(state.cutoff + 1)[occupied]
-    sums = np.bincount(totals, weights=np.abs(state.amplitudes[occupied]) ** 2)
-    return {int(k): float(sums[k]) for k in np.unique(totals)}
-
-
-def random_state(rng: np.random.Generator, cutoff: int) -> TwoModeState:
-    """Haar-ish random normalized state on all pairs with n_a + n_b <= cutoff.
-
-    Test utility; not part of the physics pipeline.
-    """
-    support = np.nonzero(_total_photons(cutoff + 1) <= cutoff)  # row-major pair order
-    vec = rng.normal(size=support[0].size) + 1j * rng.normal(size=support[0].size)
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amps[support] = vec / np.linalg.norm(vec)
-    return TwoModeState(amps)

@@ -7,9 +7,9 @@ function is W_n(x, p) = (2/pi) (-1)^n L_n(4 q^2) e^{-2 q^2} with
 q^2 = x^2 + p^2 (vacuum peak 2/pi, vacuum variance 1/4).  The position
 field psi(x, y) of the quadrature module uses the Hermite-function scale
 (vacuum variance 1/2), so the two charts differ by a factor sqrt(2) in
-coordinates and 2 in density; ``position_marginal`` applies that bridge
-explicitly and returns the Born-rule density |psi(x, y)|^2 in field
-coordinates.
+coordinates and 2 in density; ``fockvortex.oracles.position_marginal``
+applies that bridge and returns the Born-rule density |psi(x, y)|^2 in
+field coordinates.
 
 The general |n><m| kernels carry the cross terms that a pure two-mode
 state needs.  A diagonal double-sum closed form for this state family
@@ -34,46 +34,27 @@ pipelines build:
   with theta = phi_a + phi_b and real-polynomial radial profiles G_s; the
   sine terms vanish when the amplitudes are real up to a global phase.
 
-``negativity_volume`` therefore dispatches on the input: a pure
-``TwoModeState`` that carries all but ``TOL.norm`` of its weight on one
-diagonal is integrated on order^2 radial nodes in (u_a, u_b), u = 2 rho^2
-(Gauss-Laguerre in u_a + u_b times Gauss-Legendre in the ratio
-t = u_b / (u_a + u_b), see ``_radial_pair_rule``; the weights come from the
-Christoffel function, which keeps them accurate relative to their size at
-the largest nodes, where the degree-2N radial profiles are huge), times a
-trapezoid rule in theta with ``max(order, s_max + 1)`` nodes rounded up to
-even, which is exact for the trigonometric polynomial in theta.  On a real
-diagonal W is even in theta, and the rule folds onto the
-n_theta / 2 + 1 nodes of [0, pi] (``_theta_rule``).  On a mode-symmetric
-diagonal (n_a0 = n_b0, every pipeline input) W is symmetric under
-u_a <-> u_b, and the radial rule folds onto t <= 1/2: order * ceil(order / 2)
-nodes.  The pipelines and
-``nv`` pass the splitter's input, whose diagonal needs no splitter pass; a
-splitter image that a library caller passes has its diagonal found after
-one more pass, and the selftest holds the two volumes together.  Density
-matrices and states without that symmetry take the 4-D tensor-product
-engine, which also serves as the oracle for the reduced pass in the tests
-and the selftest.  The ladder's one setting is its starting order;
-``check_ladder`` states its bounds.
+``negativity_volume`` therefore takes a pure ``TwoModeState`` that carries
+all but ``TOL.norm`` of its weight on one diagonal, directly or after one
+more splitter pass (the pipelines and ``nv`` pass the splitter's input,
+which needs none), and integrates it by ``_reduced_pass``: a radial rule in
+(u_a, u_b), u = 2 rho^2 (``_radial_pair_rule``), times a trapezoid rule in
+theta that is exact for the trigonometric polynomial (``_theta_rule``);
+each folds onto about half its nodes where W has the symmetry for it.  Any
+other input (a density matrix, or a state on no single diagonal) raises
+``InvalidParameterError``: the 4-D tensor-product engine,
+``fockvortex.oracles.tensor_negativity_volume``, takes it, and is the oracle
+for the reduced pass in the tests and the selftest.  The ladder's one
+setting is its starting order; ``check_ladder`` states its bounds.
 
-Both engines take a rule as a ``(nodes, weights)`` pair.  Every blocked
-loop (``wigner_state``, ``_kernel_products``, ``_nv_pass``,
-``_reduced_pass``) sizes its block arrays from the one budget
-``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  The kernel table
-comes from one Laguerre recurrence over every alpha and one product per
-column (``_kernel_columns``).  The reduced pass's radial profiles are its
-real lower triangle in float64, stored as band-layout profile tables
-B[a, m] = K[m + a, m] (``_profiles``), so the factor of harmonic s is the
-contiguous slice B[s, n0:n0 + span - s].  The radial rule's Laguerre and
-Legendre matrices run through one Christoffel recurrence
-(``_golub_welsch``), and one table build serves both modes' cached tables.
-``_radial_profiles`` keeps the profile tables, which no r or amplitude
-changes, of the last MAX_REFINEMENTS + 1 (dimension, order, fold) keys whose
-nodes fit the reduced pass's one block (larger orders stream block by
-block): an entry, both modes' tables together, stays within that budget,
-and a (dimension, fold) pair, whose cached orders about quadruple in nodes,
-within about 4/3 of it.  ``wigner_slice`` builds
-each mode's kernel on that mode's distinct points only; ``wigner_state``,
+Every blocked loop (``_kernel_products``, ``_reduced_pass`` and the
+oracles' ``wigner_state`` and ``_nv_pass``) sizes its block arrays from the
+one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  The
+kernel table comes from one Laguerre recurrence over every alpha
+(``_kernel_columns``); the reduced pass reads its real lower triangle as
+band-layout profile tables (``_profiles``), cached by ``_radial_profiles``.
+``wigner_slice`` takes a ``TwoModeState`` and builds each mode's kernel on
+that mode's distinct points only; ``fockvortex.oracles.wigner_state``,
 which builds both at every point, is its oracle.
 """
 from __future__ import annotations
@@ -83,19 +64,18 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .beamsplitter import _pair_terms, apply_beam_splitter
 from .config import GH_ORDER, MAX_REFINEMENTS, TOL
-from .errors import InvalidParameterError, InvariantError, NonConvergenceError
+from .errors import InvalidParameterError, InvariantError, NonConvergenceError, check_count, check_real
 from .quadrature import _write_grid_csv
-from .states import DensityMatrix, SqueezeParams, TwoModeState
+from .states import SqueezeParams, TwoModeState, check_state
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
-_MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
 _BLOCK_ENTRIES = 1 << 22  # entries per block array in every blocked loop
 
 
@@ -179,32 +159,15 @@ def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner_fock_diagonal(n: int, q_squared: Union[float, np.ndarray]):
-    """W of |n><n| as a function of q^2 = x^2 + p^2."""
-    if n < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {n}")
-    q2 = np.asarray(q_squared, dtype=float)
-    *_, lag = _laguerre_rows(n, 0, 4.0 * q2)
-    val = _TWO_OVER_PI * (-1.0) ** n * lag * np.exp(-2.0 * q2)
-    return float(val) if np.isscalar(q_squared) else val
-
-
 # ---------------------------------------------------------------------------
 # Wigner function of a state
 # ---------------------------------------------------------------------------
 
-def _pair_matrix(state_or_rho) -> Tuple[np.ndarray, int]:
-    """rho regrouped as rho_p[(ket_a, bra_a), (ket_b, bra_b)], plus per-mode dim."""
-    if isinstance(state_or_rho, TwoModeState):
-        amps = state_or_rho.amplitudes
-        m = amps.shape[0]
-        rho_p = np.einsum("ab,cd->acbd", amps, amps.conj()).reshape(m * m, m * m)
-        return rho_p, m
-    if isinstance(state_or_rho, DensityMatrix):
-        m = state_or_rho.dimension + 1
-        rho_p = state_or_rho.tensor.transpose(0, 2, 1, 3).reshape(m * m, m * m)
-        return rho_p, m
-    raise InvalidParameterError(f"expected TwoModeState or DensityMatrix, got {type(state_or_rho)!r}")
+def _pair_matrix(state: TwoModeState) -> Tuple[np.ndarray, int]:
+    """|psi><psi| regrouped as rho_p[(ket_a, bra_a), (ket_b, bra_b)], plus per-mode dim."""
+    amps = state.amplitudes
+    m = amps.shape[0]
+    return np.einsum("ab,cd->acbd", amps, amps.conj()).reshape(m * m, m * m), m
 
 
 def _require_finite(vals, what: str) -> None:
@@ -226,34 +189,15 @@ def _checked_real(w: np.ndarray, x, px, y, py) -> np.ndarray:
     return vals
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value, see _checked_real
-def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
-    """W(x, p_x, y, p_y) at scalar coordinates or broadcastable arrays: the
-    arbitrary-point API, and the oracle the tests and selftest hold slices to."""
-    x, px, y, py = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
-    scalar = x.ndim == 0
-    shape = x.shape
-    rho_p, m = _pair_matrix(state_or_rho)
-    xf, pxf, yf, pyf = (c.ravel() for c in (x, px, y, py))
-    vals = np.empty(xf.size)
-    chunk = max(256, _BLOCK_ENTRIES // (m * m))
-    for s in range(0, xf.size, chunk):
-        sl = slice(s, min(s + chunk, xf.size))
-        ka = _kernel_polys(m, xf[sl], pxf[sl]).reshape(m * m, -1)
-        kb = _kernel_polys(m, yf[sl], pyf[sl]).reshape(m * m, -1)
-        w = np.einsum("uP,uv,vP->P", ka, rho_p, kb, optimize=True)
-        vals[sl] = _checked_real(w, xf[sl], pxf[sl], yf[sl], pyf[sl])
-    return float(vals[0]) if scalar else vals.reshape(shape)
-
-
 def _kernel_products(rho: np.ndarray, m: int, first, second) -> np.ndarray:
     """K_1(P)^T rho K_2(Q) for every point P of ``first`` and Q of ``second``,
     each one mode's (x, p) arrays of distinct points.  The mode with fewer
     points (``first`` on a tie) is contracted into rho first, d = rho^T K_1;
     the other kernel, in blocks of ``_BLOCK_ENTRIES``, meets d in a broadcast
-    matmul over strided views.  These are the two steps of ``wigner_state``'s
-    einsum in numpy 2.4, so a plane that frees one coordinate per mode keeps
-    its bytes; contiguous per-point copies would change the last bits."""
+    matmul over strided views.  These are the two steps of the einsum of
+    ``fockvortex.oracles.wigner_state`` in numpy 2.4, so a plane that frees
+    one coordinate per mode keeps its bytes; contiguous per-point copies
+    would change the last bits."""
     if second[0].size < first[0].size:
         return _kernel_products(rho.T, m, second, first).T
     d = rho.T @ _kernel_polys(m, *first).reshape(m * m, -1)
@@ -264,26 +208,6 @@ def _kernel_products(rho: np.ndarray, m: int, first, second) -> np.ndarray:
         w[:, s:s + block] = np.matmul(k.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
         del k  # else the next block's kernel is built while this one is alive
     return w
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def position_marginal(state_or_rho, x: float, y: float) -> float:
-    """Born-rule marginal of W over (p_x, p_y), as a density in field coordinates.
-
-    The result equals |psi(x, y)|^2 of the quadrature module: the Wigner
-    chart is evaluated at (x/sqrt(2), y/sqrt(2)) and the density rescaled
-    by the Jacobian 1/2 of the chart change.
-    """
-    rho_p, m = _pair_matrix(state_or_rho)
-    q, om = build_wigner_grid(_MARGINAL_ORDER)
-    xw, yw = x / _SQRT2, y / _SQRT2
-    ka = _kernel_polys(m, np.full(q.size, xw), q).reshape(m * m, q.size) @ om
-    kb = _kernel_polys(m, np.full(q.size, yw), q).reshape(m * m, q.size) @ om
-    val = ka @ rho_p @ kb * math.exp(-2.0 * (xw * xw + yw * yw))
-    _require_finite(val, "marginal")
-    if abs(val.imag) > TOL.imag_residue:
-        raise InvariantError(f"marginal has imaginary residue {abs(val.imag):.3e}")
-    return 0.5 * float(val.real)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +241,7 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
     Each (j, m) term is a product of circular-mode number-state Wigner
     functions with arguments 8(Q0 +/- Q1); the argument scale (8, not 4)
     is fixed by the same chart bridge that makes the N = 0 case reproduce
-    the vacuum exactly.  Intended to approach ``wigner_state`` of the
+    the vacuum exactly.  Intended to approach ``oracles.wigner_state`` of the
     exact beam-splitter output, without its pair-coherence terms.  Raises
     ``InvariantError`` where the Laguerre factors overflow.
     """
@@ -348,13 +272,9 @@ def check_ladder(order: int, tol: float, max_refinements: int = MAX_REFINEMENTS)
     at least 2 nodes per axis, a convergence tolerance in (0, inf), and at
     least 0 doublings; both counts are integers, the tolerance is a real
     number, and a bool is none of them."""
-    for name, value, least in (("order", order, 2), ("max_refinements", max_refinements, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise InvalidParameterError(f"tol must be a real number, got {tol!r}")
+    check_count("order", order, 2)
+    check_count("max_refinements", max_refinements, 0)
+    check_real("tol", tol)
     if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
@@ -362,22 +282,11 @@ def check_ladder(order: int, tol: float, max_refinements: int = MAX_REFINEMENTS)
 def build_wigner_grid(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-axis Gauss rule (nodes, weights) for the weight e^{-2 q^2}: the
     Gauss-Hermite rule (diagonal 0, off-diagonal sqrt(k/2), mass sqrt(pi))
-    scaled by 1/sqrt(2).  Integrands are evaluated as kernel polynomials, and
-    the weights sum to sqrt(pi/2)."""
+    scaled by 1/sqrt(2), whose weights sum to sqrt(pi/2): the axis rule of
+    the oracles' tensor NV engine and position marginal."""
     k = np.arange(1, order, dtype=float)
     [(u, w)] = _golub_welsch([(np.zeros(order), np.sqrt(0.5 * k), math.sqrt(math.pi))])
     return u / _SQRT2, w / _SQRT2
-
-
-def _box_rule(order: int, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule on [-h, h], h = 1.2 sqrt(2 cutoff + 2), with e^{-2 q^2}
-    folded into the weights: the independent oracle that the tests and the
-    selftest hold ``build_wigner_grid`` against.  The box spans the Wigner
-    envelope of Fock states with up to ``cutoff`` photons."""
-    h = 1.2 * math.sqrt(2.0 * cutoff + 2.0)
-    edges = np.linspace(-h, h, order + 1)
-    q = 0.5 * (edges[:-1] + edges[1:])
-    return q, (2.0 * h / order) * np.exp(-2.0 * q * q)
 
 
 @dataclass
@@ -388,39 +297,10 @@ class NegativityResult:
     resolution_history: List[Tuple[int, float]] = field(default_factory=list)
     converged: bool = True
     under_resolved: bool = False
-    engine: str = "tensor-4d"
+    engine: str = "reduced-3d"
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
-
-
-def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
-    """One tensor-quadrature pass: (integral of |W|, integral of W).
-
-    The 4-D lattice is the product of one (x, p) plane per mode sharing the
-    same axis rule; W over the lattice is assembled as Re(Ka^T rho_p Kb) in
-    row blocks, real-split so only real GEMMs run.
-    """
-    q, w = grid
-    n1 = len(q)
-    xs = np.repeat(q, n1)
-    ps = np.tile(q, n1)
-    wplane = np.outer(w, w).ravel()
-    kern = _kernel_polys(m, xs, ps).reshape(m * m, n1 * n1)
-    dmat = rho_p @ kern
-    kr, ki = np.ascontiguousarray(kern.real), np.ascontiguousarray(kern.imag)
-    dr, di = np.ascontiguousarray(dmat.real), np.ascontiguousarray(dmat.imag)
-    npts = n1 * n1
-    total_abs = 0.0
-    total_w = 0.0
-    block = max(32, _BLOCK_ENTRIES // npts)
-    for s in range(0, npts, block):
-        sl = slice(s, min(s + block, npts))
-        rows = kr[:, sl].T @ dr  # Re(Ka^T D); subtracting in place keeps one block fewer live
-        rows -= ki[:, sl].T @ di
-        total_w += float(wplane[sl] @ (rows @ wplane))
-        total_abs += float(wplane[sl] @ (np.abs(rows) @ wplane))
-    return total_abs, total_w
 
 
 def _golub_welsch(matrices) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -521,7 +401,11 @@ def _profiles(dim: int, u: np.ndarray) -> np.ndarray:
 def _radial_profiles(dim: int, order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
     """``_profiles`` of both modes on all of ``_radial_pair_rule(order, folded)``,
     from one build over both modes' nodes: shared, so read-only, and each
-    table C-contiguous, so the per-s products read them densely."""
+    table C-contiguous, so the per-s products read them densely.  Only orders
+    whose nodes fit the reduced pass's one block are cached (larger ones
+    stream block by block), so an entry, both tables together, stays within
+    ``_BLOCK_ENTRIES``, and a (dimension, fold) pair, whose cached orders
+    about quadruple in nodes, within about 4/3 of it."""
     tables = _profiles(dim, np.stack(_radial_pair_rule(order, folded)[:2]))
     tables.setflags(write=False)
     return tables[0], tables[1]
@@ -543,19 +427,22 @@ def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]
     return c[nz[0]:nz[-1] + 1], int(nz[0]) + max(0, -k), int(nz[0]) + max(0, k)
 
 
-def _pair_diagonal(state_or_rho) -> Optional[Tuple[np.ndarray, int, int]]:
-    """The diagonal of a pure state or of its splitter image, if it has one.
+def _pair_diagonal(state: TwoModeState) -> Tuple[np.ndarray, int, int]:
+    """The diagonal of a pure state or of its splitter image.
 
     The splitter is passive, so NV is the same for the state and its image.
     The pipelines and ``nv`` pass the input, which takes the first branch; the
     second serves a library caller who passes an image, and is the oracle the
     selftest's ``nv-splitter-invariance`` holds the input's volume to.
     """
-    if not isinstance(state_or_rho, TwoModeState):
-        return None
-    found = _single_diagonal(state_or_rho.amplitudes)
+    check_state(state, "tensor_negativity_volume")
+    found = _single_diagonal(state.amplitudes)
     if found is None:
-        found = _single_diagonal(apply_beam_splitter(state_or_rho).amplitudes)
+        found = _single_diagonal(apply_beam_splitter(state).amplitudes)
+    if found is None:
+        raise InvalidParameterError(
+            "neither the state nor its splitter image sits on one n_a - n_b diagonal: "
+            "fockvortex.oracles.tensor_negativity_volume takes it")
     return found
 
 
@@ -633,38 +520,14 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
     return scale * total_abs, scale * total_w
 
 
-def negativity_volume(
-    state_or_rho,
-    order: int = GH_ORDER,
-    tol: float = TOL.nv,
-    max_refinements: int = MAX_REFINEMENTS,
-) -> NegativityResult:
-    """NV = (integral of |W| - integral of W) / 2 with order-doubling refinement
-    from ``order`` nodes per axis.
-
-    A pure state on one n_a - n_b diagonal (directly or after the splitter)
-    takes the 3-D reduced rule; density matrices and other states take the
-    4-D tensor rule (see the module notes).  Refinement stops when successive
-    NV estimates differ by < tol; after ``max_refinements`` doublings the
-    best estimate is returned flagged non-converged.  The computed integral
-    of W stands in for the exact 1; a deviation beyond 10*tol flags the
-    result under-resolved, and an under-resolved result is never reported as
-    converged.
-    """
-    check_ladder(order, tol, max_refinements)
-    diagonal = _pair_diagonal(state_or_rho)
-    if diagonal is not None:
-        engine = "reduced-3d"
-
-        def run_pass(order: int) -> Tuple[float, float]:
-            return _reduced_pass(*diagonal, order)
-    else:
-        engine = "tensor-4d"
-        rho_p, m = _pair_matrix(state_or_rho)
-
-        def run_pass(order: int) -> Tuple[float, float]:
-            return _nv_pass(rho_p, m, build_wigner_grid(order))
-
+def _ladder(run_pass: Callable[[int], Tuple[float, float]], order: int, tol: float,
+            max_refinements: int, engine: str) -> NegativityResult:
+    """NV = (integral of |W| - integral of W) / 2, with the integrals of each
+    pass from ``run_pass(order)``, doubling the order from ``order`` until
+    successive NV estimates differ by < tol; after ``max_refinements``
+    doublings the best estimate is returned flagged non-converged.  The
+    computed integral of W stands in for the exact 1; a deviation beyond
+    10*tol flags the result under-resolved, and so never converged."""
     history: List[Tuple[int, float]] = []
     prev = None
     converged = False
@@ -688,6 +551,21 @@ def negativity_volume(
         under_resolved=under_resolved,
         engine=engine,
     )
+
+
+def negativity_volume(
+    state: TwoModeState,
+    order: int = GH_ORDER,
+    tol: float = TOL.nv,
+    max_refinements: int = MAX_REFINEMENTS,
+) -> NegativityResult:
+    """NV of a pure state on one n_a - n_b diagonal, directly or after the
+    splitter, by the 3-D reduced rule, refined from ``order`` as ``_ladder``
+    states; see the module notes."""
+    check_ladder(order, tol, max_refinements)
+    diagonal = _pair_diagonal(state)
+    return _ladder(lambda order: _reduced_pass(*diagonal, order), order, tol, max_refinements,
+                   "reduced-3d")
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +615,14 @@ def plane_points(plane: dict, grid2d) -> Tuple[List[str], tuple]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite value, see _checked_real
-def wigner_slice(state_or_rho, plane: dict, grid2d) -> WignerSlice:
-    """Evaluate W on the plane that fixes exactly two of (x, px, y, py), with
-    each mode's kernel on its distinct points only (``_kernel_products``)."""
+def wigner_slice(state: TwoModeState, plane: dict, grid2d) -> WignerSlice:
+    """Evaluate W of a pure state on the plane that fixes exactly two of
+    (x, px, y, py), with each mode's kernel on its distinct points only
+    (``_kernel_products``).  Any other input raises ``InvalidParameterError``:
+    ``fockvortex.oracles.wigner_state`` takes it."""
+    check_state(state, "wigner_state")
     free, point = plane_points(plane, grid2d)
-    rho_p, m = _pair_matrix(state_or_rho)
+    rho_p, m = _pair_matrix(state)
     # free coordinates come in (x, px, y, py) order, so mode a's run along the leading axes
     n_a = math.prod(point[0].shape[:sum(name in ("x", "px") for name in free)])
     pq = [c.reshape(n_a, -1) for c in point]  # pq[k][P, Q]: mode a's point P, mode b's point Q

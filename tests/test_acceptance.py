@@ -22,18 +22,18 @@ import time
 import numpy as np
 import pytest
 
-from fockvortex.beamsplitter import apply_beam_splitter, closed_form_vortex_state
+from fockvortex.beamsplitter import apply_beam_splitter
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
 from fockvortex.quadrature import QuadratureGrid, count_vortices, evaluate_field
-from fockvortex.states import (
-    SqueezeParams,
-    TwoModeState,
-    make_tmss,
+from fockvortex.oracles import (
+    closed_form_vortex_state,
+    position_marginal,
     random_state,
     total_photon_distribution,
 )
-from fockvortex.wigner import negativity_volume, position_marginal, wigner_slice
+from fockvortex.states import SqueezeParams, TwoModeState, make_tmss
+from fockvortex.wigner import negativity_volume, wigner_slice
 
 NV_TOL = 1e-3  # the negativity-volume refinement tolerance the criteria refer to
 

@@ -10,9 +10,11 @@ from fockvortex import (
     SqueezeParams,
     TwoModeState,
     apply_beam_splitter,
+    make_tmss,
+)
+from fockvortex.oracles import (
     closed_form_vortex_state,
     inject_fault,
-    make_tmss,
     random_state,
     total_photon_distribution,
 )

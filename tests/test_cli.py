@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-import fockvortex.beamsplitter as beamsplitter
 import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
 import fockvortex.errors as errors
 import fockvortex.floatrepr as floatrepr
+import fockvortex.oracles as oracles
 import fockvortex.quadrature as quadrature
 import fockvortex.selftest as selftest
 import fockvortex.wigner as wigner
@@ -440,7 +440,7 @@ def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["selftest", "--inject-fault"])
     assert ran == []
-    assert beamsplitter._FAULT_INJECTED is False
+    assert oracles._FAULT_INJECTED is False
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from fockvortex import (
     wigner_slice,
 )
 from fockvortex.cli import FIELD_GRID, FIG1_N_VALUES, FIG1_R, main
-from fockvortex.floatrepr import REPR_WIDTH, hard_cases, repr_table
+from fockvortex.floatrepr import REPR_WIDTH, repr_table
+from fockvortex.oracles import hard_cases
 from fockvortex.wigner import WignerSlice, wigner_diagonal_form
 
 # distinct, non-square axes so that a swapped row/column order shows

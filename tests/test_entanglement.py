@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fockvortex.entanglement as entanglement
 from fockvortex import (
     DensityMatrix,
     EigensolverError,
@@ -16,9 +15,9 @@ from fockvortex import (
     log_negativity,
     make_tmss,
     partial_transpose,
-    random_state,
     state_to_density,
 )
+from fockvortex.oracles import _eigvals_checked, log_negativity_eigh, random_state
 
 # mpmath: 2 r / ln 2 at r = 0.3
 UNTRUNCATED_LOGNEG_R03 = 0.86561702453337804442
@@ -75,9 +74,10 @@ def test_modes_give_same_negativity():
 
 
 def test_accepts_state_or_density():
+    # the state takes the Schmidt path and its density matrix the eigh oracle
     state = make_tmss(SqueezeParams(r=0.5, n_max=4))
     a = log_negativity(state).log_negativity
-    b = log_negativity(state_to_density(state)).log_negativity
+    b = log_negativity_eigh(state_to_density(state)).log_negativity
     assert a == pytest.approx(b, abs=1e-13)
 
 
@@ -113,7 +113,7 @@ def _assert_same_report(fast, slow):
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(1, 6))
 def test_schmidt_path_matches_density_matrix_eigh(seed, cutoff):
     state = random_state(np.random.default_rng(seed), cutoff=cutoff)
-    _assert_same_report(log_negativity(state), log_negativity(state_to_density(state)))
+    _assert_same_report(log_negativity(state), log_negativity_eigh(state_to_density(state)))
 
 
 @pytest.mark.parametrize("r", [0.3, 1.2])
@@ -122,7 +122,7 @@ def test_schmidt_path_matches_eigh_at_n14(r, after_splitter):
     state = make_tmss(SqueezeParams(r=r, n_max=14))
     if after_splitter:
         state = apply_beam_splitter(state)
-    _assert_same_report(log_negativity(state), log_negativity(state_to_density(state)))
+    _assert_same_report(log_negativity(state), log_negativity_eigh(state_to_density(state)))
 
 
 def test_nan_density_matrix_is_rejected():
@@ -132,4 +132,4 @@ def test_nan_density_matrix_is_rejected():
         DensityMatrix(tensor)
     # eigh returns NaN eigenvalues without raising; the residual check must not pass them
     with pytest.raises(EigensolverError):
-        entanglement._eigvals_checked(np.diag([math.nan, 1.0]))
+        _eigvals_checked(np.diag([math.nan, 1.0]))

@@ -18,9 +18,9 @@ from fockvortex import (
     count_vortices,
     evaluate_field,
     hermite_basis,
-    hermite_function,
     make_tmss,
 )
+from fockvortex.oracles import hermite_function
 import fockvortex.quadrature as quadrature
 
 # mpmath, 40 digits
@@ -74,6 +74,25 @@ def test_grid_from_spec():
 def test_grid_spec_validation(bad):
     with pytest.raises(InvalidParameterError):
         QuadratureGrid.from_spec(bad)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param((-1, 1, -1, 1, 2.5, 3), id="float-count"),
+    pytest.param((-1, 1, -1, 1, 3, 3.0), id="integral-float-count"),
+    pytest.param((-1, 1, -1, 1, "3", 3), id="str-count"),
+    pytest.param((False, True, -1, 1, 3, 3), id="bool-bounds"),
+    pytest.param(("-1", "1", -1, 1, 3, 3), id="str-bounds"),
+])
+def test_grid_refuses_other_types(args):
+    # counts are integers and bounds real numbers, and a bool is neither; a
+    # float count used to pass here and fail in x_axis as a bare TypeError
+    with pytest.raises(InvalidParameterError):
+        QuadratureGrid(*args)
+
+
+def test_grid_takes_numpy_numbers():
+    grid = QuadratureGrid(np.float64(-1.0), 1, -1, np.float64(1.0), np.int64(3), 3)
+    assert grid.x_axis().tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_vacuum_field_analytic():

@@ -10,10 +10,9 @@ from fockvortex import (
     SqueezeParams,
     TwoModeState,
     make_tmss,
-    random_state,
     state_to_density,
-    total_photon_distribution,
 )
+from fockvortex.oracles import random_state, total_photon_distribution
 
 # mpmath, 40 digits: normalized pair amplitudes for r = 0.5, N = 1
 TMSS_R05_N1_C0 = 0.90775940470586296195
@@ -71,6 +70,32 @@ def test_tmss_truncation_consistency():
 def test_squeeze_params_validation(r, n_max):
     with pytest.raises(InvalidParameterError):
         SqueezeParams(r=r, n_max=n_max)
+
+
+@pytest.mark.parametrize("r,n_max", [
+    pytest.param(0.5, 2.0, id="float-count"),
+    pytest.param(0.5, True, id="bool-count"),
+    pytest.param(0.5, "2", id="str-count"),
+    pytest.param(True, 2, id="bool-r"),
+    pytest.param("0.5", 2, id="str-r"),
+    pytest.param(0.5 + 0j, 2, id="complex-r"),
+])
+def test_squeeze_params_refuse_other_types(r, n_max):
+    # a count is an integer and r a real number, and a bool is neither; a
+    # float count used to pass here and fail in make_tmss as a bare TypeError
+    with pytest.raises(InvalidParameterError):
+        SqueezeParams(r=r, n_max=n_max)
+
+
+@pytest.mark.parametrize("cutoff", [1.0, True, "1"])
+def test_from_pairs_refuses_a_cutoff_that_is_not_an_integer(cutoff):
+    with pytest.raises(InvalidParameterError):
+        TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=cutoff)
+
+
+def test_squeeze_params_take_numpy_numbers():
+    params = SqueezeParams(r=np.float64(0.5), n_max=np.int64(2))
+    assert make_tmss(params).amplitudes.tobytes() == make_tmss(SqueezeParams(0.5, 2)).amplitudes.tobytes()
 
 
 def test_state_rejects_bad_norm():

@@ -20,19 +20,23 @@ from fockvortex import (
     evaluate_field,
     make_tmss,
     negativity_volume,
-    position_marginal,
-    random_state,
     state_to_density,
-    wigner_fock_diagonal,
     wigner_diagonal_form,
     wigner_slice,
+)
+from fockvortex.oracles import (
+    _box_rule,
+    position_marginal,
+    random_state,
+    tensor_negativity_volume,
+    wigner_fock_diagonal,
     wigner_state,
 )
 import fockvortex.wigner as wigner_module
 from fockvortex.cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, main
 from fockvortex.config import TOL
 from fockvortex.quadrature import hermite_basis
-from fockvortex.wigner import _box_rule, _radial_pair_rule, plane_points
+from fockvortex.wigner import _radial_pair_rule, plane_points
 
 # mpmath, 40 digits
 W_DIAG_3_AT_0P7 = -0.11010127013979758215
@@ -396,13 +400,13 @@ def test_box_scheme_agrees_with_gauss_hermite(monkeypatch):
     gh = negativity_volume(state)
     # the box spans Fock states up to 2 (m - 1) = 8 photons, m = 5 levels per mode
     monkeypatch.setattr(wigner_module, "build_wigner_grid", lambda order: _box_rule(order, 8))
-    box = negativity_volume(state_to_density(state), order=48)
+    box = tensor_negativity_volume(state_to_density(state), order=48)
     assert box.engine == "tensor-4d"
     assert box.volume == pytest.approx(gh.volume, abs=2e-3)
 
 
 def _splitter_image_density(n_max):
-    """The r = 0.8 splitter image as a density matrix, so NV takes the 4-D engine."""
+    """The r = 0.8 splitter image as a density matrix, for the 4-D tensor engine."""
     return state_to_density(apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=n_max))))
 
 
@@ -413,7 +417,7 @@ def test_tensor_pass_stays_within_the_block_budget():
     rho = _splitter_image_density(1)
     tracemalloc.start()
     try:
-        result = negativity_volume(rho, order=64, max_refinements=0)
+        result = tensor_negativity_volume(rho, order=64, max_refinements=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,7 +434,7 @@ def test_tensor_ladder_builds_each_pass_at_its_own_order(monkeypatch):
         return build(order)
 
     monkeypatch.setattr(wigner_module, "build_wigner_grid", spy)
-    result = negativity_volume(_splitter_image_density(1), order=8, max_refinements=2)
+    result = tensor_negativity_volume(_splitter_image_density(1), order=8, max_refinements=2)
     assert result.engine == "tensor-4d"
     assert len(orders) > 1
     assert orders == [order for order, _ in result.resolution_history]
@@ -684,7 +688,7 @@ def test_single_diagonal_matches_the_per_offset_traces(data):
 )
 def test_reduced_pass_matches_tensor_oracle(state):
     fast = negativity_volume(state, order=96, max_refinements=0)
-    slow = negativity_volume(state_to_density(state), order=96, max_refinements=0)
+    slow = tensor_negativity_volume(state_to_density(state), order=96, max_refinements=0)
     assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d")
     assert fast.volume == pytest.approx(slow.volume, abs=2e-4)
     assert fast.normalization_check == pytest.approx(1.0, abs=1e-12)
@@ -823,15 +827,20 @@ def test_radial_fold_matches_full_rule_on_symmetric_diagonals(pairs, real, j, or
 
 
 def test_nv_dispatch_on_detected_symmetry():
-    def engine(state_or_rho):
-        return negativity_volume(state_or_rho, order=8, max_refinements=0).engine
+    # one engine: a state on one diagonal, directly or after the splitter,
+    # takes the reduced pass; a density matrix and a state on no diagonal
+    # are refused with the tensor oracle's name, and that oracle takes both
+    def engine(state):
+        return negativity_volume(state, order=8, max_refinements=0).engine
 
     tmss = make_tmss(SqueezeParams(r=0.5, n_max=2))
     assert engine(tmss) == "reduced-3d"
     assert engine(apply_beam_splitter(tmss)) == "reduced-3d"
     assert engine(_neighbour_pair_state()) == "reduced-3d"
-    assert engine(state_to_density(tmss)) == "tensor-4d"
-    assert engine(random_state(np.random.default_rng(3), cutoff=3)) == "tensor-4d"
+    for other in (state_to_density(tmss), random_state(np.random.default_rng(3), cutoff=3)):
+        with pytest.raises(InvalidParameterError, match="fockvortex.oracles.tensor_negativity_volume"):
+            engine(other)
+        assert tensor_negativity_volume(other, order=8, max_refinements=0).engine == "tensor-4d"
 
 
 def test_position_marginal_is_born_density():
@@ -897,12 +906,13 @@ def test_product_slice_matches_pointwise_on_random_input(seed, cutoff, plane, fi
     # nonzero fixed coordinates make both kernels complex, and OpenBLAS may
     # then round the 21-column GEMM differently from the per-point one; on a
     # same-mode plane the one fixed point's kernel is contracted first, which
-    # the einsum does only for mode a
+    # the einsum does only for mode a.  The slice takes the state; the
+    # pointwise oracle takes it or its density matrix
     state = random_state(np.random.default_rng(seed), cutoff=cutoff)
     source = state_to_density(state) if density else state
     plane = dict(zip(plane, fixed))
     grid = QuadratureGrid.square(3.0, 21)
-    fast = wigner_slice(source, plane, grid).values
+    fast = wigner_slice(state, plane, grid).values
     slow = wigner_state(source, plane_points(plane, grid)[1])
     assert np.max(np.abs(fast - slow)) <= 1e-15
 

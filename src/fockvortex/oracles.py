@@ -33,7 +33,8 @@ _FAULT_INJECTED = False
 # ---------------------------------------------------------------------------
 
 def _pair_matrix(state_or_rho) -> Tuple[np.ndarray, int]:
-    """rho of a state or a density matrix as ``wigner._pair_matrix`` lays it out."""
+    """rho of a state or a density matrix regrouped as the pair matrix
+    rho_p[(ket_a, bra_a), (ket_b, bra_b)], plus the per-mode dimension m."""
     rho = _as_density(state_or_rho)
     m = rho.dimension + 1
     return rho.tensor.transpose(0, 2, 1, 3).reshape(m * m, m * m), m

@@ -49,7 +49,9 @@ setting is its starting order; ``check_ladder`` states its bounds.
 
 Every blocked loop (``_kernel_products``, ``_reduced_pass`` and the
 oracles' ``wigner_state`` and ``_nv_pass``) sizes its block arrays from the
-one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles).  The
+one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles), but for
+the pair matrix's slabs in ``_kernel_products``: four photon numbers each,
+the size at which they keep the bits of the whole matrix's products.  The
 kernel table comes from one Laguerre recurrence over every alpha
 (``_kernel_columns``); the reduced pass reads its real lower triangle as
 band-layout profile tables (``_profiles``), cached by ``_radial_profiles``.
@@ -163,13 +165,6 @@ def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 # Wigner function of a state
 # ---------------------------------------------------------------------------
 
-def _pair_matrix(state: TwoModeState) -> Tuple[np.ndarray, int]:
-    """|psi><psi| regrouped as rho_p[(ket_a, bra_a), (ket_b, bra_b)], plus per-mode dim."""
-    amps = state.amplitudes
-    m = amps.shape[0]
-    return np.einsum("ab,cd->acbd", amps, amps.conj()).reshape(m * m, m * m), m
-
-
 def _require_finite(vals, what: str) -> None:
     """Far from the origin the polynomial factors overflow while the Gaussian
     underflows, and their product is NaN; that is an error, not a value."""
@@ -189,25 +184,39 @@ def _checked_real(w: np.ndarray, x, px, y, py) -> np.ndarray:
     return vals
 
 
-def _kernel_products(rho: np.ndarray, m: int, first, second) -> np.ndarray:
-    """K_1(P)^T rho K_2(Q) for every point P of ``first`` and Q of ``second``,
-    each one mode's (x, p) arrays of distinct points.  The mode with fewer
-    points (``first`` on a tie) is contracted into rho first, d = rho^T K_1;
-    the other kernel, in blocks of ``_BLOCK_ENTRIES``, meets d in a broadcast
-    matmul over strided views.  These are the two steps of the einsum of
-    ``fockvortex.oracles.wigner_state`` in numpy 2.4, so a plane that frees
-    one coordinate per mode keeps its bytes; contiguous per-point copies
-    would change the last bits."""
-    if second[0].size < first[0].size:
-        return _kernel_products(rho.T, m, second, first).T
-    d = rho.T @ _kernel_polys(m, *first).reshape(m * m, -1)
+def _kernel_products(amps: np.ndarray, first, second) -> np.ndarray:
+    """K_1(P)^T rho_p K_2(Q) for every point P of ``first`` and Q of ``second``,
+    each one mode's (x, p) arrays of distinct points, with rho_p = A (x) A*
+    the pair matrix of the amplitudes A, rows (ket_a, bra_a).  The mode with
+    fewer points (``first`` on a tie) is contracted into rho_p first,
+    d = rho_p^T K_1; the other kernel, in blocks of ``_BLOCK_ENTRIES``, meets
+    d in a broadcast matmul over strided views.  These are the two steps of
+    the einsum of ``fockvortex.oracles.wigner_state`` in numpy 2.4, so a plane
+    that frees one coordinate per mode keeps its bytes; contiguous per-point
+    copies would change the last bits.  rho_p (m^4 entries) is never built:
+    d takes 4m rows at a time from a slab of four photon numbers of the other
+    mode's ket, whose einsum rounds as the whole one, and four keeps each
+    GEMV's rows in the groups of four of one GEMV over all of rho_p."""
+    m = amps.shape[0]
+    swap = second[0].size < first[0].size  # then mode b goes first
+    first, second = (second, first) if swap else (first, second)
+    k1 = _kernel_polys(m, *first).reshape(m * m, -1)
+    d = np.empty((m * m, k1.shape[1]), dtype=complex)
+    conj = amps.conj()
+    for n in range(0, m, 4):
+        if swap:  # rows (ket_a, bra_a) of rho_p with ket_a = n .. n + 3
+            slab = np.einsum("ab,cd->acbd", amps[n:n + 4], conj).reshape(-1, m * m)
+        else:  # columns (ket_b, bra_b) with ket_b = n .. n + 3
+            slab = np.einsum("ab,cd->acbd", amps[:, n:n + 4], conj).reshape(m * m, -1).T
+        d[n * m:(n + 4) * m] = slab @ k1
+        del slab  # else the next slab is built while this one is alive
     w = np.empty((d.shape[1], second[0].size), dtype=complex)
     block = max(1, _BLOCK_ENTRIES // (m * m))
     for s in range(0, w.shape[1], block):
         k = _kernel_polys(m, second[0][s:s + block], second[1][s:s + block]).reshape(m * m, -1)
         w[:, s:s + block] = np.matmul(k.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
         del k  # else the next block's kernel is built while this one is alive
-    return w
+    return w.T if swap else w
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +631,8 @@ def wigner_slice(state: TwoModeState, plane: dict, grid2d) -> WignerSlice:
     ``fockvortex.oracles.wigner_state`` takes it."""
     check_state(state, "wigner_state")
     free, point = plane_points(plane, grid2d)
-    rho_p, m = _pair_matrix(state)
     # free coordinates come in (x, px, y, py) order, so mode a's run along the leading axes
     n_a = math.prod(point[0].shape[:sum(name in ("x", "px") for name in free)])
     pq = [c.reshape(n_a, -1) for c in point]  # pq[k][P, Q]: mode a's point P, mode b's point Q
-    w = _kernel_products(rho_p, m, (pq[0][:, 0], pq[1][:, 0]), (pq[2][0], pq[3][0]))
+    w = _kernel_products(state.amplitudes, (pq[0][:, 0], pq[1][:, 0]), (pq[2][0], pq[3][0]))
     return WignerSlice(free, grid2d, _checked_real(w.reshape(point[0].shape), *point))

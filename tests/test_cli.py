@@ -284,6 +284,24 @@ def test_selftest_catches_a_faulty_product_slice(monkeypatch, tmp_path):
     assert len(doc["checks"]) == 24
 
 
+def test_selftest_catches_a_slab_built_without_the_conjugate(monkeypatch, tmp_path):
+    # each slab of the pair matrix built as A (x) A instead of A (x) A*; no
+    # other path runs an einsum with these subscripts
+    einsum = np.einsum
+
+    def faulty(subscripts, *operands, **kwargs):
+        if subscripts == "ab,cd->acbd":
+            operands = (operands[0], operands[1].conj())
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", faulty)
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--out", str(report)]) == 4
+    doc = json.loads(report.read_text())
+    assert doc["failures"] == ["slice-vs-pointwise"]
+    assert len(doc["checks"]) == 24
+
+
 def test_selftest_catches_a_writer_that_merges_signed_zeros(monkeypatch, tmp_path):
     exact = quadrature._repr_table
     monkeypatch.setattr(quadrature, "_repr_table",

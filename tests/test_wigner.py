@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -950,18 +954,81 @@ def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_pro
         assert sum(evaluated) <= 101 ** 2 + 1, plane
 
 
-@pytest.mark.parametrize("plane", _SAME_MODE_PLANES, ids=lambda p: "fix-" + "-".join(p))
-def test_same_mode_slice_memory_is_bounded(plane):
-    # m = 29 per mode: rho_p takes 16 m^4 = 11 MB and one kernel block
-    # 16 * 2^22 = 67 MB; wigner_state on the same points peaks at 216 MB
-    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=14)))
+def _slice_peak(state, plane) -> int:
     tracemalloc.start()
     try:
         wigner_slice(state, plane, _SLICE_GRID)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 29 ** 4 + 1.5 * 16 * wigner_module._BLOCK_ENTRIES, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("plane", _SAME_MODE_PLANES, ids=lambda p: "fix-" + "-".join(p))
+def test_same_mode_slice_memory_is_bounded(plane):
+    # m = 29 per mode: one slab of rho_p takes 16 * 4 m^3 = 1.6 MB and one
+    # kernel block 16 * 2^22 = 67 MB; wigner_state on the same points peaks
+    # at 216 MB, and rho_p built whole took 16 m^4 = 11 MB more
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=14)))
+    peak = _slice_peak(state, plane)
+    assert peak <= 16 * 4 * 29 ** 3 + 1.5 * 16 * wigner_module._BLOCK_ENTRIES, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("plane", _MIXED_PLANES[:2], ids=lambda p: "fix-" + "-".join(p))
+def test_product_slice_memory_is_bounded(plane):
+    # m = 41 per mode: rho_p built whole took 16 m^4 = 45 MB (a 51.5 MB
+    # peak); its slabs take 16 * 4 m^3 = 4.4 MB, and the slice about 10.5 MB
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=20)))
+    peak = _slice_peak(state, plane)
+    assert peak < 16 * 41 ** 4 / 2, f"peak {peak / 1e6:.1f} MB"
+
+
+# _kernel_products against rho_p built whole, in a child pinned to one BLAS
+# thread as tools/artifact_hashes.py pins its runs: a multithreaded OpenBLAS
+# splits a narrow product by its shape, so there the whole matrix's own bits
+# change with the thread count.  Both orientations contract a kernel of
+# ``count`` points first, on random states of odd and even m and on images.
+_SLAB_IDENTITY_SCRIPT = """
+import json
+import numpy as np
+from fockvortex import SqueezeParams, apply_beam_splitter, make_tmss
+from fockvortex.oracles import random_state
+from fockvortex.wigner import _kernel_polys, _kernel_products
+
+def materialized(rho, m, first, second):
+    swap = second[0].size < first[0].size
+    if swap:
+        rho, first, second = rho.T, second, first
+    d = rho.T @ _kernel_polys(m, *first).reshape(m * m, -1)
+    k = _kernel_polys(m, *second).reshape(m * m, -1)
+    w = np.matmul(k.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
+    return w.T if swap else w
+
+rng = np.random.default_rng(2718)
+states = [(f"random cutoff {c}", random_state(rng, cutoff=c).amplitudes) for c in range(1, 31)]
+states += [(f"image N = {n}", apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=n))).amplitudes)
+           for n in range(1, 21)]
+failed = []
+for name, amps in states:
+    m = len(amps)
+    rho = np.einsum("ab,cd->acbd", amps, amps.conj()).reshape(m * m, m * m)
+    for count in (1, 2, 3, 7, 101):
+        for sizes in ((count, count + 1), (count + 1, count)):
+            first, second = ((rng.uniform(-2, 2, s), rng.uniform(-2, 2, s)) for s in sizes)
+            fast = np.ascontiguousarray(_kernel_products(amps, first, second))
+            slow = np.ascontiguousarray(materialized(rho, m, first, second))
+            if not np.array_equal(fast.view(np.int64), slow.view(np.int64)):
+                failed.append([name, *sizes])
+print(json.dumps(failed))
+"""
+
+
+def test_slab_contraction_is_bit_identical_to_the_whole_pair_matrix():
+    src = os.path.dirname(os.path.dirname(wigner_module.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _SLAB_IDENTITY_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 def test_far_point_raises_instead_of_returning_nan():

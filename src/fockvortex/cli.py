@@ -441,21 +441,6 @@ def cmd_figure(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _real(value) -> float:
-    """A numeric config value: a JSON number.  A boolean is malformed, not 0
-    or 1, and so is a string, even one that reads as a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _count(value) -> int:
-    """An integer config value; booleans and non-integral numbers are malformed."""
-    if _real(value) != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _load_sweep_config(path: str) -> dict:
     try:
         raw = _read_json(path)
@@ -470,28 +455,33 @@ def _load_sweep_config(path: str) -> dict:
             raise InvalidParameterError(f"sweep config missing required key {key!r}")
     settings = dict(POINT_DEFAULTS, **raw)
     try:
+        if not raw["r_values"] or not raw["n_values"]:
+            raise InvalidParameterError("r_values and n_values must be non-empty")
+        # the library's own checks first: a bool, a string or an integral
+        # float is not a count, and a bool or a string is not a number
+        for r in raw["r_values"]:
+            for n in raw["n_values"]:
+                SqueezeParams(r=r, n_max=n)
+        check_ladder(settings["nv_order"], settings["nv_tol"])
+        for count in (*raw["n_values"], settings["nv_order"]):
+            float(count)  # past the float range a count is no JSON number: OverflowError
         cfg = {
-            "r_values": [_real(r) for r in raw["r_values"]],
-            "n_values": [_count(n) for n in raw["n_values"]],
+            "r_values": [float(r) for r in raw["r_values"]],  # JSON 1 tags r1p0
+            "n_values": raw["n_values"],
             "outputs": sorted(raw["outputs"]),
             "grid": str(settings["grid"]),
             "slice_grid": str(settings["slice_grid"]),
             "slice_plane": settings["slice_plane"],
-            "nv_tol": _real(settings["nv_tol"]),
-            "nv_order": _count(settings["nv_order"]),
+            "nv_tol": float(settings["nv_tol"]),
+            "nv_order": settings["nv_order"],
             "output_dir": raw.get("output_dir", "sweep-out"),
         }
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:  # a number where a list belongs; a huge integer
         raise InvalidParameterError(f"malformed sweep config value: {exc}")
-    if not cfg["r_values"] or not cfg["n_values"]:
-        raise InvalidParameterError("r_values and n_values must be non-empty")
     for key in ("r_values", "n_values"):
         # a repeated value would run its points twice under one task name
         if len(set(cfg[key])) != len(cfg[key]):
             raise InvalidParameterError(f"{key} must not repeat a value: {cfg[key]}")
-    for r in cfg["r_values"]:
-        for n in cfg["n_values"]:
-            SqueezeParams(r=r, n_max=n)
     unknown = [kind for kind in cfg["outputs"] if kind not in SWEEP_OUTPUTS]
     if not cfg["outputs"] or unknown:
         raise InvalidParameterError(
@@ -504,7 +494,6 @@ def _load_sweep_config(path: str) -> dict:
     plane_free_coords(cfg["slice_plane"])
     QuadratureGrid.from_spec(cfg["grid"])
     QuadratureGrid.from_spec(cfg["slice_grid"])
-    check_ladder(cfg["nv_order"], cfg["nv_tol"])
     return cfg
 
 

@@ -18,8 +18,7 @@ from .entanglement import EntanglementReport, _as_density, _report, partial_tran
 from .errors import CoefficientMismatchError, EigensolverError, InvariantError, check_count
 from .quadrature import hermite_basis
 from .states import SqueezeParams, TwoModeState, _total_photons, make_tmss
-from .wigner import (_BLOCK_ENTRIES, _SQRT2, _TWO_OVER_PI, _checked_real, _kernel_polys,
-                     _laguerre_rows, _require_finite)
+from .wigner import _SQRT2, _TWO_OVER_PI, _checked_real, _kernel_polys, _laguerre_rows, _require_finite
 
 _MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
 
@@ -59,7 +58,7 @@ def wigner_state(state_or_rho, point) -> Union[float, np.ndarray]:
     rho_p, m = _pair_matrix(state_or_rho)
     xf, pxf, yf, pyf = (c.ravel() for c in (x, px, y, py))
     vals = np.empty(xf.size)
-    chunk = max(256, _BLOCK_ENTRIES // (m * m))
+    chunk = max(1, wigner._BLOCK_BYTES // (32 * m * m))  # two complex kernels a point
     for s in range(0, xf.size, chunk):
         sl = slice(s, min(s + chunk, xf.size))
         ka = _kernel_polys(m, xf[sl], pxf[sl]).reshape(m * m, -1)
@@ -123,7 +122,7 @@ def _nv_pass(rho_p: np.ndarray, m: int, grid: Tuple[np.ndarray, np.ndarray]) -> 
     npts = n1 * n1
     total_abs = 0.0
     total_w = 0.0
-    block = max(32, _BLOCK_ENTRIES // npts)
+    block = max(1, wigner._BLOCK_BYTES // (8 * npts))
     for s in range(0, npts, block):
         sl = slice(s, min(s + block, npts))
         rows = kr[:, sl].T @ dr  # Re(Ka^T D); subtracting in place keeps one block fewer live

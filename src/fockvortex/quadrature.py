@@ -84,18 +84,19 @@ class QuadratureGrid:
 class QuadratureField:
     """Complex field psi(x, y) on a rectangular grid; values[i, j] = psi(x_i, y_j)."""
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "modulus")
 
     def __init__(self, grid: QuadratureGrid, values: np.ndarray):
         if values.shape != (grid.n_x, grid.n_y):
             raise InvalidParameterError(
                 f"values shape {values.shape} does not match grid ({grid.n_x}, {grid.n_y})"
             )
-        # hypot, as the CSV writer's Python abs, not np.abs: near the float
-        # maximum the two disagree on which moduli overflow to inf
+        # hypot, as Python's abs of each value, not np.abs: numpy's SIMD
+        # modulus differs in the last bit for a third of the points, and near
+        # the float maximum the two disagree on which moduli overflow to inf
         with np.errstate(over="ignore"):
-            modulus = np.hypot(values.real, values.imag)
-        if not np.all(np.isfinite(modulus)):
+            self.modulus = np.hypot(values.real, values.imag)  # the CSV's abs column
+        if not np.all(np.isfinite(self.modulus)):
             raise InvalidParameterError("field contains non-finite values or moduli")
         self.grid = grid
         self.values = values
@@ -113,11 +114,8 @@ class QuadratureField:
 
     def to_csv(self, path) -> None:
         """Rows ordered y-outer, x-inner; header x,y,re,im,abs,arg."""
-        re, im = self.values.real, self.values.imag
-        # hypot, as Python's abs of each value, not np.abs: numpy's SIMD
-        # modulus differs in the last bit for a third of the points
         _write_grid_csv(path, ("x", "y", "re", "im", "abs", "arg"), self.grid,
-                        (re, im, np.hypot(re, im), np.angle(self.values)))
+                        (self.values.real, self.values.imag, self.modulus, np.angle(self.values)))
 
 
 def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:

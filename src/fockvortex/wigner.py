@@ -48,13 +48,15 @@ for the reduced pass in the tests and the selftest.  The ladder's one
 setting is its starting order; ``check_ladder`` states its bounds.
 
 Every blocked loop (``_kernel_products``, ``_reduced_pass`` and the
-oracles' ``wigner_state`` and ``_nv_pass``) sizes its block arrays from the
-one budget ``_BLOCK_ENTRIES`` = 2^22 entries (32 MiB of doubles), but for
-the pair matrix's slabs in ``_kernel_products``: four photon numbers each,
-the size at which they keep the bits of the whole matrix's products.  The
-kernel table comes from one Laguerre recurrence over every alpha
-(``_kernel_columns``); the reduced pass reads its real lower triangle as
-band-layout profile tables (``_profiles``), cached by ``_radial_profiles``.
+oracles' ``wigner_state`` and ``_nv_pass``) takes its block length from the
+one budget ``_BLOCK_BYTES`` = 32 MiB, divided by the bytes of one of its
+items, but for the pair matrix's slabs in ``_kernel_products``: four photon
+numbers each, the size at which they keep the bits of the whole matrix's
+products.  The kernel builders block nothing themselves: their callers
+bound what they build.  The kernel table comes from one Laguerre recurrence
+over every alpha (``_kernel_columns``); the reduced pass reads its real
+lower triangle as band-layout profile tables (``_profiles``), cached by
+``_radial_profiles``.
 ``wigner_slice`` takes a ``TwoModeState`` and builds each mode's kernel on
 that mode's distinct points only; ``fockvortex.oracles.wigner_state``,
 which builds both at every point, is its oracle.
@@ -78,7 +80,7 @@ from .states import SqueezeParams, TwoModeState, check_state
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
-_BLOCK_ENTRIES = 1 << 22  # entries per block array in every blocked loop
+_BLOCK_BYTES = 1 << 25  # bytes per block array in every blocked loop
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +148,17 @@ def _kernel_polys(dim: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     For n >= m:  K = (2/pi) (-1)^m sqrt(m!/n!) (2(x - i p))^{n-m} L_m^{n-m}(4 q^2),
     and K[m, n] is its conjugate (Hermitian symmetry).
+
+    One pass over every point: the callers bound the output (16 dim^2 bytes
+    a point), and the columns' temporaries, about 4/dim of it, ride along.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     out = np.empty((dim, dim) + x.shape, dtype=complex)
     x, p, flat = x.ravel(), p.ravel(), out.reshape(dim, dim, -1)
-    step = max(1, _BLOCK_ENTRIES // (64 * dim))  # chunks keep the columns' temporaries small next to out
-    for start in range(0, x.size, step):
-        sl = slice(start, start + step)
-        xs, ps = x[sl], p[sl]
-        for m, col in _kernel_columns(dim, 2.0 * (xs - 1j * ps), 4.0 * (xs * xs + ps * ps)):
-            flat[m:, m, sl] = col
-            np.conj(col[1:], out=flat[m, m + 1:, sl])
+    for m, col in _kernel_columns(dim, 2.0 * (x - 1j * p), 4.0 * (x * x + p * p)):
+        flat[m:, m] = col
+        np.conj(col[1:], out=flat[m, m + 1:])
     return out
 
 
@@ -189,11 +190,11 @@ def _kernel_products(amps: np.ndarray, first, second) -> np.ndarray:
     each one mode's (x, p) arrays of distinct points, with rho_p = A (x) A*
     the pair matrix of the amplitudes A, rows (ket_a, bra_a).  The mode with
     fewer points (``first`` on a tie) is contracted into rho_p first,
-    d = rho_p^T K_1; the other kernel, in blocks of ``_BLOCK_ENTRIES``, meets
-    d in a broadcast matmul over strided views.  These are the two steps of
-    the einsum of ``fockvortex.oracles.wigner_state`` in numpy 2.4, so a plane
-    that frees one coordinate per mode keeps its bytes; contiguous per-point
-    copies would change the last bits.  rho_p (m^4 entries) is never built:
+    d = rho_p^T K_1; the other kernel, in blocks of ``_BLOCK_BYTES`` (16 m^2
+    bytes a point), meets d in a broadcast matmul over strided views.  These
+    are the two steps of the einsum of ``fockvortex.oracles.wigner_state`` in
+    numpy 2.4, so a plane that frees one coordinate per mode keeps its bytes;
+    contiguous per-point copies would change the last bits.  rho_p (m^4 entries) is never built:
     d takes 4m rows at a time from a slab of four photon numbers of the other
     mode's ket, whose einsum rounds as the whole one, and four keeps each
     GEMV's rows in the groups of four of one GEMV over all of rho_p."""
@@ -211,7 +212,7 @@ def _kernel_products(amps: np.ndarray, first, second) -> np.ndarray:
         d[n * m:(n + 4) * m] = slab @ k1
         del slab  # else the next slab is built while this one is alive
     w = np.empty((d.shape[1], second[0].size), dtype=complex)
-    block = max(1, _BLOCK_ENTRIES // (m * m))
+    block = max(1, _BLOCK_BYTES // (16 * m * m))
     for s in range(0, w.shape[1], block):
         k = _kernel_polys(m, second[0][s:s + block], second[1][s:s + block]).reshape(m * m, -1)
         w[:, s:s + block] = np.matmul(k.T[None, :, None, :], d.T[:, None, :, None])[..., 0, 0]
@@ -413,7 +414,7 @@ def _radial_profiles(dim: int, order: int, folded: bool) -> Tuple[np.ndarray, np
     table C-contiguous, so the per-s products read them densely.  Only orders
     whose nodes fit the reduced pass's one block are cached (larger ones
     stream block by block), so an entry, both tables together, stays within
-    ``_BLOCK_ENTRIES``, and a (dimension, fold) pair, whose cached orders
+    ``_BLOCK_BYTES``, and a (dimension, fold) pair, whose cached orders
     about quadruple in nodes, within about 4/3 of it."""
     tables = _profiles(dim, np.stack(_radial_pair_rule(order, folded)[:2]))
     tables.setflags(write=False)
@@ -502,7 +503,7 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
         basis = np.concatenate([basis, np.sin(harmonics[1:])])
     total_abs = 0.0
     total_w = 0.0
-    block = max(1, _BLOCK_ENTRIES // max(len(theta), 2 * dim * dim))  # W block and profiles alike
+    block = max(1, _BLOCK_BYTES // (8 * max(len(theta), 2 * dim * dim)))  # W block and profiles alike
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         if len(wr) <= block:  # the whole order fits one block: its tables are cached

@@ -853,13 +853,31 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         # a repeated value would run its point twice under one task name
         {"r_values": [0.3, 0.3], "n_values": [2]},
         {"n_values": [2, 2.0]},
+        # an integral float is not a count, as SqueezeParams(n_max=2.0) and
+        # nv --order 48.0 hold
+        {"n_values": [2.0]},
+        {"nv_order": 48.0, "outputs": ["nv"]},
+        # an empty list is found before a malformed value; a list is not a number
+        {"r_values": ["abc"], "n_values": []},
+        {"r_values": [[0.3]]},
+        # past the float range an integer is no JSON number
+        {"nv_order": 10 ** 400, "outputs": ["nv"]},
+        {"r_values": [10 ** 400]},
     ],
 )
-def test_sweep_invalid_values_exit_usage(tmp_path, overrides):
+def test_sweep_invalid_values_exit_usage(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path, **overrides)
     assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
     # rejected by the config check, before any task runs or a manifest is written
     assert not (tmp_path / "sweep-out" / "manifest.json").exists()
+
+
+def test_sweep_tags_an_integer_squeezing_as_a_float(tmp_path):
+    # r is normalized to a float after the checks, so JSON 1 tags r1p0
+    cfg = write_config(tmp_path, r_values=[1])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "sweep-out" / "logneg_r1p0_n2.json").exists()
 
 
 def test_sweep_point_matches_figure_artifacts(tmp_path):

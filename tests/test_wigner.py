@@ -148,11 +148,10 @@ def test_kernel_polys_takes_a_0d_point_as_a_one_point_array():
         assert got.tobytes() == want.tobytes(), dim
 
 
-def test_kernel_polys_chunks_are_bit_identical_to_per_entry_loop():
-    # past _BLOCK_ENTRIES // (64 dim) points the builder runs in chunks
+def test_kernel_polys_on_many_points_is_bit_identical_to_per_entry_loop():
+    # one pass over all 5,000 points: the callers block, the builder does not
     x, p = np.random.default_rng(3).normal(scale=2.0, size=(2, 5000))
     for dim in (23, 30):
-        assert 5000 > wigner_module._BLOCK_ENTRIES // (64 * dim)
         got = wigner_module._kernel_polys(dim, x, p)
         assert got.tobytes() == _kernel_polys_per_entry(dim, x, p).tobytes(), dim
 
@@ -585,7 +584,7 @@ def _reduced_pass_square_gather(c, na0, nb0, order, radial_fold=True):
     if not real:
         basis = np.concatenate([basis, np.sin(harmonics[1:])])
     total_abs = total_w = 0.0
-    block = max(1, wigner_module._BLOCK_ENTRIES // max(len(theta), 2 * dim * dim))
+    block = max(1, wigner_module._BLOCK_BYTES // (8 * max(len(theta), 2 * dim * dim)))
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         prof_a, prof_b = _square_profiles(dim, ua[sl]), _square_profiles(dim, ub[sl])
@@ -629,7 +628,7 @@ def test_band_pass_is_bit_equal_to_the_square_gather_on_a_streamed_order(fresh_p
     # N = 10 at order 192: 18,432 folded nodes stream in two blocks
     c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=0.8, n_max=10)))
     dim = na0 + len(c)
-    assert 192 * 96 > wigner_module._BLOCK_ENTRIES // (2 * dim * dim)
+    assert 192 * 96 > wigner_module._BLOCK_BYTES // (16 * dim * dim)
     assert wigner_module._reduced_pass(c, na0, nb0, 192) == _reduced_pass_square_gather(c, na0, nb0, 192)
 
 
@@ -888,8 +887,8 @@ _SLICE_GRID = QuadratureGrid.from_spec(SLICE_GRID)
 @pytest.mark.parametrize("plane", _MIXED_PLANES, ids=lambda p: "fix-" + "-".join(p))
 @pytest.mark.parametrize("n_max", [3, 10, 14])
 def test_product_slice_is_byte_identical_to_pointwise(n_max, plane):
-    # at N = 14 the pointwise path runs two chunks of 4987 points and a tail
-    # of 227; the slice CSVs of every figure and sweep depend on these bytes
+    # at N = 14 the pointwise path runs eight chunks of 1246 points and a
+    # tail of 233; the slice CSVs of every figure and sweep depend on these bytes
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.9, n_max=n_max)))
     fast = wigner_slice(state, plane, _SLICE_GRID).values
     slow = wigner_state(state, plane_points(plane, _SLICE_GRID)[1])
@@ -964,13 +963,36 @@ def _slice_peak(state, plane) -> int:
 
 
 @pytest.mark.parametrize("plane", _SAME_MODE_PLANES, ids=lambda p: "fix-" + "-".join(p))
-def test_same_mode_slice_memory_is_bounded(plane):
+@pytest.mark.parametrize("n_max", [14, 20])
+def test_same_mode_slice_memory_is_bounded(n_max, plane):
     # m = 29 per mode: one slab of rho_p takes 16 * 4 m^3 = 1.6 MB and one
-    # kernel block 16 * 2^22 = 67 MB; wigner_state on the same points peaks
-    # at 216 MB, and rho_p built whole took 16 m^4 = 11 MB more
-    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=14)))
+    # kernel block 32 MiB, 38 MB in all (72 MB when the block counted 2^22
+    # complex entries); m = 41 takes a 4.4 MB slab and the same block
+    m = 2 * n_max + 1
+    state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=n_max)))
     peak = _slice_peak(state, plane)
-    assert peak <= 16 * 4 * 29 ** 3 + 1.5 * 16 * wigner_module._BLOCK_ENTRIES, f"peak {peak / 1e6:.0f} MB"
+    assert peak <= 16 * 4 * m ** 3 + 1.5 * wigner_module._BLOCK_BYTES, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 1 << 28])
+def test_blocked_loops_keep_their_bits_at_any_block_budget(budget, monkeypatch):
+    # 2^20 bytes splits the N = 14 product plane's second kernel in two, and
+    # every same-mode plane and wigner_state into 27 to 133 blocks; 2^28 runs
+    # each in one.  The reduced pass is left out: its streamed sums split
+    # where its blocks do
+    states = [apply_beam_splitter(make_tmss(SqueezeParams(r=0.6, n_max=n))) for n in (6, 14)]
+    x, p = np.random.default_rng(3).normal(scale=2.0, size=(2, 5000))
+    points = plane_points(_MIXED_PLANES[0], _SLICE_GRID)[1]
+
+    def run():
+        slices = [wigner_slice(state, plane, _SLICE_GRID).values
+                  for state in states for plane in (_MIXED_PLANES[0], _SAME_MODE_PLANES[0])]
+        return slices + [wigner_module._kernel_polys(30, x, p), wigner_state(states[0], points)]
+
+    want = run()
+    monkeypatch.setattr(wigner_module, "_BLOCK_BYTES", budget)
+    for got, ref in zip(run(), want):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("plane", _MIXED_PLANES[:2], ids=lambda p: "fix-" + "-".join(p))

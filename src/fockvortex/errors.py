@@ -1,5 +1,6 @@
 """Exception types, grouped by the CLI exit code they map to, and the
 checks of numeric parameters that raise ``InvalidParameterError``."""
+import math
 import numbers
 
 
@@ -22,9 +23,14 @@ def check_count(name: str, value, least: int) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """A real number, which a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    """A finite real number: not a bool, an infinity, a NaN or an int past the float range."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:  # math.isfinite of an integer past the float range
+        finite = False
+    if not finite:
+        raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
 
 
 # -- numerical non-convergence (exit code 3) ------------------------------

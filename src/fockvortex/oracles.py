@@ -22,10 +22,6 @@ from .wigner import _SQRT2, _TWO_OVER_PI, _checked_real, _kernel_polys, _laguerr
 
 _MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
 
-# the selftest's mutation check: flips the sign of the closed form's
-# summation phase (i -> -i).  Never set in normal operation.
-_FAULT_INJECTED = False
-
 
 # ---------------------------------------------------------------------------
 # Wigner functions at arbitrary points
@@ -146,19 +142,15 @@ def tensor_negativity_volume(state_or_rho, order: int = GH_ORDER, tol: float = T
 # Closed-form vortex state
 # ---------------------------------------------------------------------------
 
-def inject_fault(enabled: bool) -> None:
-    global _FAULT_INJECTED
-    _FAULT_INJECTED = bool(enabled)
-
-
-def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
+def _closed_form_dense(params: SqueezeParams, fault: bool = False) -> np.ndarray:
     """Normalized closed-form amplitudes on the (2N+1)^2 grid: the binomial
     algebra fixes the prefactor of |j, j>'s terms to tanh(r)^j * j! / 2^j, a
-    j-dependent factor that normalization would not hide from the splitter."""
+    j-dependent factor that normalization would not hide from the splitter.
+    ``fault``, the selftest's mutation check, makes the summation phase -i."""
     n = params.n_max
     t = math.tanh(params.r)
     pref = [t ** j * math.exp(lgamma(j + 1) - j * math.log(2.0)) for j in range(n + 1)]
-    phase_base = -1j if _FAULT_INJECTED else 1j
+    phase_base = -1j if fault else 1j
     out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     for j, k, l, c in _pair_terms(params):
         m = l - k
@@ -166,16 +158,15 @@ def _closed_form_dense(params: SqueezeParams) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def closed_form_vortex_state(params: SqueezeParams, verify: bool = True) -> TwoModeState:
-    """Vortex state from the per-pair coefficient formula, validated against
-    ``apply_beam_splitter`` of the input unless ``verify`` is False."""
-    dense = _closed_form_dense(params)
-    if verify:
-        dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)
-        worst = float(dev.max())
-        if worst > TOL.oracle:
-            na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
+def closed_form_vortex_state(params: SqueezeParams, fault: bool = False) -> TwoModeState:
+    """Vortex state from the per-pair coefficient formula (``fault`` as in
+    ``_closed_form_dense``), validated against ``apply_beam_splitter`` of the input."""
+    dense = _closed_form_dense(params, fault)
+    dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)
+    worst = float(dev.max())
+    if worst > TOL.oracle:
+        na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
     return TwoModeState(dense)
 
 

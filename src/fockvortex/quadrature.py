@@ -47,8 +47,6 @@ class QuadratureGrid:
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
             check_real(name, getattr(self, name))
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
-            raise InvalidParameterError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidParameterError("grid bounds must satisfy min < max")
         check_count("n_x", self.n_x, 2)
@@ -82,9 +80,10 @@ class QuadratureGrid:
 
 
 class QuadratureField:
-    """Complex field psi(x, y) on a rectangular grid; values[i, j] = psi(x_i, y_j)."""
+    """Complex field psi(x, y) on a grid, values[i, j] = psi(x_i, y_j); its ``modulus``
+    and ``phase`` are the CSV's abs and arg columns, which ``count_vortices`` reads."""
 
-    __slots__ = ("grid", "values", "modulus")
+    __slots__ = ("grid", "values", "modulus", "phase")
 
     def __init__(self, grid: QuadratureGrid, values: np.ndarray):
         if values.shape != (grid.n_x, grid.n_y):
@@ -95,27 +94,22 @@ class QuadratureField:
         # modulus differs in the last bit for a third of the points, and near
         # the float maximum the two disagree on which moduli overflow to inf
         with np.errstate(over="ignore"):
-            self.modulus = np.hypot(values.real, values.imag)  # the CSV's abs column
+            self.modulus = np.hypot(values.real, values.imag)
         if not np.all(np.isfinite(self.modulus)):
             raise InvalidParameterError("field contains non-finite values or moduli")
+        self.phase = np.angle(values)
         self.grid = grid
         self.values = values
-
-    def amplitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
 
     def norm_riemann(self) -> float:
         dx = (self.grid.x_max - self.grid.x_min) / (self.grid.n_x - 1)
         dy = (self.grid.y_max - self.grid.y_min) / (self.grid.n_y - 1)
-        return float(np.sum(np.abs(self.values) ** 2) * dx * dy)
+        return float(np.sum(self.modulus ** 2) * dx * dy)
 
     def to_csv(self, path) -> None:
         """Rows ordered y-outer, x-inner; header x,y,re,im,abs,arg."""
         _write_grid_csv(path, ("x", "y", "re", "im", "abs", "arg"), self.grid,
-                        (self.values.real, self.values.imag, self.modulus, np.angle(self.values)))
+                        (self.values.real, self.values.imag, self.modulus, self.phase))
 
 
 def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:
@@ -216,14 +210,13 @@ def _label8(mask: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def count_vortices(field: QuadratureField) -> VortexReport:
-    """Integer phase winding per plaquette, merged into vortices.
+    """Integer winding of ``field.phase`` per plaquette, merged into vortices.
 
-    Corners must exceed ``TOL.amplitude_floor`` in absolute terms (vortex
-    cores legitimately have low amplitude, so no relative thresholding is
-    applied; the floor only rejects regions where arg(psi) is numerical noise).
-    """
-    phi = field.phase()
-    amp = field.amplitude()
+    Each corner's ``field.modulus`` must exceed ``TOL.amplitude_floor`` in
+    absolute terms (vortex cores legitimately have low amplitude, so no relative
+    thresholding is applied; the floor only rejects where arg(psi) is noise)."""
+    phi = field.phase
+    ok = field.modulus > TOL.amplitude_floor
     # counter-clockwise circulation over each plaquette [i,i+1] x [j,j+1]
     s = (
         _wrap(phi[1:, :-1] - phi[:-1, :-1])
@@ -232,12 +225,7 @@ def count_vortices(field: QuadratureField) -> VortexReport:
         + _wrap(phi[:-1, :-1] - phi[:-1, 1:])
     )
     winding = np.rint(s / (2.0 * math.pi)).astype(int)
-    valid = (
-        (amp[:-1, :-1] > TOL.amplitude_floor)
-        & (amp[1:, :-1] > TOL.amplitude_floor)
-        & (amp[:-1, 1:] > TOL.amplitude_floor)
-        & (amp[1:, 1:] > TOL.amplitude_floor)
-    )
+    valid = ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
     winding = np.where(valid, winding, 0)
     if np.any(np.abs(winding) > 1):
         i, j = np.argwhere(np.abs(winding) > 1)[0]

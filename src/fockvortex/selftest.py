@@ -22,7 +22,7 @@ from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES, _build_
 from .config import TOL
 from .entanglement import log_negativity, partial_transpose
 from .floatrepr import REPR_WIDTH, repr_table
-from .oracles import (_box_rule, closed_form_vortex_state, hard_cases, hermite_function, inject_fault,
+from .oracles import (_box_rule, closed_form_vortex_state, hard_cases, hermite_function,
                       log_negativity_eigh, position_marginal, random_state, tensor_negativity_volume,
                       total_photon_distribution, wigner_fock_diagonal, wigner_state)
 from .quadrature import QuadratureField, QuadratureGrid, count_vortices, evaluate_field
@@ -30,7 +30,8 @@ from .states import SqueezeParams, TwoModeState, make_tmss, state_to_density
 from .wigner import build_wigner_grid, negativity_volume, plane_points, wigner_slice
 
 
-def checks() -> List[Tuple[str, Callable[[], None]]]:
+def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
+    """(name, check) in run order; ``closed-form-oracle`` runs the closed form with ``fault``."""
     def tmss_normalization():
         for r in (0.0, 0.3, 1.0, 2.0):
             for n in range(7):
@@ -63,7 +64,7 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
     def closed_form_oracle():
         for r in (0.1, 0.5, 1.0):
             for n in range(1, 5):
-                closed_form_vortex_state(SqueezeParams(r=r, n_max=n), verify=True)
+                closed_form_vortex_state(SqueezeParams(r=r, n_max=n), fault)
 
     def field_norm():
         state = _build_state(0.5, 3, fock_input=False)
@@ -292,33 +293,29 @@ def checks() -> List[Tuple[str, Callable[[], None]]]:
 
 
 def run(fault: bool = False) -> dict:
-    """Run every check and print its verdict; ``fault`` conjugates the closed
-    form's phase for the run, which ``closed-form-oracle`` must catch.
+    """Run every check of ``checks(fault)`` and print its verdict; ``fault``
+    conjugates the closed form's phase, which ``closed-form-oracle`` must catch.
 
     A check fails by raising an ``Exception``; an interrupt aborts the run.
     Returns the per-check records and the names of the failed checks.
     """
-    todo = checks()
-    inject_fault(fault)
+    todo = checks(fault)
     if fault:
         print("fault injection enabled: closed-form phase deliberately conjugated")
     start = time.perf_counter()
     records = []
-    try:
-        for name, fn in todo:
-            t0 = time.perf_counter()
-            record = {"name": name, "status": "ok"}
-            try:
-                fn()
-            except Exception as exc:
-                record.update(status="failed", detail=f"{type(exc).__name__}: {exc}")
-                print(f"FAIL {name}: {record['detail']}")
-            else:
-                print(f"ok {name}")
-            record["wall_time_s"] = round(time.perf_counter() - t0, 3)
-            records.append(record)
-    finally:
-        inject_fault(False)
+    for name, fn in todo:
+        t0 = time.perf_counter()
+        record = {"name": name, "status": "ok"}
+        try:
+            fn()
+        except Exception as exc:
+            record.update(status="failed", detail=f"{type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {record['detail']}")
+        else:
+            print(f"ok {name}")
+        record["wall_time_s"] = round(time.perf_counter() - t0, 3)
+        records.append(record)
     failures = [r["name"] for r in records if r["status"] == "failed"]
     print(f"selftest: {len(todo) - len(failures)}/{len(todo)} checks passed "
           f"in {time.perf_counter() - start:.1f}s")

@@ -26,9 +26,17 @@ class SqueezeParams:
 
     def __post_init__(self):
         check_real("squeezing parameter", self.r)
-        if not (self.r >= 0.0) or not math.isfinite(self.r):
-            raise InvalidParameterError(f"squeezing parameter must be finite and >= 0, got {self.r}")
+        if self.r < 0:
+            raise InvalidParameterError(f"squeezing parameter must be >= 0, got {self.r}")
         check_count("truncation order", self.n_max, 0)
+
+
+def _zero_amplitudes(cutoff: int) -> np.ndarray:
+    """The zero amplitude matrix of ``cutoff``; a size numpy refuses outright is a usage error."""
+    try:
+        return np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    except ValueError as exc:  # past numpy's largest array, as opposed to a MemoryError
+        raise InvalidParameterError(f"cutoff {cutoff} needs an array larger than numpy allows: {exc}")
 
 
 def _total_photons(m: int) -> np.ndarray:
@@ -66,7 +74,7 @@ class TwoModeState:
     def from_pairs(cls, pairs: Mapping[Tuple[int, int], complex], cutoff: int) -> "TwoModeState":
         """State from a {(n_a, n_b): amplitude} map; absent pairs are zero."""
         check_count("cutoff", cutoff, 0)
-        amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        amps = _zero_amplitudes(cutoff)
         for (na, nb), value in pairs.items():
             # negative indices would wrap around instead of failing
             if not (0 <= na <= cutoff and 0 <= nb <= cutoff):
@@ -144,12 +152,14 @@ def make_tmss(params: SqueezeParams) -> TwoModeState:
 
     The overall normalization is computed numerically (it absorbs the
     1/cosh(r) prefactor of the untruncated family), so the amplitudes are
-    exactly unit-norm at any r.  Total-photon cutoff is 2 * n_max.
+    exactly unit-norm at any r.  Total-photon cutoff is 2 * n_max; its matrix
+    is allocated before any weight is computed.
     """
+    amps = _zero_amplitudes(2 * params.n_max)
     t = math.tanh(params.r)
     weights = np.array([t ** j for j in range(params.n_max + 1)], dtype=float)
-    coeffs = weights / math.sqrt(math.fsum(w * w for w in weights))
-    return TwoModeState(np.diag(np.pad(coeffs, (0, params.n_max))))
+    np.fill_diagonal(amps[:params.n_max + 1], weights / math.sqrt(math.fsum(w * w for w in weights)))
+    return TwoModeState(amps)
 
 
 def state_to_density(state: TwoModeState) -> DensityMatrix:

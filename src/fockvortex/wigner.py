@@ -64,7 +64,6 @@ which builds both at every point, is its oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
@@ -280,13 +279,13 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
 def check_ladder(order: int, tol: float, max_refinements: int = MAX_REFINEMENTS) -> None:
     """The bounds of the NV refinement ladder's settings: a starting order of
     at least 2 nodes per axis, a convergence tolerance in (0, inf), and at
-    least 0 doublings; both counts are integers, the tolerance is a real
-    number, and a bool is none of them."""
+    least 0 doublings; both counts are integers, the tolerance is a finite
+    real number, and a bool is none of them."""
     check_count("order", order, 2)
     check_count("max_refinements", max_refinements, 0)
-    check_real("tol", tol)
-    if not 0 < tol < math.inf:  # an infinite tol would pass any two orders as converged
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    check_real("tol", tol)  # an infinite tol would pass any two orders as converged
+    if tol <= 0:
+        raise InvalidParameterError(f"tol must be > 0, got {tol}")
 
 
 def build_wigner_grid(order: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -609,8 +608,7 @@ def plane_free_coords(plane: dict) -> List[str]:
     if len(plane) != 2:
         raise InvalidParameterError("plane must fix exactly two of x, px, y, py")
     for name, value in plane.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise InvalidParameterError(f"plane value for {name} must be a finite number, got {value!r}")
+        check_real(f"plane value for {name}", value)
     return [n for n in _COORD_NAMES if n not in plane]
 
 

@@ -27,6 +27,7 @@ from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
 from fockvortex.quadrature import QuadratureGrid, count_vortices, evaluate_field
 from fockvortex.oracles import (
+    _closed_form_dense,
     closed_form_vortex_state,
     position_marginal,
     random_state,
@@ -314,7 +315,7 @@ def test_criterion_6c_splitter_never_decreases_entanglement():
             values[(r, n)] = (l_before, l_after)
             # oracle: Schmidt coefficients, the output from the closed form,
             # which does not go through apply_beam_splitter
-            closed = closed_form_vortex_state(params, verify=False)
+            closed = TwoModeState(_closed_form_dense(params))
             worst_dev = max(
                 worst_dev,
                 abs(l_before - _schmidt_log_negativity(before)),

@@ -13,8 +13,8 @@ from fockvortex import (
     make_tmss,
 )
 from fockvortex.oracles import (
+    _closed_form_dense,
     closed_form_vortex_state,
-    inject_fault,
     random_state,
     total_photon_distribution,
 )
@@ -22,9 +22,9 @@ from fockvortex.oracles import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _closed_form_deviation(params):
+def _closed_form_deviation(params, fault=False):
     """Max per-amplitude distance between the unverified closed form and the oracle."""
-    closed = closed_form_vortex_state(params, verify=False).amplitudes
+    closed = _closed_form_dense(params, fault)
     return float(np.max(np.abs(closed - apply_beam_splitter(make_tmss(params)).amplitudes)))
 
 
@@ -92,25 +92,22 @@ def test_closed_form_matches_oracle(r, n_max):
 def test_closed_form_state_verified():
     params = SqueezeParams(r=0.7, n_max=4)
     direct = apply_beam_splitter(make_tmss(params))
-    closed = closed_form_vortex_state(params, verify=True)
+    closed = closed_form_vortex_state(params)
     for na, nb in np.argwhere(direct.amplitudes):
         assert abs(closed.amplitude(na, nb) - direct.amplitudes[na, nb]) < 1e-12
 
 
 def test_injected_fault_is_caught():
-    inject_fault(True)
-    try:
-        with pytest.raises(CoefficientMismatchError) as info:
-            closed_form_vortex_state(SqueezeParams(r=0.5, n_max=2), verify=True)
-        assert info.value.max_deviation > 1e-3
-        # the error reports the unverified state's worst gap, located on the
-        # output's even-even support of the (2N+1)^2 grid
-        assert _closed_form_deviation(SqueezeParams(r=0.5, n_max=2)) == info.value.max_deviation
-        na, nb = info.value.pair
-        assert 0 <= na <= 4 and 0 <= nb <= 4 and na % 2 == nb % 2 == 0
-    finally:
-        inject_fault(False)
-    closed_form_vortex_state(SqueezeParams(r=0.5, n_max=2), verify=True)
+    params = SqueezeParams(r=0.5, n_max=2)
+    with pytest.raises(CoefficientMismatchError) as info:
+        closed_form_vortex_state(params, fault=True)
+    assert info.value.max_deviation > 1e-3
+    # the error reports the unverified state's worst gap, located on the
+    # output's even-even support of the (2N+1)^2 grid
+    assert _closed_form_deviation(params, fault=True) == info.value.max_deviation
+    na, nb = info.value.pair
+    assert 0 <= na <= 4 and 0 <= nb <= 4 and na % 2 == nb % 2 == 0
+    closed_form_vortex_state(params)  # the fault is an argument, so nothing is left set
 
 
 def test_photon_number_marginal_before_splitter():

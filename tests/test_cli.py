@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -19,7 +20,6 @@ import fockvortex.cli as cli
 import fockvortex.entanglement as entanglement
 import fockvortex.errors as errors
 import fockvortex.floatrepr as floatrepr
-import fockvortex.oracles as oracles
 import fockvortex.quadrature as quadrature
 import fockvortex.selftest as selftest
 import fockvortex.wigner as wigner
@@ -79,7 +79,8 @@ def test_negative_squeezing_exits_usage(tmp_path, capsys):
 def test_non_finite_squeezing_exits_usage(tmp_path, capsys, r, options):
     out = tmp_path / "nv.json"
     assert main(["nv", "--r", r, "--n", "2", *options, "--json", str(out)]) == 2
-    assert f"squeezing parameter must be finite and >= 0, got {r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: squeezing parameter must be a finite real number, got {r}\n"
     assert not out.exists()
 
 
@@ -173,11 +174,48 @@ def test_memory_error_exits_invariant_with_one_line(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def _run_cli(argv, cwd):
+    """The CLI in a fresh interpreter, under a timeout and a 2 GiB address
+    space, so code that built a list of N items would fail, not swap."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "fockvortex.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 31,) * 2))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["field", "--fock-input", "--n", str(10 ** 20), "-o", "f.csv"], id="field-fock-input"),
+    pytest.param(["nv", "--n", str(10 ** 9)], id="nv"),
+    pytest.param(["nv", "--fock-input", "--n", str(10 ** 9)], id="nv-fock-input"),
+])
+def test_cutoff_past_numpys_largest_array_exits_usage_at_once(tmp_path, argv):
+    # numpy refuses these shapes outright, before allocating anything
+    proc = _run_cli([*argv, "--r", "0.5"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cutoff "), err
+    assert "needs an array larger than numpy allows" in err[0]
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_point_past_numpys_largest_array_fails_its_task_at_once(tmp_path):
+    # make_tmss used to build an (N + 1)-element list before it allocated
+    cfg = write_config(tmp_path, r_values=[0.5], n_values=[10 ** 20])
+    proc = _run_cli(["sweep", "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["1/1 tasks failed"]
+    [task] = json.loads((tmp_path / "sweep-out" / "manifest.json").read_text())["tasks"]
+    assert task["status"] == "failed"
+    assert task["error"].startswith(f"InvalidParameterError: cutoff {2 * 10 ** 20} "), task
+
+
 @pytest.mark.parametrize("command", ["figure", "field", "field-onto-dir", "nv", "selftest"])
 def test_unwritable_output_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys, command):
     # an OSError from an output path exits 4, as it does inside a pipeline task:
     # here a path under a file or onto a directory, whose parent exists
-    monkeypatch.setattr(selftest, "checks", lambda: [])
+    monkeypatch.setattr(selftest, "checks", lambda fault: [])
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     under_file, onto_dir = str(tmp_path / "file" / "sub"), str(tmp_path / "dir")
@@ -447,18 +485,17 @@ def test_selftest_catches_a_broken_radial_fold_middle_weight(monkeypatch, tmp_pa
     assert len(doc["checks"]) == 24
 
 
-def test_interrupt_in_selftest_aborts_and_resets_fault(monkeypatch):
+def test_interrupt_in_selftest_aborts_before_the_next_check(monkeypatch):
     ran = []
 
     def interrupted():
         raise KeyboardInterrupt
 
     monkeypatch.setattr(selftest, "checks",
-                        lambda: [("interrupted", interrupted), ("next", lambda: ran.append(1))])
+                        lambda fault: [("interrupted", interrupted), ("next", lambda: ran.append(1))])
     with pytest.raises(KeyboardInterrupt):
         main(["selftest", "--inject-fault"])
     assert ran == []
-    assert oracles._FAULT_INJECTED is False
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +900,7 @@ def test_sweep_invalid_config_exits_usage(tmp_path, overrides):
         # past the float range an integer is no JSON number
         {"nv_order": 10 ** 400, "outputs": ["nv"]},
         {"r_values": [10 ** 400]},
+        {"slice_plane": {"y": 10 ** 400, "px": 0}, "outputs": ["wigner-slice"]},
     ],
 )
 def test_sweep_invalid_values_exit_usage(tmp_path, overrides, capsys):

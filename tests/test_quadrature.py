@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -20,6 +21,7 @@ from fockvortex import (
     hermite_basis,
     make_tmss,
 )
+from fockvortex.config import TOL
 from fockvortex.oracles import hermite_function
 import fockvortex.quadrature as quadrature
 
@@ -82,10 +84,12 @@ def test_grid_spec_validation(bad):
     pytest.param((-1, 1, -1, 1, "3", 3), id="str-count"),
     pytest.param((False, True, -1, 1, 3, 3), id="bool-bounds"),
     pytest.param(("-1", "1", -1, 1, 3, 3), id="str-bounds"),
+    pytest.param((0, 10 ** 400, 0, 1, 2, 2), id="int-bound-past-float-range"),
 ])
 def test_grid_refuses_other_types(args):
-    # counts are integers and bounds real numbers, and a bool is neither; a
-    # float count used to pass here and fail in x_axis as a bare TypeError
+    # counts are integers and bounds finite real numbers, and a bool is
+    # neither; a float count used to pass here and fail in x_axis as a bare
+    # TypeError, and a bound past the float range as a bare OverflowError
     with pytest.raises(InvalidParameterError):
         QuadratureGrid(*args)
 
@@ -265,3 +269,41 @@ def test_fock_input_vortices_match_complex_wrap(n):
         expect = count_vortices(fld).to_json_dict()
     assert got["count"] > 0
     assert got == expect
+
+
+def test_vortex_report_follows_the_csv_columns(tmp_path):
+    # a corner of the vortex's plaquette set within ulps of the amplitude
+    # floor, where numpy's SIMD modulus and hypot (the CSV's abs column) fall
+    # on opposite sides of it: the report is the one the CSV's abs and arg
+    # columns give, whichever side hypot takes
+    grid = QuadratureGrid.square(4.0, 162)
+    values = _synthetic(grid, -1).values.copy()
+    i = j = 80  # the plaquette [80, 81] x [80, 81] holds the vortex at the origin
+    theta = float(np.angle(values[i, j]))
+    floor = TOL.amplitude_floor
+    for dtheta, k in itertools.product(np.arange(200) * 1e-3, range(-4, 5)):
+        values[i, j] = (floor + k * np.spacing(floor)) * np.exp(1j * (theta + dtheta))
+        if (np.abs(values)[i, j] > floor) != (np.hypot(values.real, values.imag)[i, j] > floor):
+            break
+    else:
+        pytest.skip("numpy's modulus agrees with hypot at the floor on this platform")
+    field = QuadratureField(grid, values)
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]])
+    # rows run y-outer, x-inner; columns x, y, re, im, abs, arg
+    x, y, modulus, arg = (rows[:, k].reshape(grid.n_y, grid.n_x).T for k in (0, 1, 4, 5))
+    ok = modulus > floor
+    # counter-clockwise edges (head, tail) of each plaquette [i, i+1] x [j, j+1]
+    edges = [(arg[1:, :-1], arg[:-1, :-1]), (arg[1:, 1:], arg[1:, :-1]),
+             (arg[:-1, 1:], arg[1:, 1:]), (arg[:-1, :-1], arg[:-1, 1:])]
+    circulation = sum(_complex_wrap(head - tail) for head, tail in edges)
+    winding = np.rint(circulation / (2 * math.pi)).astype(int)
+    winding[~(ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:])] = 0
+    cx, cy = 0.5 * (x[:-1, 0] + x[1:, 0]), 0.5 * (y[0, :-1] + y[0, 1:])
+    expect = [{"x": float(cx[a]), "y": float(cy[b]), "charge": int(winding[a, b])}
+              for a, b in np.argwhere(winding)]
+    assert len(expect) <= 1  # one vortex, in one plaquette or masked
+    assert count_vortices(field).to_json_dict() == {
+        "vortices": expect, "total_charge": sum(v["charge"] for v in expect), "count": len(expect)}

@@ -87,6 +87,13 @@ def test_squeeze_params_refuse_other_types(r, n_max):
         SqueezeParams(r=r, n_max=n_max)
 
 
+def test_squeeze_params_refuse_an_r_past_the_float_range():
+    # math.isfinite cannot convert it, which used to escape as a bare OverflowError
+    with pytest.raises(InvalidParameterError) as info:
+        SqueezeParams(r=10 ** 400, n_max=2)
+    assert str(info.value) == f"squeezing parameter must be a finite real number, got {10 ** 400}"
+
+
 @pytest.mark.parametrize("cutoff", [1.0, True, "1"])
 def test_from_pairs_refuses_a_cutoff_that_is_not_an_integer(cutoff):
     with pytest.raises(InvalidParameterError):

@@ -341,14 +341,18 @@ def test_stacked_golub_welsch_is_bit_equal_to_one_matrix_runs(order):
 def test_rule_validation():
     with pytest.raises(InvalidParameterError, match="order must be >= 2, got 1"):
         negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), order=1)
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(InvalidParameterError):
+    # tol is a finite real number and a bool is not one: True would run as
+    # tol = 1 and stop converged after two passes, '0.1' would fail in the
+    # comparison, and an infinite tol would pass any two orders as converged
+    for tol, message in [(0.0, "tol must be > 0, got 0.0"),
+                         (math.nan, "tol must be a finite real number, got nan"),
+                         (math.inf, "tol must be a finite real number, got inf"),
+                         (10 ** 400, f"tol must be a finite real number, got {10 ** 400}"),
+                         (True, "tol must be a finite real number, got True"),
+                         ("0.1", "tol must be a finite real number, got '0.1'")]:
+        with pytest.raises(InvalidParameterError) as info:
             negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
-    # tol is a real number and a bool is not one: True would run as tol = 1
-    # and stop converged after two passes, '0.1' would fail in the comparison
-    for tol in (True, "0.1"):
-        with pytest.raises(InvalidParameterError, match="tol must be a real number"):
-            negativity_volume(make_tmss(SqueezeParams(r=0.1, n_max=1)), tol=tol)
+        assert str(info.value) == message
     # each count is an integer and a bool is not one; no setting reaches the
     # ladder to fail there as IndexError or TypeError
     for setting, match in [({"max_refinements": -1}, "max_refinements must be >= 0, got -1"),

@@ -19,12 +19,22 @@ unchanged configuration and tool version recomputes and rewrites nothing.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+# The config fingerprint is one SHA-256 per run.  hashlib loads OpenSSL's
+# libcrypto (~3.6 MB of RSS), so take the interpreter's built-in SHA-256
+# first, as CPython's random.py does for SHA-512; the digest is the same.
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without built-in hashes
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from .beamsplitter import apply_beam_splitter
@@ -133,7 +143,7 @@ def _read_json(path: str) -> dict:
 
 
 def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return _sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _num_tag(value) -> str:

@@ -624,16 +624,20 @@ print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
+def _run_child(script, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # scipy is a test oracle only: the CLI import, the NV Gauss rules and the
     # vortex labeler must not reach it, not even through a deferred import;
     # the selftest's checks load only when the selftest runs
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    doc = _run_child(_NO_SCIPY_SCRIPT, str(tmp_path))
     assert doc["codes"] == [0, 0, 0]
     assert doc["seen"] == {"import": {"scipy": [], "selftest": False},
                            "nv": {"scipy": [], "selftest": False},
@@ -641,6 +645,88 @@ def test_cli_loads_no_scipy(tmp_path):
                            "selftest": {"scipy": [], "selftest": True}}
     # the labeler ran on a non-empty winding mask
     assert json.loads((tmp_path / "vortices.json").read_text())["count"] > 0
+
+
+_NO_OPENSSL_SCRIPT = """
+import json, sys
+import fockvortex.cli as cli
+
+def loaded():
+    return sorted(m for m in ("_hashlib", "ssl") if m in sys.modules)
+
+out = sys.argv[1]
+with open(out + "/sweep.json", "w") as fh:
+    json.dump({"r_values": [0.5], "n_values": [2], "outputs": list(cli.SWEEP_OUTPUTS),
+               "grid": "-4:4:21", "slice_grid": "-2:2:7", "output_dir": out + "/sweep"}, fh)
+runs = {
+    "figure 4": ["figure", "4", "--out", out + "/fig4"],
+    "sweep": ["sweep", "--config", out + "/sweep.json"],
+    "nv": ["nv", "--r", "0.5", "--n", "2", "--json", out + "/nv.json"],
+    "field": ["field", "--r", "0.5", "--n", "3", "--grid=-4:4:40", "-o", out + "/field.csv"],
+    "wigner-slice": ["wigner-slice", "--r", "0.5", "--n", "2", "--grid=-2:2:7",
+                     "-o", out + "/slice.csv"],
+}
+seen, codes = {"import": loaded()}, []
+for name, argv in runs.items():
+    codes.append(cli.main(argv))
+    seen[name] = loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_cli_loads_no_openssl(tmp_path):
+    # the config fingerprint takes the interpreter's built-in SHA-256, so no
+    # command but the selftest loads OpenSSL; the selftest is exempt because
+    # its splitter_unitarity check calls np.random.default_rng, and
+    # numpy.random imports secrets -> hmac -> _hashlib
+    doc = _run_child(_NO_OPENSSL_SCRIPT, str(tmp_path))
+    assert doc["codes"] == [0] * 5
+    assert doc["seen"] == {name: [] for name in
+                           ("import", "figure 4", "sweep", "nv", "field", "wigner-slice")}
+    assert len(list((tmp_path / "sweep").iterdir())) == len(cli.SWEEP_OUTPUTS) + 2
+
+
+def _hashlib_config_hash(doc):
+    import hashlib  # the oracle, in the tests only
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("doc", [
+    {}, {"a": 1}, {"r_values": [0.0, 0.3], "n_values": [2], "outputs": ["logneg"]},
+    {"figure": 4, "nv_order": 16, "grid": "-4:4:21", "plane": {"y": 0, "px": 0.5}, "name": "é"},
+])
+def test_config_hash_is_the_sha256_of_the_sorted_json(doc):
+    assert cli._config_hash(doc) == _hashlib_config_hash(doc)
+
+
+_HASHLIB_FALLBACK_SCRIPT = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in SHA-256
+import fockvortex.cli as cli
+print(json.dumps({"fallback": cli._sha256 is hashlib.sha256, "hash": cli._config_hash({"a": 1})}))
+"""
+
+
+def test_config_hash_falls_back_to_hashlib_without_builtin_sha256():
+    doc = _run_child(_HASHLIB_FALLBACK_SCRIPT)
+    assert doc == {"fallback": True, "hash": _hashlib_config_hash({"a": 1})}
+
+
+def test_manifest_hashed_with_hashlib_still_resumes(tmp_path, capsys):
+    cfg = write_config(tmp_path, r_values=[0.0, 0.3, 0.5])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    manifest_path = tmp_path / "sweep-out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["config_hash"] == _hashlib_config_hash(manifest["config"])
+    # a manifest written by a build that hashed the config with hashlib
+    manifest["config_hash"] = _hashlib_config_hash(manifest["config"])
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    before = manifest_path.read_bytes()
+
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert "all 3 tasks cached; nothing to do" in capsys.readouterr().out
+    assert manifest_path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,9 @@ SWEEP = {
 
 # single-shot commands, run in the artifact directory: NV with and without the
 # splitter, a Fock-input field with its vortices, a slice on a plane that frees
-# both coordinates of mode b (mode a's one fixed point is contracted first) and
-# the diagonal form
+# both coordinates of mode b (mode a's one fixed point is contracted first),
+# the diagonal form, and a field with its vortices and a slice of the input
+# with no splitter
 SINGLES = [
     ["nv", "--r", "0.8", "--n", "2", "--json", "nv.json"],
     ["nv", "--r", "0.8", "--n", "2", "--pre-bs", "--json", "nv_pre_bs.json"],
@@ -65,6 +66,10 @@ SINGLES = [
      "-o", "slice_mode_b.csv"],
     ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--grid=-2:2:21",
      "-o", "slice_diagonal_form.csv"],
+    ["field", "--r", "0.8", "--n", "2", "--pre-bs", "--grid=-3:3:31", "-o", "field_pre_bs.csv",
+     "--vortices", "vortices_pre_bs.json"],
+    ["wigner-slice", "--r", "0.8", "--n", "2", "--pre-bs", "--grid=-2:2:21",
+     "-o", "slice_pre_bs.csv"],
 ]
 # one interpreter runs all of SINGLES, so the set costs one import
 _RUN_SINGLES = """import json, sys

@@ -1,11 +1,11 @@
 """Command-line front end: figure pipelines, parameter sweeps, selftest.
 
-Every figure and every sweep point run the same per-(r, N) task,
-``_point_task``: it builds the input, and its splitter image when a kind
-other than NV needs it, once each, and writes the requested field CSV,
-vortex JSON, Wigner-slice CSV, NV JSON and log-negativity JSON, each from
-one place.  The tables (``nv_table.csv``, ``logneg_table.csv``,
-``sweep.csv``) all go through one writer, ``_write_table``.
+Figure tasks, sweep points and the ``field``, ``wigner-slice`` and ``nv``
+commands write every field CSV, vortex JSON, Wigner-slice CSV, NV JSON and
+log-negativity JSON through one per-(r, N) function, ``_point``, which
+checks the settings before it builds the input.  The tables
+(``nv_table.csv``, ``logneg_table.csv``, ``sweep.csv``) all go through one
+writer, ``_write_table``.
 
 Artifacts (CSV/JSON data files) are written atomically (temp file +
 rename) and are byte-identical across runs with identical inputs.  Each
@@ -157,13 +157,11 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError) else EXIT_INVARIANT
 
 
-def _build_state(r: float, n: int, fock_input: bool, pre_bs: bool = False) -> TwoModeState:
+def _build_state(r: float, n: int, fock_input: bool) -> TwoModeState:
     params = SqueezeParams(r=r, n_max=n)  # checks r for the Fock input too, which records it
     if fock_input:
-        before = TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n)
-    else:
-        before = make_tmss(params)
-    return before if pre_bs else apply_beam_splitter(before)
+        return TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n)
+    return make_tmss(params)
 
 
 # ---------------------------------------------------------------------------
@@ -295,57 +293,60 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
 # per-point task and tables
 # ---------------------------------------------------------------------------
 
-def _vortex_doc(r: float, n: int, fock_input: bool, grid_spec: str, report) -> dict:
-    return {"r": r, "n_max": n, "input": "fock" if fock_input else "tmss", "grid": grid_spec,
-            **report.to_json_dict()}
+def _point(paths: dict, r: float, n: int, cfg: dict, fock_input: bool = False,
+           pre_bs: bool = False) -> dict:
+    """The one production path of every per-(r, N) artifact: checks the
+    ``POINT_DEFAULTS`` keys of ``cfg``, then writes each kind of ``paths``
+    (``_ARTIFACT_NAMES`` key -> path, None to write nothing; vortices need the
+    field) and returns each result by kind.  NV integrates the input (the
+    splitter is passive), the other kinds its image, unless ``pre_bs``."""
+    grid = QuadratureGrid.from_spec(cfg["grid"]) if "field" in paths else None
+    if "wigner-slice" in paths:
+        slice_grid = QuadratureGrid.from_spec(cfg["slice_grid"])
+        plane_free_coords(cfg["slice_plane"])
+    if "nv" in paths:
+        check_ladder(cfg["nv_order"], cfg["nv_tol"])
+    out: dict = {}
+    before = _build_state(r, n, fock_input)
+    state = before if pre_bs or paths.keys() <= {"nv"} else apply_beam_splitter(before)
+    if "field" in paths:
+        out["field"] = evaluate_field(state, grid)
+        _write_via(paths["field"], out["field"].to_csv)
+    if "vortices" in paths:
+        out["vortices"] = {"r": r, "n_max": n, "input": "fock" if fock_input else "tmss",
+                           "grid": cfg["grid"], **count_vortices(out["field"]).to_json_dict()}
+        _write_json(paths["vortices"], out["vortices"])
+    if "wigner-slice" in paths:
+        out["wigner-slice"] = wigner_slice(state, cfg["slice_plane"], slice_grid)
+        _write_via(paths["wigner-slice"], out["wigner-slice"].to_csv)
+    if "nv" in paths:
+        result = negativity_volume(before, cfg["nv_order"], tol=cfg["nv_tol"])
+        out["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
+        if paths["nv"]:
+            _write_json(paths["nv"], out["nv"])
+    if "logneg" in paths:
+        out["logneg"] = _logneg_row(r, n, before, state)
+        _write_json(paths["logneg"], out["logneg"])
+    return out
 
 
 def _point_task(out_dir: str, name: str, tag: str, r: float, n: int, cfg: dict,
                 fock_input: bool = False) -> Task:
-    """The one production path of every per-(r, N) artifact.
-
-    Builds the input once, and its splitter image once if a kind other than
-    NV is asked for: the splitter is passive, so NV integrates the input,
-    whose diagonal needs no splitter pass.  It writes each kind in
-    ``cfg["outputs"]`` as ``_ARTIFACT_NAMES[kind]`` with ``tag``; the other
-    ``POINT_DEFAULTS`` keys of ``cfg`` set grids, slice plane and NV rule.
-    Vortices are counted on the field, so asking for them writes the field
-    too.  The payload holds r, n and the NV and log-negativity documents
-    that were asked for.
-    """
+    """``_point`` as a pipeline task writing ``cfg["outputs"]``, and the field for
+    vortices, with ``tag``; its payload is r, n and the NV and log-negativity docs."""
     kinds = set(cfg["outputs"])
     if "vortices" in kinds:
         kinds.add("field")
     rels = {kind: pattern.format(tag) for kind, pattern in _ARTIFACT_NAMES.items() if kind in kinds}
     paths = {kind: os.path.join(out_dir, rel) for kind, rel in rels.items()}
+    docs = kinds & {"nv", "logneg"}
 
     def run() -> dict:
-        payload = {"r": r, "n": n}
-        before = _build_state(r, n, fock_input, pre_bs=True)
-        if kinds & {"field", "wigner-slice", "logneg"}:  # NV integrates the input alone
-            state = apply_beam_splitter(before)
-        if "field" in kinds:
-            fld = evaluate_field(state, QuadratureGrid.from_spec(cfg["grid"]))
-            _write_via(paths["field"], fld.to_csv)
-            if "vortices" in kinds:
-                report = count_vortices(fld)
-                _write_json(paths["vortices"], _vortex_doc(r, n, fock_input, cfg["grid"], report))
-        if "wigner-slice" in kinds:
-            sl = wigner_slice(state, cfg["slice_plane"], QuadratureGrid.from_spec(cfg["slice_grid"]))
-            _write_via(paths["wigner-slice"], sl.to_csv)
-        if "nv" in kinds:
-            result = negativity_volume(before, cfg["nv_order"], tol=cfg["nv_tol"])
-            payload["nv"] = {"r": r, "n_max": n, **result.to_json_dict()}
-            _write_json(paths["nv"], payload["nv"])
-        if "logneg" in kinds:
-            payload["logneg"] = _logneg_row(r, n, before, state)
-            _write_json(paths["logneg"], payload["logneg"])
-        return payload
+        out = _point(paths, r, n, cfg, fock_input)
+        return {"r": r, "n": n, **{kind: out[kind] for kind in docs}}
 
     def load() -> dict:
-        payload = {"r": r, "n": n}
-        payload.update((kind, _read_json(paths[kind])) for kind in kinds & {"nv", "logneg"})
-        return payload
+        return {"r": r, "n": n, **{kind: _read_json(paths[kind]) for kind in docs}}
 
     return Task(name, tuple(rels.values()), run, load)
 
@@ -543,33 +544,31 @@ def _parse_plane(text: str) -> dict:
 
 def cmd_field(args) -> int:
     _check_outputs(args.output, args.vortices)
-    state = _build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs)
-    grid = QuadratureGrid.from_spec(args.grid)
-    fld = evaluate_field(state, grid)
-    _write_via(args.output, fld.to_csv)
-    print(f"field written to {args.output} (grid {args.grid}, riemann norm {fld.norm_riemann():.6f})")
+    paths = {"field": args.output, **({"vortices": args.vortices} if args.vortices else {})}
+    out = _point(paths, args.r, args.n, dict(POINT_DEFAULTS, grid=args.grid), args.fock_input,
+                 args.pre_bs)
+    print(f"field written to {args.output} (grid {args.grid}, "
+          f"riemann norm {out['field'].norm_riemann():.6f})")
     if args.vortices:
-        report = count_vortices(fld)
-        _write_json(args.vortices, _vortex_doc(args.r, args.n, args.fock_input, args.grid, report))
-        print(f"vortices: count={report.count} total_charge={report.total_charge} "
-              f"-> {args.vortices}")
+        doc = out["vortices"]
+        print(f"vortices: count={doc['count']} total_charge={doc['total_charge']} -> {args.vortices}")
     return EXIT_OK
 
 
 def cmd_wigner_slice(args) -> int:
     _check_outputs(args.output)
     plane = _parse_plane(args.plane)
-    grid = QuadratureGrid.from_spec(args.grid)
     if args.diagonal_form:
+        grid = QuadratureGrid.from_spec(args.grid)
         if args.fock_input or args.pre_bs:
             raise InvalidParameterError("--diagonal-form takes neither --fock-input nor --pre-bs")
         free, point = plane_points(plane, grid)
-        vals = wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point)
-        sl = WignerSlice(free, grid, vals)
+        sl = WignerSlice(free, grid, wigner_diagonal_form(SqueezeParams(r=args.r, n_max=args.n), point))
+        _write_via(args.output, sl.to_csv)
     else:
-        sl = wigner_slice(_build_state(args.r, args.n, args.fock_input, pre_bs=args.pre_bs),
-                          plane, grid)
-    _write_via(args.output, sl.to_csv)
+        cfg = dict(POINT_DEFAULTS, slice_grid=args.grid, slice_plane=plane)
+        sl = _point({"wigner-slice": args.output}, args.r, args.n, cfg, args.fock_input,
+                    args.pre_bs)["wigner-slice"]
     print(f"{'diagonal-form ' if args.diagonal_form else ''}slice written to {args.output} "
           f"(min {sl.values.min():.6f}, max {sl.values.max():.6f})")
     return EXIT_OK
@@ -577,18 +576,16 @@ def cmd_wigner_slice(args) -> int:
 
 def cmd_nv(args) -> int:
     _check_outputs(args.json)
-    # the splitter is passive, so the output's NV is the input's: integrate the
-    # input either way, and record --pre-bs
-    state = _build_state(args.r, args.n, args.fock_input, pre_bs=True)
-    result = negativity_volume(state, args.order, tol=args.tol)
-    history = ", ".join(f"{o}:{v:.6f}" for o, v in result.resolution_history)
-    print(f"negativity volume = {result.volume:.6f} "
-          f"(integral of W = {result.normalization_check:.6f}; orders {history})")
+    # the splitter is passive, so the output's NV is the input's: _point
+    # integrates the input either way, and the JSON records --pre-bs
+    cfg = dict(POINT_DEFAULTS, nv_order=args.order, nv_tol=args.tol)
+    doc = _point({"nv": None}, args.r, args.n, cfg, args.fock_input)["nv"]
+    history = ", ".join(f"{o}:{v:.6f}" for o, v in doc["resolution_history"])
+    print(f"negativity volume = {doc['volume']:.6f} "
+          f"(integral of W = {doc['normalization_check']:.6f}; orders {history})")
     if args.json:
-        doc = {"r": args.r, "n_max": args.n, "pre_bs": args.pre_bs}
-        doc.update(result.to_json_dict())
-        _write_json(args.json, doc)
-    if not result.converged:
+        _write_json(args.json, dict(doc, pre_bs=args.pre_bs))
+    if not doc["converged"]:
         print("refinement did not converge to requested tolerance", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK

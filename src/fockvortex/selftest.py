@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quadrature, wigner
 from .beamsplitter import apply_beam_splitter
-from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES, _build_state
+from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES
 from .config import TOL
 from .entanglement import log_negativity, partial_transpose
 from .floatrepr import REPR_WIDTH, repr_table
@@ -30,16 +30,20 @@ from .states import SqueezeParams, TwoModeState, make_tmss, state_to_density
 from .wigner import build_wigner_grid, negativity_volume, plane_points, wigner_slice
 
 
+def _tmss(r: float, n: int) -> TwoModeState:
+    return make_tmss(SqueezeParams(r=r, n_max=n))
+
+
 def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
     """(name, check) in run order; ``closed-form-oracle`` runs the closed form with ``fault``."""
     def tmss_normalization():
         for r in (0.0, 0.3, 1.0, 2.0):
             for n in range(7):
-                state = make_tmss(SqueezeParams(r=r, n_max=n))
+                state = _tmss(r, n)
                 assert abs(state.norm() - 1.0) <= 1e-12, f"norm off at r={r}, n={n}"
 
     def tmss_amplitude_decay():
-        state = make_tmss(SqueezeParams(r=0.8, n_max=6))
+        state = _tmss(0.8, 6)
         amps = [abs(state.amplitude(j, j)) for j in range(7)]
         assert all(a > b for a, b in zip(amps, amps[1:])), "amplitudes must decay"
 
@@ -67,7 +71,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
                 closed_form_vortex_state(SqueezeParams(r=r, n_max=n), fault)
 
     def field_norm():
-        state = _build_state(0.5, 3, fock_input=False)
+        state = apply_beam_splitter(_tmss(0.5, 3))
         fld = evaluate_field(state, QuadratureGrid.square(6.0, 201))
         assert abs(fld.norm_riemann() - 1.0) < 1e-3, f"riemann norm {fld.norm_riemann()}"
 
@@ -104,14 +108,14 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
             assert got == sorted(clusters), f"charge {charge}: clusters {got}"
 
     def wigner_normalization():
-        state = _build_state(0.5, 2, fock_input=False)
+        state = apply_beam_splitter(_tmss(0.5, 2))
         result = negativity_volume(state)
         assert abs(result.normalization_check - 1.0) < 1e-6, (
             f"integral of W = {result.normalization_check}"
         )
 
     def wigner_marginal():
-        state = _build_state(0.4, 2, fock_input=False)
+        state = apply_beam_splitter(_tmss(0.4, 2))
         grid = QuadratureGrid.square(2.0, 3)
         fld = evaluate_field(state, grid)
         for i, x in enumerate(grid.x_axis()):
@@ -123,7 +127,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
     def slice_vs_pointwise():
         # the pointwise wigner_state is the oracle for the slice evaluator, on
         # both CLI planes and on a plane that frees both coordinates of one mode
-        state = _build_state(0.7, 3, fock_input=False)
+        state = apply_beam_splitter(_tmss(0.7, 3))
         grid = QuadratureGrid.from_spec(SLICE_GRID)
         for plane in (*SLICE_PLANES, {"y": 0.3, "py": 0.0}, {"x": 0.3, "px": 0.0}):
             gap = np.max(np.abs(wigner_slice(state, plane, grid).values
@@ -185,7 +189,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
 
     def logneg_schmidt_vs_eigh():
         rng = np.random.default_rng(5)
-        for state in (_build_state(0.7, 3, fock_input=False), random_state(rng, cutoff=4)):
+        for state in (apply_beam_splitter(_tmss(0.7, 3)), random_state(rng, cutoff=4)):
             fast, slow = log_negativity(state), log_negativity_eigh(state_to_density(state))
             assert len(fast.negative_eigenvalues) == len(slow.negative_eigenvalues), "spectrum size"
             gaps = np.subtract([fast.log_negativity, *fast.negative_eigenvalues],
@@ -205,7 +209,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         # both carry kink errors of |W| up to a few 1e-4.  The input, which
         # the pipelines integrate, sits on one diagonal itself;
         # nv-splitter-invariance covers an image a library caller may pass
-        state = _build_state(0.8, 1, fock_input=False, pre_bs=True)
+        state = _tmss(0.8, 1)
         fast = negativity_volume(state, 48, max_refinements=0)
         slow = tensor_negativity_volume(state_to_density(state), 48, max_refinements=0)
         assert (fast.engine, slow.engine) == ("reduced-3d", "tensor-4d"), "engine changed"
@@ -220,8 +224,8 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         # dimension, whose full radial rule has twice the nodes.  The five
         # keys fit the cache, so every warm pass must read cached tables
         asym = TwoModeState.from_pairs({(j + 1, j): 0.5 for j in range(4)}, cutoff=7)
-        runs = [(_build_state(0.8, 4, fock_input=False), (24, 48)), (asym, (24,)),
-                (_build_state(0.8, 2, fock_input=False), (24, 48))]
+        runs = [(apply_beam_splitter(_tmss(0.8, 4)), (24, 48)), (asym, (24,)),
+                (apply_beam_splitter(_tmss(0.8, 2)), (24, 48))]
 
         def volumes(fresh: bool) -> List[float]:
             out = []
@@ -243,7 +247,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
     def nv_splitter_invariance():
         # the splitter is a passive Gaussian unitary, so NV is the same before
         # and after it; the image's diagonal is found after one more pass
-        before = _build_state(0.8, 2, fock_input=False, pre_bs=True)
+        before = _tmss(0.8, 2)
         results = [negativity_volume(state) for state in (before, apply_beam_splitter(before))]
         assert [res.engine for res in results] == ["reduced-3d"] * 2, "dispatch changed"
         gap = abs(results[0].volume - results[1].volume)
@@ -254,7 +258,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         # complex in their last bits, so the phased diagonal takes the full
         # [0, 2 pi) theta rule: the oracle for the fold the real one takes,
         # at even orders and at an odd one, which is rounded up to even
-        c, na0, nb0 = wigner._pair_diagonal(_build_state(0.8, 2, fock_input=False, pre_bs=True))
+        c, na0, nb0 = wigner._pair_diagonal(_tmss(0.8, 2))
         phased = c * np.exp(1j * math.pi / 3)
         assert any((phased[s:] * phased[:len(c) - s].conj()).imag.any() for s in range(len(c))), (
             "the phased diagonal would fold too")
@@ -271,7 +275,7 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         # orders and at an odd one, whose middle node t = 1/2 is not doubled
         for n in FIG4_N_VALUES:
             for r in FIG4_R_VALUES:
-                c, na0, nb0 = wigner._pair_diagonal(_build_state(r, n, fock_input=False, pre_bs=True))
+                c, na0, nb0 = wigner._pair_diagonal(_tmss(r, n))
                 for order in (24, 25, 48):
                     wigner._radial_profiles.cache_clear()
                     fold = wigner._reduced_pass(c, na0, nb0, order)

@@ -264,6 +264,74 @@ def test_output_in_missing_directory_exits_usage_before_any_work(tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("field", ["--grid=bogus", "-o", "f.csv"], "error: bad grid spec 'bogus'"),
+    ("wigner-slice", ["--plane", "x=0", "-o", "s.csv"], "error: plane must fix exactly two"),
+    ("wigner-slice", ["--grid=bogus", "-o", "s.csv"], "error: bad grid spec 'bogus'"),
+    ("nv", ["--order", "1"], "error: order must be >= 2"),
+    ("nv", ["--tol", "0"], "error: tol must be > 0"),
+], ids=["field-grid", "wigner-slice-plane", "wigner-slice-grid", "nv-order", "nv-tol"])
+def test_bad_point_setting_exits_usage_before_any_state(tmp_path, monkeypatch, capsys, command,
+                                                        flags, message):
+    # past the splitter's norm wall (exit 4 once the image is built), so a
+    # setting checked after the state would show as an invariant failure
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a state was built before the settings were checked")
+
+    for name in ("make_tmss", "apply_beam_splitter"):
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--r", "1.5", "--n", "26", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# each single-shot command of tools/artifact_hashes.py SINGLES, and the
+# --fock-input NV, with the summary lines it prints
+_NV_08_2 = "negativity volume = 0.183449 (integral of W = 1.000000; orders 24:0.183224, 48:0.183449)"
+SINGLE_STDOUT = {
+    "nv": ("nv --r 0.8 --n 2 --json nv.json", [_NV_08_2]),
+    "nv-pre-bs": ("nv --r 0.8 --n 2 --pre-bs --json nv_pre_bs.json", [_NV_08_2]),
+    "nv-fock-input": (
+        "nv --r 0.8 --n 2 --fock-input",
+        ["negativity volume = 0.994846 (integral of W = 1.000000; "
+         "orders 24:0.994141, 48:0.996523, 96:0.993855, 192:0.994846)"]),
+    "field-fock-input": (
+        "field --r 0.02 --n 2 --fock-input --grid=-3:3:31 -o field_fock.csv "
+        "--vortices vortices_fock.json",
+        ["field written to field_fock.csv (grid -3:3:31, riemann norm 0.958638)",
+         "vortices: count=0 total_charge=0 -> vortices_fock.json"]),
+    "field-pre-bs": (
+        "field --r 0.8 --n 2 --pre-bs --grid=-3:3:31 -o field_pre_bs.csv "
+        "--vortices vortices_pre_bs.json",
+        ["field written to field_pre_bs.csv (grid -3:3:31, riemann norm 0.999319)",
+         "vortices: count=0 total_charge=0 -> vortices_pre_bs.json"]),
+    "wigner-slice-mode-b": (
+        "wigner-slice --r 0.8 --n 2 --plane x=0.3,px=0 --grid=-2:2:21 -o slice_mode_b.csv",
+        ["slice written to slice_mode_b.csv (min -0.022890, max 0.282746)"]),
+    "wigner-slice-pre-bs": (
+        "wigner-slice --r 0.8 --n 2 --pre-bs --grid=-2:2:21 -o slice_pre_bs.csv",
+        ["slice written to slice_pre_bs.csv (min -0.018478, max 0.405285)"]),
+    "wigner-slice-diagonal-form": (
+        "wigner-slice --r 0.8 --n 2 --diagonal-form --grid=-2:2:21 -o slice_diagonal_form.csv",
+        ["diagonal-form slice written to slice_diagonal_form.csv (min 0.000028, max 0.405285)"]),
+}
+
+
+@pytest.mark.parametrize("argv, lines", SINGLE_STDOUT.values(), ids=SINGLE_STDOUT)
+def test_single_shot_summary_lines(tmp_path, monkeypatch, capsys, argv, lines):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     fake = NegativityResult(
         volume=0.1, integral_abs=1.2, normalization_check=1.0,

@@ -293,19 +293,30 @@ def _run_pipeline(out_dir: str, config_doc: dict, tasks: Sequence[Task],
 # per-point task and tables
 # ---------------------------------------------------------------------------
 
+def _point_settings(cfg: dict, kinds) -> Tuple[Optional[QuadratureGrid], Optional[QuadratureGrid]]:
+    """Check the ``POINT_DEFAULTS`` keys of ``cfg`` that the artifact ``kinds``
+    read, and return the (field, slice) grids, None for a kind not among them."""
+    grid = slice_grid = None
+    if "field" in kinds:
+        grid = QuadratureGrid.from_spec(cfg["grid"])
+    if "wigner-slice" in kinds:
+        slice_grid = QuadratureGrid.from_spec(cfg["slice_grid"])
+        if not isinstance(cfg["slice_plane"], dict):
+            raise InvalidParameterError("slice_plane must be an object of coordinate: value")
+        plane_free_coords(cfg["slice_plane"])
+    if "nv" in kinds:
+        check_ladder(cfg["nv_order"], cfg["nv_tol"])
+    return grid, slice_grid
+
+
 def _point(paths: dict, r: float, n: int, cfg: dict, fock_input: bool = False,
            pre_bs: bool = False) -> dict:
-    """The one production path of every per-(r, N) artifact: checks the
-    ``POINT_DEFAULTS`` keys of ``cfg``, then writes each kind of ``paths``
+    """The one production path of every per-(r, N) artifact: checks ``cfg``
+    (``_point_settings``), then writes each kind of ``paths``
     (``_ARTIFACT_NAMES`` key -> path, None to write nothing; vortices need the
     field) and returns each result by kind.  NV integrates the input (the
     splitter is passive), the other kinds its image, unless ``pre_bs``."""
-    grid = QuadratureGrid.from_spec(cfg["grid"]) if "field" in paths else None
-    if "wigner-slice" in paths:
-        slice_grid = QuadratureGrid.from_spec(cfg["slice_grid"])
-        plane_free_coords(cfg["slice_plane"])
-    if "nv" in paths:
-        check_ladder(cfg["nv_order"], cfg["nv_tol"])
+    grid, slice_grid = _point_settings(cfg, paths)
     out: dict = {}
     before = _build_state(r, n, fock_input)
     state = before if pre_bs or paths.keys() <= {"nv"} else apply_beam_splitter(before)
@@ -473,9 +484,6 @@ def _load_sweep_config(path: str) -> dict:
         for r in raw["r_values"]:
             for n in raw["n_values"]:
                 SqueezeParams(r=r, n_max=n)
-        check_ladder(settings["nv_order"], settings["nv_tol"])
-        for count in (*raw["n_values"], settings["nv_order"]):
-            float(count)  # past the float range a count is no JSON number: OverflowError
         cfg = {
             "r_values": [float(r) for r in raw["r_values"]],  # JSON 1 tags r1p0
             "n_values": raw["n_values"],
@@ -483,10 +491,15 @@ def _load_sweep_config(path: str) -> dict:
             "grid": str(settings["grid"]),
             "slice_grid": str(settings["slice_grid"]),
             "slice_plane": settings["slice_plane"],
-            "nv_tol": float(settings["nv_tol"]),
+            "nv_tol": settings["nv_tol"],
             "nv_order": settings["nv_order"],
             "output_dir": raw.get("output_dir", "sweep-out"),
         }
+        # every kind's settings, whichever the sweep writes
+        _point_settings(cfg, SWEEP_OUTPUTS)
+        for count in (*cfg["n_values"], cfg["nv_order"]):
+            float(count)  # past the float range a count is no JSON number: OverflowError
+        cfg["nv_tol"] = float(cfg["nv_tol"])
     except (TypeError, OverflowError) as exc:  # a number where a list belongs; a huge integer
         raise InvalidParameterError(f"malformed sweep config value: {exc}")
     for key in ("r_values", "n_values"):
@@ -500,11 +513,6 @@ def _load_sweep_config(path: str) -> dict:
         )
     if not isinstance(cfg["output_dir"], str):
         raise InvalidParameterError(f"output_dir must be a path string, got {cfg['output_dir']!r}")
-    if not isinstance(cfg["slice_plane"], dict):
-        raise InvalidParameterError("slice_plane must be an object of coordinate: value")
-    plane_free_coords(cfg["slice_plane"])
-    QuadratureGrid.from_spec(cfg["grid"])
-    QuadratureGrid.from_spec(cfg["slice_grid"])
     return cfg
 
 

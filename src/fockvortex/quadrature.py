@@ -124,19 +124,23 @@ def _write_grid_csv(path, names, grid: QuadratureGrid, columns) -> None:
     floats, which would merge 0.0 and -0.0, whose reprs differ.  The file
     is gathered from the tables and written one y-row at a time, and NUL
     padding is dropped from each row, so memory stays bounded by the tables
-    and their int32 indices.
+    and their indices, each kept at the narrowest unsigned type that can
+    index its table (uint16 for every figure-1 column).
     """
     distincts, inverses = [], []
     for column in columns:
         # transposed, so the flat index runs in file order: y outer, x inner
         distinct, inverse = np.unique(np.asarray(column, dtype=float).T.view(np.int64),
                                       return_inverse=True)
+        width = np.min_scalar_type(len(distinct) - 1)
         distincts.append(distinct.view(float))
-        inverses.append(inverse.astype(np.int32).reshape(grid.n_y, grid.n_x))
-        del inverse  # only the int32 copy outlives the loop
+        inverses.append(inverse.astype(width).reshape(grid.n_y, grid.n_x))
+        del distinct, inverse  # only the list's view and the narrow copy outlive the loop
     # formatted after the last np.unique, so its temporaries and the tables
-    # are never alive at once
-    tables = [_repr_table(distinct) for distinct in distincts]
+    # are never alive at once; each distinct array is dropped once formatted
+    tables = []
+    while distincts:
+        tables.append(_repr_table(distincts.pop(0)))
     # each field is REPR_WIDTH bytes and its separator; NULs are dropped on write
     line = np.zeros((grid.n_x, 2 + len(tables), REPR_WIDTH + 1), dtype=np.uint8)
     line[:, :, -1] = ord(",")

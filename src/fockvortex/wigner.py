@@ -536,13 +536,17 @@ def _ladder(run_pass: Callable[[int], Tuple[float, float]], order: int, tol: flo
     successive NV estimates differ by < tol; after ``max_refinements``
     doublings the best estimate is returned flagged non-converged.  The
     computed integral of W stands in for the exact 1; a deviation beyond
-    10*tol flags the result under-resolved, and so never converged."""
+    10*tol flags the result under-resolved, and so never converged.  A pass
+    whose integrals are not finite raises ``InvariantError``."""
     history: List[Tuple[int, float]] = []
     prev = None
     converged = False
     integral_abs = total_w = 0.0
     for _ in range(max_refinements + 1):
         integral_abs, total_w = run_pass(order)
+        if not (math.isfinite(integral_abs) and math.isfinite(total_w)):
+            raise InvariantError(f"NV pass at order {order} is not finite: integral of |W| = "
+                                 f"{integral_abs}, integral of W = {total_w}")
         nv = 0.5 * (integral_abs - total_w)
         history.append((order, nv))
         if prev is not None and abs(nv - prev) < tol:

@@ -343,6 +343,27 @@ def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_nan_nv_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys):
+    # what `nv --r 0.5 --n 1500 --order 2 --tol 1` meets once its kernel
+    # columns overflow (a 30 s, 374 MB run), without the run
+    monkeypatch.setattr(wigner, "_reduced_pass", lambda *a, **k: (math.nan, math.nan))
+    out = tmp_path / "nv.json"
+    assert main(["nv", "--r", "0.5", "--n", "2", "--json", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+    assert not out.exists()
+
+
+def test_nan_nv_point_is_a_failed_task(tmp_path, monkeypatch):
+    monkeypatch.setattr(wigner, "_reduced_pass", lambda *a, **k: (math.nan, math.nan))
+    cfg = write_config(tmp_path, r_values=[0.3], outputs=["nv"])
+    assert main(["sweep", "--config", str(cfg)]) == 4
+    out = tmp_path / "sweep-out"
+    [entry] = json.loads((out / "manifest.json").read_text())["tasks"]
+    assert entry["status"] == "failed" and "InvariantError" in entry["error"]
+    assert not (out / "nv_r0p3_n2.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

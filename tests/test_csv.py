@@ -143,6 +143,22 @@ def test_slice_csv_with_repeated_values(tmp_path):
     assert path.read_bytes() == grid_csv_oracle(("x", "py", "w"), SLICE_GRID, values)
 
 
+@pytest.mark.parametrize("distinct", [256, 65_537], ids=["uint8", "uint32"])
+def test_slice_csv_at_the_index_width_edges(tmp_path, distinct):
+    # 256 distinct values are the most uint8 indices reach; 65,537 take
+    # uint32 indices, which no figure's column needs
+    grid = QuadratureGrid(-1.0, 1.0, -2.0, 2.0, 257, 256)
+    rng = np.random.default_rng(5)
+    palette = rng.standard_normal(distinct)
+    palette[:2] = 0.0, -0.0
+    values = palette[rng.permutation(grid.n_x * grid.n_y) % distinct].reshape(grid.n_x, grid.n_y)
+    assert len(np.unique(values.view(np.int64))) == distinct
+    sl = WignerSlice(("x", "py"), grid, values)
+    path = tmp_path / "slice.csv"
+    sl.to_csv(path)
+    assert path.read_bytes() == grid_csv_oracle(("x", "py", "w"), grid, values)
+
+
 def _reprs(values) -> list:
     return [repr(v).encode() for v in values.tolist()]
 
@@ -188,10 +204,11 @@ def test_repr_table_across_chunks():
 
 
 # peak bytes per grid point that QuadratureField.to_csv may allocate: the
-# abs and arg columns (16), int32 indices (16) and the fixed-width tables of
-# distinct reprs (~40 for a figure-1 field) plus np.unique's temporaries.
-# Python string tables or a whole-file join each break it.
-CSV_BYTES_PER_POINT = 100
+# four columns' indices, uint16 for a figure-1 field (8), and the fixed-width
+# tables of distinct reprs (~40) plus np.unique's temporaries, ~61 in all.
+# The field holds its abs and arg columns before to_csv runs.  int32 indices
+# (~80), Python string tables or a whole-file join each break it.
+CSV_BYTES_PER_POINT = 70
 
 
 def test_field_csv_memory_is_bounded(tmp_path):

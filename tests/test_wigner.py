@@ -1074,6 +1074,16 @@ def test_far_marginal_and_diagonal_form_raise_instead_of_returning_nan():
         wigner_diagonal_form(SqueezeParams(r=0.5, n_max=14), (1e6, 0.0, 0.0, 0.0))
 
 
+def test_ladder_raises_on_a_non_finite_pass():
+    # where the kernel columns overflow a pass's integrals are NaN: an
+    # invariant failure, not a volume that merely failed to converge
+    def run_pass(order):
+        return (1.2, 1.0) if order == 24 else (math.nan, math.nan)
+
+    with pytest.raises(InvariantError, match="order 48 is not finite"):
+        wigner_module._ladder(run_pass, 24, 1e-3, 3, "stub")
+
+
 def test_slice_plane_validation():
     state = make_tmss(SqueezeParams(r=0.1, n_max=1))
     grid = QuadratureGrid.square(1.0, 3)

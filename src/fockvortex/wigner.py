@@ -566,7 +566,6 @@ def _ladder(run_pass: Callable[[int], Tuple[float, float]], order: int, tol: flo
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends as a non-finite pass, see _ladder
 def negativity_volume(
     state: TwoModeState,
     order: int = GH_ORDER,

@@ -345,7 +345,7 @@ def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_nan_nv_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys):
     # what `nv --r 0.5 --n 1500 --order 2 --tol 1` meets once its kernel
-    # columns overflow (a 30 s, 374 MB run), without the run
+    # columns overflow, without that run's 374 MB
     monkeypatch.setattr(wigner, "_reduced_pass", lambda *a, **k: (math.nan, math.nan))
     out = tmp_path / "nv.json"
     assert main(["nv", "--r", "0.5", "--n", "2", "--json", str(out)]) == 4

@@ -475,6 +475,9 @@ def _load_sweep_config(path: str) -> dict:
     for key in ("r_values", "n_values", "outputs"):
         if key not in raw:
             raise InvalidParameterError(f"sweep config missing required key {key!r}")
+    unread = sorted(set(raw) - {"r_values", "n_values", "outputs", "output_dir", *POINT_DEFAULTS})
+    if unread:  # a misspelt setting would otherwise run at its default
+        raise InvalidParameterError(f"sweep config keys that nothing reads: {unread}")
     settings = dict(POINT_DEFAULTS, **raw)
     try:
         if not raw["r_values"] or not raw["n_values"]:
@@ -565,7 +568,7 @@ def cmd_field(args) -> int:
 
 def cmd_wigner_slice(args) -> int:
     _check_outputs(args.output)
-    plane = _parse_plane(args.plane)
+    plane = POINT_DEFAULTS["slice_plane"] if args.plane is None else _parse_plane(args.plane)
     if args.diagonal_form:
         grid = QuadratureGrid.from_spec(args.grid)
         if args.fock_input or args.pre_bs:
@@ -584,15 +587,11 @@ def cmd_wigner_slice(args) -> int:
 
 def cmd_nv(args) -> int:
     _check_outputs(args.json)
-    # the splitter is passive, so the output's NV is the input's: _point
-    # integrates the input either way, and the JSON records --pre-bs
     cfg = dict(POINT_DEFAULTS, nv_order=args.order, nv_tol=args.tol)
-    doc = _point({"nv": None}, args.r, args.n, cfg, args.fock_input)["nv"]
+    doc = _point({"nv": args.json}, args.r, args.n, cfg, args.fock_input)["nv"]
     history = ", ".join(f"{o}:{v:.6f}" for o, v in doc["resolution_history"])
     print(f"negativity volume = {doc['volume']:.6f} "
           f"(integral of W = {doc['normalization_check']:.6f}; orders {history})")
-    if args.json:
-        _write_json(args.json, dict(doc, pre_bs=args.pre_bs))
     if not doc["converged"]:
         print("refinement did not converge to requested tolerance", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -641,13 +640,17 @@ def _point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, required=True, help="squeezing parameter")
     p.add_argument("--n", type=int, required=True, help="photon-pair truncation order")
     p.add_argument("--fock-input", action="store_true", help="use |n,n> input instead of TMSS")
-    p.add_argument("--pre-bs", action="store_true",
-                   help="evaluate the input state, no splitter (nv: the same volume, "
-                        "since the splitter is passive)")
+
+
+# field and wigner-slice evaluate the splitter image unless --pre-bs; nv
+# integrates the input either way (the splitter is passive), so takes none
+def _image_args(p: argparse.ArgumentParser) -> None:
+    _point_args(p)
+    p.add_argument("--pre-bs", action="store_true", help="evaluate the input state, no splitter")
 
 
 def _field_args(p: argparse.ArgumentParser) -> None:
-    _point_args(p)
+    _image_args(p)
     p.add_argument("--grid", default=FIELD_GRID, help="grid spec min:max:n[,min:max:n]")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     p.add_argument("--vortices", help="also write a vortex-detection JSON report here")
@@ -655,8 +658,8 @@ def _field_args(p: argparse.ArgumentParser) -> None:
 
 
 def _wigner_slice_args(p: argparse.ArgumentParser) -> None:
-    _point_args(p)
-    p.add_argument("--plane", default="y=0,px=0", help="two fixed coords, e.g. 'y=0,px=0'")
+    _image_args(p)
+    p.add_argument("--plane", help="two fixed coords, e.g. 'x=0,py=0' (default: the figures' first)")
     p.add_argument("--grid", default=SLICE_GRID, help="grid spec for the two free coords")
     p.add_argument("--diagonal-form", action="store_true",
                    help="evaluate the diagonal closed form instead of the exact W")

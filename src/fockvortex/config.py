@@ -21,6 +21,7 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# tensor Gauss-Hermite defaults for phase-space integration
+# every NV ladder's defaults, the reduced engine's and the tensor oracle's:
+# its starting order and how many times it may double it
 GH_ORDER = 24
 MAX_REFINEMENTS = 4

@@ -39,8 +39,8 @@ def wigner_fock_diagonal(n: int, q_squared: Union[float, np.ndarray]):
     """W of |n><n| as a function of q^2 = x^2 + p^2."""
     check_count("order", n, 0)
     q2 = np.asarray(q_squared, dtype=float)
-    *_, lag = _laguerre_rows(n, 0, 4.0 * q2)
-    val = _TWO_OVER_PI * (-1.0) ** n * lag * np.exp(-2.0 * q2)
+    *_, lag = _laguerre_rows(n, np.zeros(1, int), 4.0 * q2)
+    val = _TWO_OVER_PI * (-1.0) ** n * lag[0] * np.exp(-2.0 * q2)
     return float(val) if np.isscalar(q_squared) else val
 
 

@@ -44,8 +44,8 @@ each folds onto about half its nodes where W has the symmetry for it.  Any
 other input (a density matrix, or a state on no single diagonal) raises
 ``InvalidParameterError``: the 4-D tensor-product engine,
 ``fockvortex.oracles.tensor_negativity_volume``, takes it, and is the oracle
-for the reduced pass in the tests and the selftest.  The ladder's one
-setting is its starting order; ``check_ladder`` states its bounds.
+for the reduced pass in the tests and the selftest.  ``check_ladder`` bounds
+the ladder's settings: its starting order, tolerance and doublings.
 
 Every blocked loop (``_kernel_products``, ``_reduced_pass`` and the
 oracles' ``wigner_state`` and ``_nv_pass``) takes its block length from the
@@ -64,7 +64,7 @@ which builds both at every point, is its oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
 from typing import Callable, List, Optional, Tuple, Union
@@ -86,22 +86,17 @@ _BLOCK_BYTES = 1 << 25  # bytes per block array in every blocked loop
 # Fock-basis kernels
 # ---------------------------------------------------------------------------
 
-def _laguerre_rows(n_max: int, alpha, u: np.ndarray):
-    """Associated Laguerre rows L_n^alpha(u), n = 0 .. n_max, yielded one at a
-    time by the three-term recurrence.
-
-    ``alpha`` is an integer, whose rows run to degree n_max, or an ascending
-    1-D integer array whose alphas run along each row's first axis: one
-    recurrence serves every alpha, with the float steps of the one-alpha
-    recurrence, so the bits are the same.  Row n of an array then holds the
-    alphas with n + alpha <= n_max only, the triangle of degrees the kernel
-    table reads."""
-    alphas = np.atleast_1d(alpha)
+def _laguerre_rows(n_max: int, alphas: np.ndarray, u: np.ndarray):
+    """Associated Laguerre rows L_n^alpha(u), n = 0 .. n_max, one at a time by
+    the three-term recurrence, whose first axis runs over the ascending integer
+    array ``alphas``: one recurrence with the float steps, so the bits, of the
+    one-alpha one.  Row n holds the alphas with n + alpha <= n_max only, the
+    triangle of degrees the kernel table reads; ``np.zeros(1, int)`` gives
+    L_n(u) as row[0] at every degree."""
     col = alphas.reshape(alphas.shape + (1,) * u.ndim)
-    triangle = np.ndim(alpha) > 0
     prev = row = None
     for n in range(n_max + 1):
-        a = col[:int(np.searchsorted(alphas, n_max - n, side="right"))] if triangle else col
+        a = col[:int(np.searchsorted(alphas, n_max - n, side="right"))]
         k = len(a)
         if n == 0:
             nxt = np.ones((k,) + u.shape)
@@ -110,7 +105,7 @@ def _laguerre_rows(n_max: int, alpha, u: np.ndarray):
         else:
             nxt = ((2 * n - 1 + a - u) * row[:k] - (n - 1 + a) * prev[:k]) / n
         prev, row = row, nxt
-        yield row if np.ndim(alpha) else row[0]
+        yield row
 
 
 @lru_cache(maxsize=None)
@@ -261,8 +256,8 @@ def wigner_diagonal_form(params: SqueezeParams, point) -> Union[float, np.ndarra
     up = 8.0 * (q0 + q1)
     um = 8.0 * (q0 - q1)
     nmax = 2 * params.n_max
-    lp = list(_laguerre_rows(nmax, 0, up))
-    lm = list(_laguerre_rows(nmax, 0, um))
+    lp = [row[0] for row in _laguerre_rows(nmax, np.zeros(1, int), up)]
+    lm = [row[0] for row in _laguerre_rows(nmax, np.zeros(1, int), um)]
     out = np.zeros_like(np.asarray(q0))
     for (j, m), w in sorted(_diagonal_form_weights(params).items()):
         # (-1)^{j+m} (-1)^{j-m} = (-1)^{2j} = 1: the sign prints as +1 identically
@@ -303,10 +298,10 @@ class NegativityResult:
     volume: float
     integral_abs: float
     normalization_check: float
-    resolution_history: List[Tuple[int, float]] = field(default_factory=list)
-    converged: bool = True
-    under_resolved: bool = False
-    engine: str = "reduced-3d"
+    resolution_history: List[Tuple[int, float]]
+    converged: bool
+    under_resolved: bool
+    engine: str
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))

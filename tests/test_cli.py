@@ -7,6 +7,7 @@ import math
 import os
 import re
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -296,7 +297,6 @@ def test_bad_point_setting_exits_usage_before_any_state(tmp_path, monkeypatch, c
 _NV_08_2 = "negativity volume = 0.183449 (integral of W = 1.000000; orders 24:0.183224, 48:0.183449)"
 SINGLE_STDOUT = {
     "nv": ("nv --r 0.8 --n 2 --json nv.json", [_NV_08_2]),
-    "nv-pre-bs": ("nv --r 0.8 --n 2 --pre-bs --json nv_pre_bs.json", [_NV_08_2]),
     "nv-fock-input": (
         "nv --r 0.8 --n 2 --fock-input",
         ["negativity volume = 0.994846 (integral of W = 1.000000; "
@@ -332,15 +332,23 @@ def test_single_shot_summary_lines(tmp_path, monkeypatch, capsys, argv, lines):
     assert captured.err == ""
 
 
+def test_summary_lines_cover_every_single_of_the_hash_tool():
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "artifact_hashes.py")
+    singles = {" ".join(argv) for argv in runpy.run_path(tool)["SINGLES"]}
+    assert singles <= {argv for argv, _ in SINGLE_STDOUT.values()}
+
+
 def test_nonconverged_nv_exits_three(tmp_path, monkeypatch, capsys):
     fake = NegativityResult(
         volume=0.1, integral_abs=1.2, normalization_check=1.0,
-        resolution_history=((24, 0.1),), converged=False, under_resolved=False,
+        resolution_history=((24, 0.1),), converged=False, under_resolved=False, engine="reduced-3d",
     )
     monkeypatch.setattr(cli, "negativity_volume", lambda *a, **k: fake)
-    code = main(["nv", "--r", "0.5", "--n", "2"])
+    out = tmp_path / "nv.json"
+    code = main(["nv", "--r", "0.5", "--n", "2", "--json", str(out)])
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
+    assert json.loads(out.read_text())["converged"] is False  # the best estimate is kept
 
 
 def test_nan_nv_exits_invariant_with_one_line(tmp_path, monkeypatch, capsys):
@@ -644,13 +652,13 @@ def test_field_pre_splitter_never_applies_the_splitter(tmp_path, monkeypatch):
 
 def test_nv_past_the_splitter_norm_wall_integrates_the_input(tmp_path):
     # the splitter image misses TOL.norm at this N (exit 4 when nv applied the
-    # splitter); NV is splitter-invariant, so nv integrates the input either way
-    docs = []
-    for flags, name in (([], "nv.json"), (["--pre-bs"], "nv_pre_bs.json")):
-        assert main(["nv", "--r", "1.5", "--n", "26", *flags, "--json", str(tmp_path / name)]) == 0
-        docs.append(json.loads((tmp_path / name).read_text()))
-    assert [doc.pop("pre_bs") for doc in docs] == [False, True]
-    assert docs[0] == docs[1]  # the volume, its history and checks, bit for bit
+    # splitter); NV is splitter-invariant, so nv integrates the input
+    out = tmp_path / "nv.json"
+    assert main(["nv", "--r", "1.5", "--n", "26", "--json", str(out)]) == 0
+    result = wigner.negativity_volume(make_tmss(SqueezeParams(r=1.5, n_max=26)))
+    want = {"r": 1.5, "n_max": 26, **result.to_json_dict()}
+    # the volume, its history and checks, bit for bit, and no pre_bs key
+    assert json.loads(out.read_text()) == json.loads(json.dumps(want))
 
 
 def test_wigner_slice_csv_layout(tmp_path):
@@ -1086,6 +1094,16 @@ def test_sweep_invalid_values_exit_usage(tmp_path, overrides, capsys):
     assert not (tmp_path / "sweep-out" / "manifest.json").exists()
 
 
+def test_sweep_config_key_that_nothing_reads_exits_usage(tmp_path, capsys):
+    # a misspelt nv_tol used to run at the default tolerance, unreported
+    cfg = write_config(tmp_path, r_values=[0.5], outputs=["nv"], nv_tolerance=1e-9, Grid="-1:1:5")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "['Grid', 'nv_tolerance']" in err[0]
+    assert not (tmp_path / "sweep-out").exists()
+
+
 def test_sweep_tags_an_integer_squeezing_as_a_float(tmp_path):
     # r is normalized to a float after the checks, so JSON 1 tags r1p0
     cfg = write_config(tmp_path, r_values=[1])
@@ -1324,14 +1342,17 @@ def test_interrupted_run_of_another_config_leaves_nothing_cached(tmp_path, monke
         *(["figure", str(f), "--fock-input"] for f in range(2, 6)),
         ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--fock-input"],
         ["wigner-slice", "--r", "0.8", "--n", "2", "--diagonal-form", "--pre-bs"],
+        ["nv", "--r", "0.8", "--n", "2", "--pre-bs"],  # the parser has no such flag
     ],
     ids=" ".join,
 )
 def test_flags_that_would_do_nothing_exit_usage(tmp_path, argv, capsys):
-    out = ["--out", str(tmp_path / "out")] if argv[0] == "figure" else ["-o", str(tmp_path / "s.csv")]
-    assert main(argv + out) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
+    out = {"figure": ["--out", str(tmp_path / "out")],
+           "nv": ["--json", str(tmp_path / "n.json")]}.get(argv[0], ["-o", str(tmp_path / "s.csv")])
+    code, _, err = _main_outcome(argv + out, capsys)
+    assert code == 2
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_artifact_gets_the_same_mode(tmp_path):

@@ -164,9 +164,11 @@ def test_laguerre_rows_run_every_alpha_in_one_recurrence():
     for alpha in range(n_max + 1):
         one = _laguerre_one_alpha(n_max - alpha, alpha, u)
         assert np.array([row[alpha] for row in rows[:n_max - alpha + 1]]).tobytes() == one.tobytes()
-    for alpha in (0, 3):  # an integer alpha keeps every degree up to n_max
-        single = np.array(list(wigner_module._laguerre_rows(n_max, alpha, u)))
-        assert single.tobytes() == _laguerre_one_alpha(n_max, alpha, u).tobytes()
+    for alpha in (0, 3):  # one alpha alone runs to degree n_max - alpha, as in the triangle
+        rows = list(wigner_module._laguerre_rows(n_max, np.array([alpha]), u))
+        assert [len(row) for row in rows] == [1] * (n_max - alpha + 1) + [0] * alpha
+        single = np.array([row[0] for row in rows[:n_max - alpha + 1]])
+        assert single.tobytes() == _laguerre_one_alpha(n_max - alpha, alpha, u).tobytes()
 
 
 @pytest.mark.parametrize("dim,order", [(9, 48), (41, 24)])

@@ -52,14 +52,13 @@ SWEEP = {
     "slice_grid": "-2:2:21",
 }
 
-# single-shot commands, run in the artifact directory: NV with and without the
-# splitter, a Fock-input field with its vortices, a slice on a plane that frees
-# both coordinates of mode b (mode a's one fixed point is contracted first),
-# the diagonal form, and a field with its vortices and a slice of the input
-# with no splitter
+# single-shot commands, run in the artifact directory: NV (of the input, the
+# splitter being passive), a Fock-input field with its vortices, a slice on a
+# plane that frees both coordinates of mode b (mode a's one fixed point is
+# contracted first), the diagonal form, and, with --pre-bs, a field with its
+# vortices and a slice of the input with no splitter
 SINGLES = [
     ["nv", "--r", "0.8", "--n", "2", "--json", "nv.json"],
-    ["nv", "--r", "0.8", "--n", "2", "--pre-bs", "--json", "nv_pre_bs.json"],
     ["field", "--r", "0.02", "--n", "2", "--fock-input", "--grid=-3:3:31", "-o", "field_fock.csv",
      "--vortices", "vortices_fock.json"],
     ["wigner-slice", "--r", "0.8", "--n", "2", "--plane", "x=0.3,px=0", "--grid=-2:2:21",

@@ -2,24 +2,44 @@
 
 ``apply_beam_splitter`` expands the mode map
 a+ -> (a+ + i b+)/sqrt(2),  b+ -> (b+ + i a+)/sqrt(2)
-binomially on every Fock component.  ``_pair_terms`` gives the per-pair
-coefficients of that expansion for a pair input |j, j>, which the diagonal
-closed form of ``fockvortex.wigner`` and the closed-form vortex state of
-``fockvortex.oracles`` (the splitter's independent cross-check) both sum.
+binomially on every Fock component.  ``_expansion`` gives the terms of one
+input component |n_a, n_b>; the splitter sums them into its output, and the
+diagonal form of ``fockvortex.wigner`` sums their squares for each pair
+input |j, j>.  The splitter's independent cross-check, the closed-form image
+of pair input in ``fockvortex.oracles``, shares none of this code.
 """
 from __future__ import annotations
 
 import math
 from math import lgamma
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .states import SqueezeParams, TwoModeState
+from .states import TwoModeState
 
 
 def _lgamma_table(n: int) -> np.ndarray:
     return np.array([lgamma(k + 1) for k in range(n + 1)])
+
+
+def _expansion(lg: np.ndarray, na: int, nb: int) -> Tuple[np.ndarray, ...]:
+    """(o_a, o_b, k + l, log|term|) of |n_a, n_b>'s image over the (k, l)
+    grid, k = 0..n_a on axis 0 and l = 0..n_b on axis 1: k photons of mode a
+    and l of mode b cross the splitter, to |n_a - k + l, n_b - l + k> with
+    the phase i^(k + l); ``lg`` holds log(n!) up to n_a + n_b."""
+    k = np.arange(na + 1)[:, None]
+    l = np.arange(nb + 1)[None, :]
+    oa = na - k + l
+    ob = nb - l + k
+    # 2^{-(na+nb)/2} * C(na,k) C(nb,l) * sqrt(oa! ob! / (na! nb!))
+    logmag = (
+        lg[na] - lg[k] - lg[na - k]
+        + lg[nb] - lg[l] - lg[nb - l]
+        + 0.5 * (lg[oa] + lg[ob] - lg[na] - lg[nb])
+        - 0.5 * (na + nb) * math.log(2.0)
+    )
+    return oa, ob, k + l, logmag
 
 
 def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
@@ -30,35 +50,7 @@ def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
     i_pow = np.array([1, 1j, -1, -1j], dtype=complex)
     # row-major order, so np.add.at sums each output entry's terms in (n_a, n_b) order
     for na, nb in np.argwhere(amps):
-        amp = amps[na, nb]
-        k = np.arange(na + 1)[:, None]
-        l = np.arange(nb + 1)[None, :]
-        oa = na - k + l  # output photon numbers, mode a
-        ob = nb - l + k
-        # amp * 2^{-(na+nb)/2} * i^{k+l} * C(na,k) C(nb,l) * sqrt(oa! ob! / (na! nb!))
-        logmag = (
-            lg[na] - lg[k] - lg[na - k]
-            + lg[nb] - lg[l] - lg[nb - l]
-            + 0.5 * (lg[oa] + lg[ob] - lg[na] - lg[nb])
-            - 0.5 * (na + nb) * math.log(2.0)
-        )
-        term = amp * np.exp(logmag) * i_pow[(k + l) % 4]
+        oa, ob, power, logmag = _expansion(lg, na, nb)
+        term = amps[na, nb] * np.exp(logmag) * i_pow[power % 4]
         np.add.at(out, (oa.ravel(), ob.ravel()), term.ravel())
     return TwoModeState(out)
-
-
-def _pair_terms(params: SqueezeParams) -> Iterator[Tuple[int, int, int, float]]:
-    """(j, k, l, C_{k,l}) for every input pair |j, j>, j <= n_max, and every
-    k, l in 0..j; C_{k,l} = sqrt((j-l+k)! (j+l-k)!) / (k! (j-k)! l! (j-l)!).
-
-    Pair |j, j> sends k photons of mode a and l of mode b across the
-    splitter, to |j - m, j + m> with m = l - k.
-    """
-    lg = _lgamma_table(2 * params.n_max)
-    for j in range(params.n_max + 1):
-        for k in range(j + 1):
-            for l in range(j + 1):
-                yield j, k, l, math.exp(
-                    0.5 * (lg[j - l + k] + lg[j + l - k])
-                    - lg[k] - lg[j - k] - lg[l] - lg[j - l]
-                )

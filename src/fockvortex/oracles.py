@@ -6,13 +6,12 @@ and ``fockvortex.cli`` do not, so no other command compiles or loads it.
 from __future__ import annotations
 
 import math
-from math import lgamma
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from . import wigner
-from .beamsplitter import _pair_terms, apply_beam_splitter
+from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, MAX_REFINEMENTS, TOL
 from .entanglement import EntanglementReport, _as_density, _report, partial_transpose
 from .errors import CoefficientMismatchError, EigensolverError, InvariantError, check_count
@@ -142,24 +141,30 @@ def tensor_negativity_volume(state_or_rho, order: int = GH_ORDER, tol: float = T
 # Closed-form vortex state
 # ---------------------------------------------------------------------------
 
+def _central_binomial_roots(n: int) -> np.ndarray:
+    """h_k = sqrt(C(2k, k) / 4^k) for k = 0..n, by h_k = h_(k-1) sqrt((2k - 1) / (2k))."""
+    k = np.arange(1, n + 1)
+    return np.cumprod(np.concatenate(([1.0], np.sqrt((2 * k - 1) / (2 * k)))))
+
+
 def _closed_form_dense(params: SqueezeParams, fault: bool = False) -> np.ndarray:
-    """Normalized closed-form amplitudes on the (2N+1)^2 grid: the binomial
-    algebra fixes the prefactor of |j, j>'s terms to tanh(r)^j * j! / 2^j, a
-    j-dependent factor that normalization would not hide from the splitter.
-    ``fault``, the selftest's mutation check, makes the summation phase -i."""
+    """The splitter's image of the pair input in closed form, on the (2N+1)^2
+    grid: a+b+ -> (i/2)(a+^2 + b+^2) sends |j, j> to i^j sum_{k+l=j} h_k h_l
+    |2k, 2l>, so A'[2k, 2l] = i^(k+l) c_(k+l) h_k h_l, with c_j the input's
+    amplitudes, and 0 elsewhere: one term per amplitude, of unit norm with the
+    input.  ``fault``, the selftest's mutation check, makes the phase -i."""
     n = params.n_max
-    t = math.tanh(params.r)
-    pref = [t ** j * math.exp(lgamma(j + 1) - j * math.log(2.0)) for j in range(n + 1)]
-    phase_base = -1j if fault else 1j
+    j = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    c = np.diagonal(make_tmss(params).amplitudes)  # c_j, 0 for N < j <= 2N
+    phase = np.array([1, -1j, -1, 1j] if fault else [1, 1j, -1, -1j])
+    h = _central_binomial_roots(n)
     out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    for j, k, l, c in _pair_terms(params):
-        m = l - k
-        out[j - m, j + m] += pref[j] * phase_base ** (k + l) * c
-    return out / np.linalg.norm(out)
+    out[::2, ::2] = phase[j % 4] * c[j] * np.outer(h, h)
+    return out
 
 
 def closed_form_vortex_state(params: SqueezeParams, fault: bool = False) -> TwoModeState:
-    """Vortex state from the per-pair coefficient formula (``fault`` as in
+    """Vortex state from the closed form (``fault`` as in
     ``_closed_form_dense``), validated against ``apply_beam_splitter`` of the input."""
     dense = _closed_form_dense(params, fault)
     dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)

@@ -22,9 +22,10 @@ from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES
 from .config import TOL
 from .entanglement import log_negativity, partial_transpose
 from .floatrepr import REPR_WIDTH, repr_table
-from .oracles import (_box_rule, closed_form_vortex_state, hard_cases, hermite_function,
-                      log_negativity_eigh, position_marginal, random_state, tensor_negativity_volume,
-                      total_photon_distribution, wigner_fock_diagonal, wigner_state)
+from .oracles import (_box_rule, _central_binomial_roots, closed_form_vortex_state, hard_cases,
+                      hermite_function, log_negativity_eigh, position_marginal, random_state,
+                      tensor_negativity_volume, total_photon_distribution, wigner_fock_diagonal,
+                      wigner_state)
 from .quadrature import QuadratureField, QuadratureGrid, count_vortices, evaluate_field
 from .states import SqueezeParams, TwoModeState, make_tmss, state_to_density
 from .wigner import build_wigner_grid, negativity_volume, plane_points, wigner_slice
@@ -66,6 +67,9 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         assert abs(out.amplitude(1, 1)) < 1e-12
 
     def closed_form_oracle():
+        exact = [math.comb(2 * k, k) / 4 ** k for k in range(201)]
+        h = _central_binomial_roots(200)
+        assert all(abs(a * a - b) <= 1e-14 * b for a, b in zip(h, exact)), "h_k^2 off"
         for r in (0.1, 0.5, 1.0):
             for n in range(1, 5):
                 closed_form_vortex_state(SqueezeParams(r=r, n_max=n), fault)

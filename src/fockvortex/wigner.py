@@ -71,7 +71,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .beamsplitter import _pair_terms, apply_beam_splitter
+from .beamsplitter import _expansion, _lgamma_table, apply_beam_splitter
 from .config import GH_ORDER, MAX_REFINEMENTS, TOL
 from .errors import InvalidParameterError, InvariantError, NonConvergenceError, check_count, check_real
 from .quadrature import _write_grid_csv
@@ -219,21 +219,19 @@ def _kernel_products(amps: np.ndarray, first, second) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _diagonal_form_weights(params: SqueezeParams) -> dict:
-    """Mixture weights per (j, m): tanh(r)^{2j} (j!)^2 / 4^j * sum |C_{k,l}|^2.
+    """Mixture weights per (j, m): tanh(r)^{2j} times the sum of the squared
+    splitter terms that send |j, j> to |j + m, j - m>, normalized to sum 1.
 
-    A j-independent power-of-2 denominator or an unsigned 0..j range for
-    m would both be wrong here: the per-pair binomial algebra fixes the
-    denominator to 4^j, and the signed range m = l - k in -j..j preserves
-    the state's mode-exchange symmetry.  Constants are irrelevant: the
-    total is normalized numerically.
+    The signed range m in -j..j, not an unsigned 0..j, preserves the
+    state's mode-exchange symmetry.
     """
     t = math.tanh(params.r)
-    base = [t ** (2 * j) * math.exp(2.0 * lgamma(j + 1) - j * math.log(4.0))
-            for j in range(params.n_max + 1)]
+    lg = _lgamma_table(2 * params.n_max)
     weights: dict = {}
-    for j, k, l, c in _pair_terms(params):
-        m = l - k
-        weights[(j, m)] = weights.get((j, m), 0.0) + base[j] * c * c
+    for j in range(params.n_max + 1):
+        oa, _, _, logmag = _expansion(lg, j, j)
+        for o, mag in zip(oa.ravel().tolist(), np.exp(logmag).ravel().tolist()):
+            weights[(j, o - j)] = weights.get((j, o - j), 0.0) + t ** (2 * j) * mag * mag
     total = math.fsum(weights.values())
     return {jm: v / total for jm, v in weights.items()}
 

@@ -12,7 +12,9 @@ from fockvortex import (
     apply_beam_splitter,
     make_tmss,
 )
+from fockvortex.config import TOL
 from fockvortex.oracles import (
+    _central_binomial_roots,
     _closed_form_dense,
     closed_form_vortex_state,
     random_state,
@@ -82,11 +84,30 @@ def test_output_support_even_totals_only():
     assert all((na + nb) % 2 == 0 for na, nb in np.argwhere(out.amplitudes))
 
 
-@pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
-@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.8, 1.0, 1.5])
+@pytest.mark.parametrize("n_max", range(13))
 def test_closed_form_matches_oracle(r, n_max):
+    # the worst gap, 2.1e-13 at r = 1.5, N = 12, is the expansion's own drift
     dev = _closed_form_deviation(SqueezeParams(r=r, n_max=n_max))
-    assert dev < 1e-10
+    assert dev <= TOL.oracle
+
+
+def test_central_binomial_roots_square_to_central_binomials():
+    h = _central_binomial_roots(200)
+    for k in range(201):
+        exact = math.comb(2 * k, k) / 4**k
+        assert h[k] ** 2 == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_max", [26, 60, 100])
+@pytest.mark.parametrize("r", [0.5, 1.5, 2.0])
+def test_closed_form_is_normalized_past_the_splitter_wall(r, n_max):
+    # depths at which apply_beam_splitter already fails its norm check
+    # (r = 1.5, N = 26 misses it by 1.3e-12): the closed form's image of the
+    # unit-norm input keeps unit norm with no renormalization
+    dense = _closed_form_dense(SqueezeParams(r=r, n_max=n_max))
+    assert abs(np.linalg.norm(dense) - 1.0) <= 1e-14
+    assert np.count_nonzero(dense) == (n_max + 1) * (n_max + 2) // 2
 
 
 def test_closed_form_state_verified():

@@ -261,13 +261,20 @@ def test_wrap_takes_the_branch_of_the_complex_form(dphi):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_fock_input_vortices_match_complex_wrap(n):
-    # figure 1 --fock-input fields: 36, 72 and 168 vortices on the figure grid
-    state = apply_beam_splitter(TwoModeState.from_pairs({(n, n): 1.0}, cutoff=2 * n))
-    fld = evaluate_field(state, QuadratureGrid.from_spec("-6.0:6.0:301"))
+    # criterion 1's positive control on the figure grid: the splitter's image
+    # of the Fock input sum_m e_m sqrt(pi m!) |m, 0>, prod_k (z - z_k)
+    # e^{-rho^2/2}, with n zeros z_k on a circle of radius 1.5, one +1 vortex
+    # each.  The --fock-input fields of figure 1 hold no vortex but rounding
+    # residue: the image of |N, N> is i^N times a real wavefunction
+    grid = QuadratureGrid.from_spec("-6.0:6.0:301")
+    zeros = 1.5 * np.exp(1j * (2.0 * math.pi * np.arange(n) / n + 0.23))
+    gx, gy = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
+    poly = np.prod((gx + 1j * gy)[..., None] - zeros, axis=-1)
+    fld = QuadratureField(grid, poly * np.exp(-0.5 * (gx**2 + gy**2)))
     got = count_vortices(fld).to_json_dict()
     with mock.patch.object(quadrature, "_wrap", _complex_wrap):
         expect = count_vortices(fld).to_json_dict()
-    assert got["count"] > 0
+    assert got["count"] == got["total_charge"] == n
     assert got == expect
 
 

@@ -1112,6 +1112,38 @@ def test_slice_csv_header_names_free_coords(tmp_path):
     assert w == pytest.approx(float(sl.values[0, 0]), abs=0.0)
 
 
+def _pair_terms_weights(params):
+    """The diagonal form's weights by the per-pair formula it was first
+    written with: tanh(r)^{2j} (j!)^2 / 4^j * sum of C_{k,l}^2 over
+    m = l - k, C_{k,l} = sqrt((j-l+k)! (j+l-k)!) / (k! (j-k)! l! (j-l)!)."""
+    lg = [math.lgamma(k + 1) for k in range(2 * params.n_max + 1)]
+    t = math.tanh(params.r)
+    weights = {}
+    for j in range(params.n_max + 1):
+        base = t ** (2 * j) * math.exp(2.0 * lg[j] - j * math.log(4.0))
+        for k in range(j + 1):
+            for l in range(j + 1):
+                c = math.exp(0.5 * (lg[j - l + k] + lg[j + l - k])
+                             - lg[k] - lg[j - k] - lg[l] - lg[j - l])
+                weights[(j, l - k)] = weights.get((j, l - k), 0.0) + base * c * c
+    total = math.fsum(weights.values())
+    return {jm: v / total for jm, v in weights.items()}
+
+
+@pytest.mark.parametrize("r", [0.1, 0.8, 1.5])
+def test_diagonal_form_weights_match_the_per_pair_formula(r):
+    # both formulas exponentiate sums of log-factorials up to log(20!) ~ 42,
+    # so single weights agree to 6.9e-15 relative at N = 10, and every
+    # weight to 1e-15 of their sum, 1
+    for n_max in range(11):
+        params = SqueezeParams(r=r, n_max=n_max)
+        got, expect = wigner_module._diagonal_form_weights(params), _pair_terms_weights(params)
+        assert got.keys() == expect.keys()
+        for jm, w in expect.items():
+            assert got[jm] == pytest.approx(w, rel=1e-14, abs=0.0)
+            assert abs(got[jm] - w) <= 1e-15
+
+
 def test_diagonal_form_vacuum_exact():
     params = SqueezeParams(r=0.4, n_max=0)
     vac = TwoModeState.from_pairs({(0, 0): 1.0}, cutoff=0)

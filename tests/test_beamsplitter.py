@@ -102,9 +102,9 @@ def test_central_binomial_roots_square_to_central_binomials():
 @pytest.mark.parametrize("n_max", [26, 60, 100])
 @pytest.mark.parametrize("r", [0.5, 1.5, 2.0])
 def test_closed_form_is_normalized_past_the_splitter_wall(r, n_max):
-    # depths at which apply_beam_splitter already fails its norm check
-    # (r = 1.5, N = 26 misses it by 1.3e-12): the closed form's image of the
-    # unit-norm input keeps unit norm with no renormalization
+    # at r = 1.5, N = 26 apply_beam_splitter misses its norm check by
+    # 1.3e-12; the closed form's image of the unit-norm input keeps unit
+    # norm there and deeper, with no renormalization
     dense = _closed_form_dense(SqueezeParams(r=r, n_max=n_max))
     assert abs(np.linalg.norm(dense) - 1.0) <= 1e-14
     assert np.count_nonzero(dense) == (n_max + 1) * (n_max + 2) // 2

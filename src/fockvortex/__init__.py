@@ -7,7 +7,7 @@ negativity volume, and logarithmic negativity across the splitter, each by
 one production path for a pure ``TwoModeState``.  Their oracles live in
 ``fockvortex.oracles``, which the package does not import.
 """
-__version__ = "0.3.5"
+__version__ = "0.3.6"
 
 from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, TOL, Tolerances

@@ -16,6 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .config import TOL
+from .errors import InvariantError
 from .states import TwoModeState
 
 
@@ -43,7 +45,9 @@ def _expansion(lg: np.ndarray, na: int, nb: int) -> Tuple[np.ndarray, ...]:
 
 
 def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
-    """Direct operator expansion; exact total-photon conservation by construction."""
+    """Direct operator expansion; exact total-photon conservation by construction.
+    Raises ``InvariantError``, naming the cutoff, where the expansion's rounding
+    moves the image's norm by more than ``TOL.norm``."""
     amps = state.amplitudes
     lg = _lgamma_table(state.cutoff)
     out = np.zeros_like(amps)
@@ -53,4 +57,9 @@ def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
         oa, ob, power, logmag = _expansion(lg, na, nb)
         term = amps[na, nb] * np.exp(logmag) * i_pow[power % 4]
         np.add.at(out, (oa.ravel(), ob.ravel()), term.ravel())
+    deviation = abs(float(np.vdot(out, out).real) - 1.0)
+    if not deviation <= TOL.norm:
+        raise InvariantError(
+            f"the splitter's binomial expansion lost the norm of its normalized input at "
+            f"cutoff {state.cutoff}: |<psi|psi> - 1| = {deviation:.3e} exceeds {TOL.norm:.0e}")
     return TwoModeState(out)

@@ -221,31 +221,32 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         assert gap < TOL.nv, f"reduced {fast.volume} vs tensor {slow.volume}"
 
     def nv_tables_cached_vs_fresh():
-        # tables built for each pass are the oracle for the cached ones; a
-        # cache keyed on less than (dimension, order, fold) serves N = 2's
-        # tables to N = 4, whose larger dimension then indexes past them, or
-        # N = 4's folded tables to the asymmetric diagonal of the same
-        # dimension, whose full radial rule has twice the nodes.  The five
-        # keys fit the cache, so every warm pass must read cached tables
-        asym = TwoModeState.from_pairs({(j + 1, j): 0.5 for j in range(4)}, cutoff=7)
-        runs = [(apply_beam_splitter(_tmss(0.8, 4)), (24, 48)), (asym, (24,)),
-                (apply_beam_splitter(_tmss(0.8, 2)), (24, 48))]
+        # band rows built for each pass are the oracle for the cached ones;
+        # a cache keyed on less than (span, n_a0, n_b0, order, fold) serves
+        # N = 4's rows to N = 2, whose bands are shorter, N = 4's folded rows
+        # to its unfolded pass, whose full radial rule has twice the nodes, or
+        # those unfolded rows to the same amplitudes on |j + 1, j>, whose mode
+        # a reads the next column.  The five keys fit the cache, so every
+        # warm pass must read cached rows
+        c4, _, _ = wigner._pair_diagonal(_tmss(0.8, 4))
+        c2, _, _ = wigner._pair_diagonal(_tmss(0.8, 2))
+        runs = [(c4, 0, 0, 24, True), (c4, 0, 0, 48, True), (c4, 0, 0, 24, False),
+                (c4, 1, 0, 24, True), (c2, 0, 0, 24, True)]
 
-        def volumes(fresh: bool) -> List[float]:
+        def passes(fresh: bool) -> List[Tuple[float, float]]:
             out = []
-            for state, orders in runs:
-                for order in orders:
-                    if fresh:
-                        wigner._radial_profiles.cache_clear()
-                    out.append(negativity_volume(state, order, max_refinements=0).volume)
+            for c, na0, nb0, order, radial_fold in runs:
+                if fresh:
+                    wigner._cached_band_rows.cache_clear()
+                out.append(wigner._reduced_pass(c, na0, nb0, order, radial_fold=radial_fold))
             return out
 
-        fresh = volumes(fresh=True)
-        volumes(fresh=False)  # fills the cache with all five tables
-        hits = wigner._radial_profiles.cache_info().hits
-        warm = volumes(fresh=False)
-        served = wigner._radial_profiles.cache_info().hits - hits
-        assert served == len(warm), f"{served} of {len(warm)} warm passes read cached tables"
+        fresh = passes(fresh=True)
+        passes(fresh=False)  # fills the cache with all five row tables
+        hits = wigner._cached_band_rows.cache_info().hits
+        warm = passes(fresh=False)
+        served = wigner._cached_band_rows.cache_info().hits - hits
+        assert served == len(warm), f"{served} of {len(warm)} warm passes read cached rows"
         assert warm == fresh, f"cached {warm} vs fresh {fresh}"
 
     def nv_splitter_invariance():
@@ -274,16 +275,16 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
 
     def nv_radial_fold_vs_full():
         # on a mode-symmetric diagonal W(u_a, u_b) = W(u_b, u_a), and the
-        # pass folds the radial rule onto t <= 1/2; the full rule, on tables
+        # pass folds the radial rule onto t <= 1/2; the full rule, on rows
         # built for each pass, is its oracle on the figure-4 inputs, at even
         # orders and at an odd one, whose middle node t = 1/2 is not doubled
         for n in FIG4_N_VALUES:
             for r in FIG4_R_VALUES:
                 c, na0, nb0 = wigner._pair_diagonal(_tmss(r, n))
                 for order in (24, 25, 48):
-                    wigner._radial_profiles.cache_clear()
+                    wigner._cached_band_rows.cache_clear()
                     fold = wigner._reduced_pass(c, na0, nb0, order)
-                    wigner._radial_profiles.cache_clear()
+                    wigner._cached_band_rows.cache_clear()
                     full = wigner._reduced_pass(c, na0, nb0, order, radial_fold=False)
                     gap = max(abs(a - b) for a, b in zip(fold, full))
                     assert gap < 1e-14, f"r={r}, n={n}, order {order}: folded {fold} vs full {full}"

@@ -54,9 +54,12 @@ items, but for the pair matrix's slabs in ``_kernel_products``: four photon
 numbers each, the size at which they keep the bits of the whole matrix's
 products.  The kernel builders block nothing themselves: their callers
 bound what they build.  The kernel table comes from one Laguerre recurrence
-over every alpha (``_kernel_columns``); the reduced pass reads its real
-lower triangle as band-layout profile tables (``_profiles``), cached by
-``_radial_profiles``.
+over every alpha (``_kernel_columns``).  The reduced pass multiplies the two
+modes' real columns into stacked band rows, one per pair product
+c[k + s] conj(c[k]) of harmonic s (``_band_rows``): they do not depend on
+the amplitudes, so an order that fits one block caches them per
+(span, n_a0, n_b0, order, fold) (``_cached_band_rows``), and a pass then
+computes only the pair products and contracts them.
 ``wigner_slice`` takes a ``TwoModeState`` and builds each mode's kernel on
 that mode's distinct points only; ``fockvortex.oracles.wigner_state``,
 which builds both at every point, is its oracle.
@@ -66,6 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import lgamma
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -384,33 +388,54 @@ def _radial_pair_rule(order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray,
     return rule
 
 
-def _profiles(dim: int, u: np.ndarray) -> np.ndarray:
-    """Real radial profiles K[n, m](rho, 0), rho = sqrt(u / 2), at the nodes u,
-    in band layout: B[a, m] = K[m + a, m] for m + a < dim, and 0 elsewhere.
-    The lower triangle is the only one the reduced pass reads, and a band a
-    is the factor of the harmonic s = a, so each factor is a contiguous
-    slice of one row.  At p = 0 every kernel value is real, and these are
-    the float steps of ``_kernel_polys``'s real parts, so the bits are the
-    same.  Nodes of shape (modes, n) give one table per mode, stacked first."""
-    x = np.sqrt(0.5 * u)
-    out = np.zeros(u.shape[:-1] + (dim, dim, u.shape[-1]))
-    for m, col in _kernel_columns(dim, 2.0 * x, 4.0 * (x * x)):
-        out[..., :dim - m, m, :] = col.swapaxes(0, -2)  # (modes,) a, nodes
-    return out
+@lru_cache(maxsize=None)
+def _band_layout(span: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(off, hi, lo, weight): the layout of a diagonal's stacked band rows.
+    Row off[s] + k, k = 0 .. span - 1 - s, is harmonic s's pair (k + s, k),
+    so band s is the contiguous rows off[s]:off[s + 1]; its pair product is
+    weight * c[hi] * conj(c[lo]), with weight 2 off band 0 for the conjugate
+    harmonic -s."""
+    lengths = span - np.arange(span)
+    off = np.concatenate([[0], np.cumsum(lengths)])
+    band = np.repeat(np.arange(span), lengths)
+    lo = np.arange(off[-1]) - off[band]
+    layout = (off, lo + band, lo, np.where(band > 0, 2.0, 1.0))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _band_rows(span: int, na0: int, nb0: int, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The radial factors of a diagonal's harmonics at the nodes (ua, ub):
+    row off[s] + k of ``_band_layout(span)`` holds
+    K[na0 + k + s, na0 + k](rho_a, 0) * K[nb0 + k + s, nb0 + k](rho_b, 0),
+    rho = sqrt(u / 2).  At p = 0 every kernel value is real, and each mode's
+    columns take the float steps of ``_kernel_polys``'s real parts, so each
+    factor has their bits.  No profile table is kept: column na0 + k of
+    mode a meets column nb0 + k of mode b as each mode's recurrence yields
+    them."""
+    off = _band_layout(span)[0]
+    rows = np.empty((off[-1], len(ua)))
+    modes = []
+    for n0, u in ((na0, ua), (nb0, ub)):
+        x = np.sqrt(0.5 * u)
+        modes.append(islice(_kernel_columns(n0 + span, 2.0 * x, 4.0 * (x * x)), n0, None))
+    for k, ((_, col_a), (_, col_b)) in enumerate(zip(*modes)):
+        rows[off[:span - k] + k] = col_a * col_b
+    return rows
 
 
 @lru_cache(maxsize=MAX_REFINEMENTS + 1)
-def _radial_profiles(dim: int, order: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """``_profiles`` of both modes on all of ``_radial_pair_rule(order, folded)``,
-    from one build over both modes' nodes: shared, so read-only, and each
-    table C-contiguous, so the per-s products read them densely.  Only orders
-    whose nodes fit the reduced pass's one block are cached (larger ones
-    stream block by block), so an entry, both tables together, stays within
-    ``_BLOCK_BYTES``, and a (dimension, fold) pair, whose cached orders
-    about quadruple in nodes, within about 4/3 of it."""
-    tables = _profiles(dim, np.stack(_radial_pair_rule(order, folded)[:2]))
-    tables.setflags(write=False)
-    return tables[0], tables[1]
+def _cached_band_rows(span: int, na0: int, nb0: int, order: int, folded: bool) -> np.ndarray:
+    """``_band_rows`` on all of ``_radial_pair_rule(order, folded)``: shared, so
+    read-only.  Only orders whose nodes fit the reduced pass's one block are
+    cached (larger ones stream block by block), so an entry stays within
+    ``_BLOCK_BYTES``, and one diagonal, whose cached orders about quadruple
+    in nodes, within about 4/3 of it."""
+    ua, ub, _ = _radial_pair_rule(order, folded)
+    rows = _band_rows(span, na0, nb0, ua, ub)
+    rows.setflags(write=False)
+    return rows
 
 
 def _single_diagonal(dense: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
@@ -460,6 +485,30 @@ def _theta_rule(n_theta: int, folded: bool) -> Tuple[np.ndarray, np.ndarray]:
     return (2.0 * math.pi / n_theta) * np.arange(count), weights
 
 
+@lru_cache(maxsize=MAX_REFINEMENTS + 1)
+def _theta_basis(span: int, n_theta: int, real: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(basis, weights): the harmonics cos(s theta), s = 0 .. span - 1, then,
+    unless ``real``, sin(s theta), s = 1 .. span - 1, one row each, at the
+    nodes of ``_theta_rule(n_theta, real)``, and that rule's weights;
+    shared, so read-only."""
+    theta, weights = _theta_rule(n_theta, real)
+    harmonics = np.arange(span)[:, None] * theta
+    basis = np.cos(harmonics)
+    if not real:
+        basis = np.concatenate([basis, np.sin(harmonics[1:])])
+    for arr in (basis, weights):
+        arr.setflags(write=False)
+    return basis, weights
+
+
+def _node_doubles(span: int, dim: int, harmonics: int, n_theta: int) -> int:
+    """Doubles a streamed block of the reduced pass holds per radial node: its
+    band rows, and the larger of what builds them (two modes' column
+    recurrences, up to about 12 dim doubles in all, measured by tracemalloc)
+    and what contracts them (the coefficient table and W)."""
+    return span * (span + 1) // 2 + max(12 * dim, harmonics + n_theta)
+
+
 def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
                   radial_fold: bool = True) -> Tuple[float, float]:
     """One pass of the 3-D rule: (integral of |W|, integral of W).
@@ -468,56 +517,53 @@ def _reduced_pass(c: np.ndarray, na0: int, nb0: int, order: int, *,
     trapezoid rule in theta = phi_a + phi_b with n_theta = max(order, span)
     nodes, rounded up to even.  The volume element
     d^4z = rho_a drho_a rho_b drho_b dphi_a dphi_b integrates to
-    (pi^2 / 4) / n_theta times the weighted node sum.  Per block of radial
-    nodes, the real profiles K[n, m](rho, 0) give the coefficient table
-    [Re G_s, Im G_s], and one GEMM against [cos(s theta); sin(s theta)]
-    gives W; an order that fits one block takes ``_radial_profiles``.  When
-    every pair product is real, so is every G_s: the sine columns go, and W,
-    even in theta, is summed over the folded rule on [0, pi]
-    (``_theta_rule``).  A complex diagonal keeps the full circle, which is
-    the fold's oracle.  On a mode-symmetric diagonal (na0 == nb0) W is the
-    same at (u_a, u_b) and (u_b, u_a), and the radial rule folds onto
-    t <= 1/2.  ``radial_fold=False``, for the tests and the selftest only,
-    keeps the full rule there, as an asymmetric diagonal does: the radial
-    fold's oracle.
+    (pi^2 / 4) / n_theta times the weighted node sum.  Only the pair
+    products c[k + s] conj(c[k]) depend on the amplitudes: per block of
+    radial nodes, one GEMV of each band s of them against its band rows
+    (``_band_rows``) gives the coefficient table [Re G_s; Im G_s], and one
+    GEMM against [cos(s theta); sin(s theta)] (``_theta_basis``) gives W; an
+    order that fits one block takes ``_cached_band_rows``.  When every pair
+    product is real, so is every G_s: the contraction runs in real
+    arithmetic, the sine rows go, and W, even in theta, is summed over the
+    folded rule on [0, pi] (``_theta_rule``).  A complex diagonal keeps the
+    full circle, which is the fold's oracle.  On a mode-symmetric diagonal
+    (na0 == nb0) W is the same at (u_a, u_b) and (u_b, u_a), and the radial
+    rule folds onto t <= 1/2.  ``radial_fold=False``, for the tests and the
+    selftest only, keeps the full rule there, as an asymmetric diagonal
+    does: the radial fold's oracle.
     """
     folded = radial_fold and na0 == nb0
     ua, ub, wr = _radial_pair_rule(order, folded)
     span = len(c)
-    dim = max(na0, nb0) + span
-    pairs = [(2.0 if s else 1.0) * c[s:] * np.conj(c[:span - s]) for s in range(span)]
-    real = not any(p.imag.any() for p in pairs)  # then every Im G_s is 0 and W(theta) = W(-theta)
+    off, hi, lo, weight = _band_layout(span)
+    pairs = weight * c[hi] * np.conj(c[lo])
+    re, im = pairs.real, pairs.imag
+    real = not im.any()  # then every Im G_s is 0 and W(theta) = W(-theta)
     n_theta = max(order, span) + max(order, span) % 2  # even, so the fold ends on theta = pi
-    theta, theta_w = _theta_rule(n_theta, real)
-    harmonics = np.arange(span)[:, None] * theta
-    basis = np.cos(harmonics)
-    if not real:
-        basis = np.concatenate([basis, np.sin(harmonics[1:])])
+    basis, theta_w = _theta_basis(span, n_theta, real)
     total_abs = 0.0
     total_w = 0.0
-    block = max(1, _BLOCK_BYTES // (8 * max(len(theta), 2 * dim * dim)))  # W block and profiles alike
+    doubles = _node_doubles(span, max(na0, nb0) + span, len(basis), len(theta_w))
+    block = max(1, _BLOCK_BYTES // (8 * doubles))
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
-        if len(wr) <= block:  # the whole order fits one block: its tables are cached
-            prof_a, prof_b = _radial_profiles(dim, order, folded)
+        if len(wr) <= block:  # the whole order fits one block: its rows are cached
+            rows = _cached_band_rows(span, na0, nb0, order, folded)
         else:
-            # one build per mode: a pair of streamed tables fills the whole
-            # 32 MiB budget, above glibc's largest mmap threshold, so every
-            # block would map and page-fault it afresh (3x the faults at order 384)
-            prof_a = _profiles(dim, ua[sl])
-            prof_b = _profiles(dim, ub[sl])
-        coef = np.empty((prof_a.shape[-1], len(basis)))
+            rows = _band_rows(span, na0, nb0, ua[sl], ub[sl])
+        coef = np.empty((len(basis), rows.shape[1]))
         for s in range(span):
-            # K[n0 + k, n0 + k - s] for k = s .. span - 1 is band s from column n0
-            g = pairs[s] @ (prof_a[s, na0:na0 + span - s] * prof_b[s, nb0:nb0 + span - s])
-            coef[:, s] = g.real
+            band = slice(off[s], off[s + 1])
+            coef[s] = re[band] @ rows[band]
             if s and not real:
-                coef[:, span - 1 + s] = g.imag
-        w = coef @ basis
-        total_w += float(wr[sl] @ (w @ theta_w))
+                coef[span - 1 + s] = im[band] @ rows[band]
+        del rows  # else W is built while the streamed rows are alive
+        w = basis.T @ coef
+        total_w += float((theta_w @ w) @ wr[sl])
         # in place: with a second block live, the heap trimmed both after each
         # pass and page-faulted them back in on the next (glibc's trim threshold)
-        total_abs += float(wr[sl] @ (np.abs(w, out=w) @ theta_w))
+        total_abs += float((theta_w @ np.abs(w, out=w)) @ wr[sl])
+        del w  # else the next block's rows are built while this W is alive
     scale = 0.25 * math.pi ** 2 / n_theta
     return scale * total_abs, scale * total_w
 

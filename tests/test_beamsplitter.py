@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fockvortex import (
     CoefficientMismatchError,
+    InvariantError,
     SqueezeParams,
     TwoModeState,
     apply_beam_splitter,
@@ -90,6 +91,15 @@ def test_closed_form_matches_oracle(r, n_max):
     # the worst gap, 2.1e-13 at r = 1.5, N = 12, is the expansion's own drift
     dev = _closed_form_deviation(SqueezeParams(r=r, n_max=n_max))
     assert dev <= TOL.oracle
+
+
+@pytest.mark.parametrize("r,n_max,cutoff", [(1.5, 26, 52), (2.0, 30, 60)])
+def test_expansion_norm_loss_is_an_invariant_error_naming_the_cutoff(r, n_max, cutoff):
+    # the input is normalized, so the image's norm error is the expansion's own
+    state = make_tmss(SqueezeParams(r=r, n_max=n_max))
+    assert abs(state.norm() - 1.0) <= TOL.norm
+    with pytest.raises(InvariantError, match=f"binomial expansion lost the norm .* cutoff {cutoff}:"):
+        apply_beam_splitter(state)
 
 
 def test_central_binomial_roots_square_to_central_binomials():

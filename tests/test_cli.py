@@ -469,62 +469,77 @@ def test_selftest_catches_a_four_connected_labeler(monkeypatch, tmp_path):
     assert len(doc["checks"]) == 24
 
 
-def _selftest_with_profile_cache(monkeypatch, tmp_path, key):
-    """The selftest's report with ``_radial_profiles`` replaced by a cache
-    keyed on ``key(dim, order, folded)`` alone."""
-    exact = wigner._radial_profiles
+def _selftest_with_row_cache(monkeypatch, tmp_path, key):
+    """The selftest's report with ``_cached_band_rows`` replaced by a cache
+    keyed on ``key(span, na0, nb0, order, folded)`` alone."""
+    exact = wigner._cached_band_rows
     served = {}
     hits = []
 
-    def keyed(dim, order, folded):
-        if key(dim, order, folded) in served:
+    def keyed(span, na0, nb0, order, folded):
+        if key(span, na0, nb0, order, folded) in served:
             hits.append(1)
         else:
-            served[key(dim, order, folded)] = exact(dim, order, folded)
-        return served[key(dim, order, folded)]
+            served[key(span, na0, nb0, order, folded)] = exact(span, na0, nb0, order, folded)
+        return served[key(span, na0, nb0, order, folded)]
 
     keyed.cache_clear = served.clear
     keyed.cache_info = lambda: types.SimpleNamespace(hits=len(hits))
-    monkeypatch.setattr(wigner, "_radial_profiles", keyed)
+    monkeypatch.setattr(wigner, "_cached_band_rows", keyed)
     report = tmp_path / "selftest.json"
     assert main(["selftest", "--out", str(report)]) == 4
     return json.loads(report.read_text())
 
 
 def test_selftest_catches_profile_tables_cached_by_order_alone(monkeypatch, tmp_path):
-    # a cache that forgets the dimension
-    doc = _selftest_with_profile_cache(monkeypatch, tmp_path, lambda dim, order, folded: (order, folded))
-    assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
+    # a band-row cache that forgets the diagonal's span: band s of one span
+    # starts at another row than in the next, so every reuse across spans
+    # reads wrong rows, and nv-reduced-vs-tensor's N = 1 pass at order 48
+    # reads the rows that wigner-normalization's N = 2 pass left
+    doc = _selftest_with_row_cache(monkeypatch, tmp_path,
+                                   lambda span, na0, nb0, order, folded: (order, folded))
+    assert doc["failures"] == ["nv-reduced-vs-tensor", "nv-tables-cached-vs-fresh"]
     assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_profile_tables_cached_without_the_fold(monkeypatch, tmp_path):
-    # a cache that forgets whether the radial rule was folded
-    doc = _selftest_with_profile_cache(monkeypatch, tmp_path, lambda dim, order, folded: (dim, order))
+    # a band-row cache that forgets whether the radial rule was folded
+    doc = _selftest_with_row_cache(monkeypatch, tmp_path,
+                                   lambda span, na0, nb0, order, folded: (span, na0, nb0, order))
+    assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
+    assert len(doc["checks"]) == 24
+
+
+def test_selftest_catches_band_rows_cached_without_the_diagonal_offsets(monkeypatch, tmp_path):
+    # a band-row cache that forgets where the diagonal starts
+    doc = _selftest_with_row_cache(monkeypatch, tmp_path,
+                                   lambda span, na0, nb0, order, folded: (span, order, folded))
     assert doc["failures"] == ["nv-tables-cached-vs-fresh"]
     assert len(doc["checks"]) == 24
 
 
 def test_selftest_catches_band_tables_shifted_by_one_band(monkeypatch, tmp_path):
-    # B[a] read as B[a + 1]: every harmonic takes the next band's profiles
-    exact = wigner._profiles
+    # band s read as band s + 1: every harmonic takes the next band's rows
+    exact = wigner._band_rows
 
-    def shifted(dim, u):
-        table = exact(dim, u)
-        out = np.zeros_like(table)
-        out[..., :-1, :, :] = table[..., 1:, :, :]
+    def shifted(span, na0, nb0, ua, ub):
+        rows = exact(span, na0, nb0, ua, ub)
+        off = wigner._band_layout(span)[0]
+        out = np.zeros_like(rows)
+        for s in range(span - 1):
+            out[off[s]:off[s + 1] - 1] = rows[off[s + 1]:off[s + 2]]
         return out
 
-    monkeypatch.setattr(wigner, "_profiles", shifted)
-    wigner._radial_profiles.cache_clear()  # no table another test built
+    monkeypatch.setattr(wigner, "_band_rows", shifted)
+    wigner._cached_band_rows.cache_clear()  # no rows another test built
     try:
         report = tmp_path / "selftest.json"
         assert main(["selftest", "--out", str(report)]) == 4
     finally:
-        wigner._radial_profiles.cache_clear()  # no shifted table for later tests
+        wigner._cached_band_rows.cache_clear()  # no shifted rows for later tests
     doc = json.loads(report.read_text())
     # the checks that hold the reduced pass to an independent value fail; the
-    # ones that hold two reduced passes on the same tables together do not
+    # ones that hold two reduced passes on the same rows together do not
     assert doc["failures"] == ["wigner-normalization", "nv-reduced-vs-tensor"]
     assert len(doc["checks"]) == 24
 
@@ -557,8 +572,12 @@ def test_selftest_catches_a_broken_fold_end_weight(monkeypatch, tmp_path):
         return theta, weights
 
     monkeypatch.setattr(wigner, "_theta_rule", broken)
-    report = tmp_path / "selftest.json"
-    assert main(["selftest", "--out", str(report)]) == 4
+    wigner._theta_basis.cache_clear()  # no basis another test built
+    try:
+        report = tmp_path / "selftest.json"
+        assert main(["selftest", "--out", str(report)]) == 4
+    finally:
+        wigner._theta_basis.cache_clear()  # no broken weights for later tests
     doc = json.loads(report.read_text())
     assert doc["failures"] == ["nv-fold-vs-full-circle"]
     assert len(doc["checks"]) == 24
@@ -626,6 +645,18 @@ def test_field_rerun_is_byte_identical(tmp_path):
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_field_past_the_splitter_norm_wall_names_the_expansion(tmp_path, capsys):
+    # the input is normalized; the binomial expansion's rounding moves its
+    # image's norm by 1.34e-12, and the one error line says so and where
+    out = tmp_path / "f.csv"
+    assert main(["field", "--r", "1.5", "--n", "26", "--grid=-4:4:21", "-o", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the splitter's binomial expansion lost "
+                                               "the norm of its normalized input at cutoff 52"), err
+    assert "1.340e-12" in err[0]
+    assert not out.exists()
 
 
 def test_field_pre_splitter_input_flags(tmp_path):

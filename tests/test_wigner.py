@@ -51,12 +51,14 @@ TWO_OVER_PI = 0.63661977236758134308
 
 
 @pytest.fixture
-def fresh_profiles():
-    """An empty profile-table cache before and after a test that patches what
-    fills it, so no test sees tables another one built."""
-    wigner_module._radial_profiles.cache_clear()
+def fresh_rows():
+    """Empty band-row and theta-basis caches before and after a test that
+    patches what fills them, so no test sees rows another one built."""
+    wigner_module._cached_band_rows.cache_clear()
+    wigner_module._theta_basis.cache_clear()
     yield
-    wigner_module._radial_profiles.cache_clear()
+    wigner_module._cached_band_rows.cache_clear()
+    wigner_module._theta_basis.cache_clear()
 
 
 def _brute_mode_integrals(dim, x, p, s_half=8.0, s_pts=4001):
@@ -171,29 +173,52 @@ def test_laguerre_rows_run_every_alpha_in_one_recurrence():
         assert single.tobytes() == _laguerre_one_alpha(n_max - alpha, alpha, u).tobytes()
 
 
+def _kernel_factors(span, na0, nb0, ua, ub):
+    """Each band row's two factors, K[n0 + k + s, n0 + k](rho, 0) of modes a
+    and b, as the real parts of ``_kernel_polys`` at p = 0."""
+    _, hi, lo, _ = wigner_module._band_layout(span)
+    factors = []
+    for n0, u in ((na0, ua), (nb0, ub)):
+        kernel = wigner_module._kernel_polys(n0 + span, np.sqrt(0.5 * u), np.zeros(len(u)))
+        factors.append(kernel.real[n0 + hi, n0 + lo])
+    return factors
+
+
 @pytest.mark.parametrize("dim,order", [(9, 48), (41, 24)])
 def test_real_profiles_are_the_kernel_real_parts_on_the_lower_triangle(dim, order):
-    # band layout: B[a, m] = K[m + a, m] where m + a < dim, and 0 elsewhere;
-    # the bands hold every entry of the lower triangle once
-    a, m = np.indices((dim, dim))
-    inside = m + a < dim
-    for u in _radial_pair_rule(order, False)[:2]:
-        got = wigner_module._profiles(dim, u)
-        want = wigner_module._kernel_polys(dim, np.sqrt(0.5 * u), np.zeros(len(u))).real
-        assert got.dtype == np.float64 and got.shape == (dim, dim, len(u))
-        assert got[inside].tobytes() == want[(m + a)[inside], m[inside]].tobytes()
-        assert not got[~inside].any()
+    # band rows: row off[s] + k is the product of the two modes' profiles
+    # K[k + s, k], the kernel's real parts; the rows hold every entry of the
+    # lower triangle once, band by band
+    ua, ub, _ = _radial_pair_rule(order, False)
+    off, hi, lo, _ = wigner_module._band_layout(dim)
+    assert off[-1] == dim * (dim + 1) // 2
+    assert sorted(zip(hi.tolist(), lo.tolist())) == [(n, m) for n in range(dim) for m in range(n + 1)]
+    for s in range(dim):
+        assert (hi[off[s]:off[s + 1]] - lo[off[s]:off[s + 1]] == s).all()
+    got = wigner_module._band_rows(dim, 0, 0, ua, ub)
+    fa, fb = _kernel_factors(dim, 0, 0, ua, ub)
+    assert got.dtype == np.float64 and got.shape == (off[-1], len(ua))
+    assert got.tobytes() == (fa * fb).tobytes()
+
+
+@pytest.mark.parametrize("span,na0,nb0", [(4, 2, 0), (3, 0, 3), (5, 1, 1)])
+def test_band_rows_pair_column_n_a0_plus_k_with_column_n_b0_plus_k(span, na0, nb0):
+    # column na0 + k of mode a meets column nb0 + k of mode b
+    ua, ub, _ = _radial_pair_rule(25, False)
+    fa, fb = _kernel_factors(span, na0, nb0, ua, ub)
+    assert wigner_module._band_rows(span, na0, nb0, ua, ub).tobytes() == (fa * fb).tobytes()
 
 
 @pytest.mark.parametrize("dim,order,folded", [(5, 24, True), (11, 48, False), (41, 24, True)])
-def test_one_profile_build_serves_both_modes(dim, order, folded, fresh_profiles):
-    # the cached tables come from one build over both modes' nodes, which is
-    # elementwise in the nodes: each is bit-equal to its own mode's build
+def test_one_profile_build_serves_both_modes(dim, order, folded, fresh_rows):
+    # the cached rows come from one build over both modes' nodes, which is
+    # elementwise in the nodes: each block of nodes a streamed order builds
+    # has the bits of the same nodes' cached rows
     ua, ub, _ = _radial_pair_rule(order, folded)
-    tables = wigner_module._radial_profiles(dim, order, folded)
-    assert len(tables) == 2
-    for table, u in zip(tables, (ua, ub)):
-        assert table.tobytes() == wigner_module._profiles(dim, u).tobytes()
+    rows = wigner_module._cached_band_rows(dim, 0, 0, order, folded)
+    assert rows.tobytes() == wigner_module._band_rows(dim, 0, 0, ua, ub).tobytes()
+    for sl in (slice(0, 7), slice(7, len(ua) // 2), slice(len(ua) // 2, None)):
+        assert rows[:, sl].tobytes() == wigner_module._band_rows(dim, 0, 0, ua[sl], ub[sl]).tobytes()
 
 
 def test_frozen_cross_value():
@@ -512,7 +537,7 @@ def test_reduced_pass_integrates_w_to_one_at_deep_truncation(r, n_max, order):
     assert abs(result.normalization_check - 1.0) <= 1e-10
 
 
-def test_under_resolved_result_is_never_converged(monkeypatch, fresh_profiles):
+def test_under_resolved_result_is_never_converged(monkeypatch, fresh_rows):
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.5, n_max=2)))
     assert negativity_volume(state).converged
 
@@ -527,36 +552,36 @@ def test_under_resolved_result_is_never_converged(monkeypatch, fresh_profiles):
     assert not result.converged
 
 
-def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_profiles):
-    # 12 points, 2 dimensions (N = 2, 4), orders 24 and 48, one build for both
-    # modes: one build per (dimension, order) key; a table per point, pass and
-    # mode would take 48 calls
+def test_figure4_builds_each_profile_table_once(tmp_path, monkeypatch, fresh_rows):
+    # 12 points, 2 spans (N = 2, 4), orders 24 and 48, one build for both
+    # modes: one band-row build per (span, n_a0, n_b0, order, fold) key; a
+    # build per point and pass would take 24 calls
     calls = []
-    profiles = wigner_module._profiles
+    band_rows = wigner_module._band_rows
 
-    def spy(dim, u):
-        calls.append(dim)
-        return profiles(dim, u)
+    def spy(span, na0, nb0, ua, ub):
+        calls.append(span)
+        return band_rows(span, na0, nb0, ua, ub)
 
-    monkeypatch.setattr(wigner_module, "_profiles", spy)
+    monkeypatch.setattr(wigner_module, "_band_rows", spy)
     assert main(["figure", "4", "--out", str(tmp_path / "fig4")]) == 0
-    assert sorted(calls) == [3, 3, 5, 5]  # dimension N + 1 at orders 24 and 48
+    assert sorted(calls) == [3, 3, 5, 5]  # span N + 1 at orders 24 and 48
 
 
 def test_cached_profile_tables_are_read_only_and_contiguous():
     for folded, nodes in ((False, 24 * 24), (True, 24 * 12)):
-        for table in wigner_module._radial_profiles(5, 24, folded):
-            assert table.flags.c_contiguous and not table.flags.writeable
-            assert table.shape == (5, 5, nodes)
-            with pytest.raises(ValueError):
-                table[0, 0, 0] = 0.0
+        rows = wigner_module._cached_band_rows(5, 0, 0, 24, folded)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert rows.shape == (15, nodes)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
 
 
 def test_deep_ladder_is_equal_with_cached_and_fresh_tables():
-    # orders 24-96 fit one block at dimension 11 and take cached tables,
-    # 192 and 384 stream theirs block by block
+    # orders 24-192 fit one block at span 11 and take cached rows, 384
+    # streams its rows block by block
     state = apply_beam_splitter(make_tmss(SqueezeParams(r=0.8, n_max=10)))
-    wigner_module._radial_profiles.cache_clear()
+    wigner_module._cached_band_rows.cache_clear()
     fresh = negativity_volume(state, tol=1e-9)
     warm = negativity_volume(state, tol=1e-9)
     assert [order for order, _ in fresh.resolution_history] == [24, 48, 96, 192, 384]
@@ -573,10 +598,14 @@ def _square_profiles(dim, u):
     return out
 
 
-def _reduced_pass_square_gather(c, na0, nb0, order, radial_fold=True):
-    """The reduced pass on square-layout tables, each G_s factor gathered by
-    fancy indexes, on tables built for each block: the oracle whose bits the
-    band layout's contiguous views must keep."""
+def _reduced_pass_square_gather(c, na0, nb0, order, radial_fold=True, per_harmonic=False):
+    """The reduced pass on square-layout tables built for each block, each
+    harmonic's factor gathered by fancy indexes.  By default it contracts as
+    the band pass does, one real GEMV per band and then the basis GEMM: the
+    oracle whose bits the band rows' contiguous slices must keep.
+    ``per_harmonic`` contracts as the pass of 0.3.5 did, one complex GEMV of
+    the pair products per harmonic, then the coefficients (nodes first)
+    times the basis, in its blocks: the oracle of the real contraction."""
     folded = radial_fold and na0 == nb0
     ua, ub, wr = wigner_module._radial_pair_rule(order, folded)
     span = len(c)
@@ -590,26 +619,65 @@ def _reduced_pass_square_gather(c, na0, nb0, order, radial_fold=True):
     if not real:
         basis = np.concatenate([basis, np.sin(harmonics[1:])])
     total_abs = total_w = 0.0
-    block = max(1, wigner_module._BLOCK_BYTES // (8 * max(len(theta), 2 * dim * dim)))
+    if per_harmonic:
+        block = max(1, wigner_module._BLOCK_BYTES // (8 * max(len(theta), 2 * dim * dim)))
+    else:
+        doubles = wigner_module._node_doubles(span, dim, len(basis), len(theta))
+        block = max(1, wigner_module._BLOCK_BYTES // (8 * doubles))
     for start in range(0, len(wr), block):
         sl = slice(start, start + block)
         prof_a, prof_b = _square_profiles(dim, ua[sl]), _square_profiles(dim, ub[sl])
-        coef = np.empty((prof_a.shape[-1], len(basis)))
+        coef = np.empty((len(basis), prof_a.shape[-1]))
         for s in range(span):
             k = np.arange(s, span)
-            g = pairs[s] @ (prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s])
-            coef[:, s] = g.real
+            factor = prof_a[na0 + k, na0 + k - s] * prof_b[nb0 + k, nb0 + k - s]
+            if per_harmonic:
+                g = pairs[s] @ factor
+                coef[s], part = g.real, g.imag
+            else:
+                coef[s] = pairs[s].real @ factor
+                part = pairs[s].imag @ factor if s and not real else None
             if s and not real:
-                coef[:, span - 1 + s] = g.imag
-        w = coef @ basis
-        total_w += float(wr[sl] @ (w @ theta_w))
-        total_abs += float(wr[sl] @ (np.abs(w) @ theta_w))
+                coef[span - 1 + s] = part
+        w = coef.T @ basis if per_harmonic else basis.T @ coef
+        if per_harmonic:
+            total_w += float(wr[sl] @ (w @ theta_w))
+            total_abs += float(wr[sl] @ (np.abs(w) @ theta_w))
+        else:
+            total_w += float((theta_w @ w) @ wr[sl])
+            total_abs += float((theta_w @ np.abs(w)) @ wr[sl])
     scale = 0.25 * math.pi ** 2 / n_theta
     return scale * total_abs, scale * total_w
 
 
+def _complex_image_diagonal():
+    """(c, n_a0, n_b0) of a complex diagonal that ``_pair_diagonal`` finds in
+    the splitter image: the image of the image of |j + 1, j> with complex
+    amplitudes, i^(2j + 1) c_j on |j, j + 1>."""
+    c = np.array([0.5 + 0.2j, -0.3 + 0.4j, 0.1 - 0.6j])
+    c /= np.linalg.norm(c)
+    state = TwoModeState.from_pairs({(j + 1, j): c[j] for j in range(3)}, cutoff=5)
+    image = apply_beam_splitter(state)
+    assert wigner_module._single_diagonal(image.amplitudes) is None
+    return wigner_module._pair_diagonal(image)
+
+
+def _streamed_diagonal():
+    """N = 10 at order 384: 73,728 folded nodes, which the pass streams."""
+    c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=0.8, n_max=10)))
+    span = len(c)
+    n_theta = 384 // 2 + 1
+    block = wigner_module._BLOCK_BYTES // (8 * wigner_module._node_doubles(span, span, span, n_theta))
+    assert 384 * 192 > block
+    return c, na0, nb0, 384
+
+
+def _pass_gap(got, want):
+    return max(abs(a - b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("order", [24, 25, 48, 96])
-def test_band_pass_is_bit_equal_to_the_square_gather_on_figure4_points(order, fresh_profiles):
+def test_band_pass_is_bit_equal_to_the_square_gather_on_figure4_points(order, fresh_rows):
     # the real diagonal folds theta, the phased copy keeps the full circle
     phase = np.exp(1j * math.pi / 3)
     for n in FIG4_N_VALUES:
@@ -621,21 +689,75 @@ def test_band_pass_is_bit_equal_to_the_square_gather_on_figure4_points(order, fr
 
 
 @pytest.mark.parametrize("order", [8, 25, 48])
-def test_band_pass_is_bit_equal_to_the_square_gather_off_the_main_diagonal(order, fresh_profiles):
-    # |j + 1, j> takes the full radial rule and reads mode a's tables one row down
+def test_band_pass_is_bit_equal_to_the_square_gather_off_the_main_diagonal(order, fresh_rows):
+    # |j + 1, j> takes the full radial rule and reads mode a's tables one row
+    # down; the image diagonal sits on |j, j + 1>
     c = np.array([0.6, -0.5, 0.4])
     c /= np.linalg.norm(c)
-    for amps in (c, c * np.exp(0.7j)):
-        want = _reduced_pass_square_gather(amps, 1, 0, order)
-        assert wigner_module._reduced_pass(amps, 1, 0, order) == want
+    for amps, na0, nb0 in ((c, 1, 0), (c * np.exp(0.7j), 1, 0), _complex_image_diagonal()):
+        want = _reduced_pass_square_gather(amps, na0, nb0, order)
+        assert wigner_module._reduced_pass(amps, na0, nb0, order) == want
 
 
-def test_band_pass_is_bit_equal_to_the_square_gather_on_a_streamed_order(fresh_profiles):
-    # N = 10 at order 192: 18,432 folded nodes stream in two blocks
-    c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=0.8, n_max=10)))
-    dim = na0 + len(c)
-    assert 192 * 96 > wigner_module._BLOCK_BYTES // (16 * dim * dim)
-    assert wigner_module._reduced_pass(c, na0, nb0, 192) == _reduced_pass_square_gather(c, na0, nb0, 192)
+def test_band_pass_is_bit_equal_to_the_square_gather_on_a_streamed_order(fresh_rows):
+    c, na0, nb0, order = _streamed_diagonal()
+    assert wigner_module._reduced_pass(c, na0, nb0, order) == _reduced_pass_square_gather(c, na0, nb0, order)
+
+
+# The real contraction moved the last bits of both integrals (0.3.6): each
+# stays within 1e-15 of the per-harmonic complex contraction it replaced
+_PER_HARMONIC_BOUND = 1e-15
+
+
+@pytest.mark.parametrize("order", [24, 25, 48, 96])
+def test_band_pass_matches_the_per_harmonic_pass_on_figure4_points(order):
+    phase = np.exp(1j * math.pi / 3)
+    for n in FIG4_N_VALUES:
+        for r in FIG4_R_VALUES:
+            c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n)))
+            for amps in (c, c * phase):
+                want = _reduced_pass_square_gather(amps, na0, nb0, order, per_harmonic=True)
+                got = wigner_module._reduced_pass(amps, na0, nb0, order)
+                assert _pass_gap(got, want) <= _PER_HARMONIC_BOUND, (r, n)
+
+
+@pytest.mark.parametrize("order", [8, 25, 48])
+def test_band_pass_matches_the_per_harmonic_pass_off_the_main_diagonal(order):
+    # n_a0 != n_b0, real and complex, and a complex diagonal that
+    # _pair_diagonal finds in the splitter image
+    c = np.array([0.6, -0.5, 0.4])
+    c /= np.linalg.norm(c)
+    for amps, na0, nb0 in ((c, 1, 0), (c, 0, 2), (c * np.exp(0.7j), 1, 0), _complex_image_diagonal()):
+        want = _reduced_pass_square_gather(amps, na0, nb0, order, per_harmonic=True)
+        got = wigner_module._reduced_pass(amps, na0, nb0, order)
+        assert _pass_gap(got, want) <= _PER_HARMONIC_BOUND, (na0, nb0)
+
+
+def test_band_pass_matches_the_per_harmonic_pass_on_a_streamed_order():
+    c, na0, nb0, order = _streamed_diagonal()
+    want = _reduced_pass_square_gather(c, na0, nb0, order, per_harmonic=True)
+    assert _pass_gap(wigner_module._reduced_pass(c, na0, nb0, order), want) <= _PER_HARMONIC_BOUND
+
+
+@pytest.mark.parametrize("r,n_max,order", [(1.5, 26, 192), (0.8, 10, 384)])
+def test_streamed_pass_memory_is_bounded_by_the_block_budget(r, n_max, order):
+    # a block holds its band rows and, in turn, what builds them and what
+    # contracts them (_node_doubles); the rule is built first, as a ladder
+    # builds it once per order.  N = 26 at order 192 streams 18,432 nodes in
+    # three blocks, most of each its rows; N = 10 at order 384 streams 73,728
+    # in five, most of each its W.  They peaked at 1.04 and 0.77 budgets;
+    # tables of two full dim x dim bands per node (0.3.5) took 2.65 at N = 10
+    c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n_max)))
+    _radial_pair_rule(order, True)
+    doubles = wigner_module._node_doubles(len(c), len(c), len(c), order // 2 + 1)
+    assert order * order // 2 > wigner_module._BLOCK_BYTES // (8 * doubles)
+    tracemalloc.start()
+    try:
+        wigner_module._reduced_pass(c, na0, nb0, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * wigner_module._BLOCK_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def _single_diagonal_per_offset(dense):
@@ -721,24 +843,38 @@ def test_reduced_pass_matches_exact_fock_pair_value(n):
 def test_folded_theta_rule_matches_full_circle_on_figure4_points(order, monkeypatch):
     # a global phase leaves W unchanged, but leaves the pair products complex
     # in their last bits, so the phased diagonal takes the full [0, 2 pi)
-    # rule, the oracle of the fold; the odd order is rounded up to even in both
+    # rule, the oracle of the fold; the odd order is rounded up to even in
+    # both.  Every pass asks for its basis, cached or not
     rules = []
-    exact = wigner_module._theta_rule
+    exact = wigner_module._theta_basis
 
-    def recorded(n_theta, folded):
-        rules.append((n_theta, folded))
-        return exact(n_theta, folded)
+    def recorded(span, n_theta, real):
+        rules.append((span, n_theta, real))
+        return exact(span, n_theta, real)
 
-    monkeypatch.setattr(wigner_module, "_theta_rule", recorded)
+    monkeypatch.setattr(wigner_module, "_theta_basis", recorded)
     phase = np.exp(1j * math.pi / 3)
     for n in FIG4_N_VALUES:
         for r in FIG4_R_VALUES:
             c, na0, nb0 = wigner_module._pair_diagonal(make_tmss(SqueezeParams(r=r, n_max=n)))
             fold = wigner_module._reduced_pass(c, na0, nb0, order)
             full = wigner_module._reduced_pass(c * phase, na0, nb0, order)
-            assert rules[-2:] == [(order + order % 2, True), (order + order % 2, False)]
+            assert rules[-2:] == [(n + 1, order + order % 2, True), (n + 1, order + order % 2, False)]
             assert fold == pytest.approx(full, abs=1e-14), (r, n)
             assert 0.5 * (fold[0] - fold[1]) == pytest.approx(0.5 * (full[0] - full[1]), abs=1e-14)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_theta_basis_holds_the_harmonics_at_the_rule_nodes(real, fresh_rows):
+    theta, weights = wigner_module._theta_rule(10, real)
+    basis, theta_w = wigner_module._theta_basis(4, 10, real)
+    want = [np.cos(s * theta) for s in range(4)]
+    if not real:
+        want += [np.sin(s * theta) for s in range(1, 4)]
+    assert basis.tobytes() == np.array(want).tobytes()
+    assert theta_w.tobytes() == weights.tobytes()
+    assert not basis.flags.writeable and not theta_w.flags.writeable
+    assert wigner_module._theta_basis(4, 10, real) is wigner_module._theta_basis(4, 10, real)
 
 
 def test_theta_rule_folds_onto_half_the_circle():
@@ -764,7 +900,7 @@ def _record_radial_rules(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [24, 25, 48])
-def test_folded_radial_rule_matches_full_rule_on_figure4_points(order, monkeypatch, fresh_profiles):
+def test_folded_radial_rule_matches_full_rule_on_figure4_points(order, monkeypatch, fresh_rows):
     # W(u_a, u_b) = W(u_b, u_a) on a mode-symmetric diagonal; the full radial
     # rule is the fold's oracle, and the odd order's middle node is not doubled
     rules = _record_radial_rules(monkeypatch)
@@ -779,7 +915,7 @@ def test_folded_radial_rule_matches_full_rule_on_figure4_points(order, monkeypat
     assert rules == {(order, True), (order, False)}
 
 
-def test_asymmetric_diagonal_takes_the_full_radial_rule(monkeypatch, fresh_profiles):
+def test_asymmetric_diagonal_takes_the_full_radial_rule(monkeypatch, fresh_rows):
     # |j + 1, j> is not symmetric under u_a <-> u_b; |j, j> is
     rules = _record_radial_rules(monkeypatch)
     c = np.array([0.6, -0.5, 0.4])
@@ -938,7 +1074,7 @@ def test_same_mode_slice_is_pointwise(plane):
     assert np.max(np.abs(fast - slow)) <= 1e-15
 
 
-def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_profiles):
+def test_product_slice_builds_kernels_on_axis_points_only(monkeypatch, fresh_rows):
     evaluated = []
     kernel_polys = wigner_module._kernel_polys
 

@@ -5,19 +5,16 @@ on a balanced beam splitter, and quantifies the output: transverse
 quadrature fields with phase-winding detection, Wigner slices with
 negativity volume, and logarithmic negativity across the splitter, each by
 one production path for a pure ``TwoModeState``.  Their oracles live in
-``fockvortex.oracles``, which the package does not import.
+``fockvortex.oracles``, which the package does not import; it also exports
+the names only they take (``DensityMatrix``, ``state_to_density``,
+``partial_transpose``, ``build_wigner_grid``), so none of them is here.
 """
-__version__ = "0.3.6"
+__version__ = "0.3.7"
 
 from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, TOL, Tolerances
-from .entanglement import (
-    EntanglementReport,
-    log_negativity,
-    partial_transpose,
-)
+from .entanglement import EntanglementReport, log_negativity
 from .errors import (
-    CoefficientMismatchError,
     EigensolverError,
     FockVortexError,
     GridTooCoarseError,
@@ -34,17 +31,10 @@ from .quadrature import (
     evaluate_field,
     hermite_basis,
 )
-from .states import (
-    DensityMatrix,
-    SqueezeParams,
-    TwoModeState,
-    make_tmss,
-    state_to_density,
-)
+from .states import SqueezeParams, TwoModeState, make_tmss
 from .wigner import (
     NegativityResult,
     WignerSlice,
-    build_wigner_grid,
     negativity_volume,
     wigner_diagonal_form,
     wigner_slice,
@@ -53,9 +43,7 @@ from .wigner import (
 __all__ = [
     "SqueezeParams",
     "TwoModeState",
-    "DensityMatrix",
     "make_tmss",
-    "state_to_density",
     "apply_beam_splitter",
     "hermite_basis",
     "QuadratureGrid",
@@ -65,12 +53,10 @@ __all__ = [
     "count_vortices",
     "wigner_diagonal_form",
     "WignerSlice",
-    "build_wigner_grid",
     "NegativityResult",
     "negativity_volume",
     "wigner_slice",
     "EntanglementReport",
-    "partial_transpose",
     "log_negativity",
     "Tolerances",
     "TOL",
@@ -82,5 +68,4 @@ __all__ = [
     "EigensolverError",
     "GridTooCoarseError",
     "InvariantError",
-    "CoefficientMismatchError",
 ]

@@ -324,7 +324,8 @@ def _point(paths: dict, r: float, n: int, cfg: dict, fock_input: bool = False,
         out["field"] = evaluate_field(state, grid)
         _write_via(paths["field"], out["field"].to_csv)
     if "vortices" in paths:
-        out["vortices"] = {"r": r, "n_max": n, "input": "fock" if fock_input else "tmss",
+        kind = "fock" if fock_input else "tmss"
+        out["vortices"] = {"r": r, "n_max": n, "input": f"{kind}, no splitter" if pre_bs else kind,
                            "grid": cfg["grid"], **count_vortices(out["field"]).to_json_dict()}
         _write_json(paths["vortices"], out["vortices"])
     if "wigner-slice" in paths:

@@ -1,5 +1,7 @@
 """Exception types, grouped by the CLI exit code they map to, and the
-checks of numeric parameters that raise ``InvalidParameterError``."""
+checks of numeric parameters that raise ``InvalidParameterError``.  The
+production paths raise them; the selftest's comparisons with the oracles
+fail by assertion instead."""
 import math
 import numbers
 
@@ -61,20 +63,3 @@ class InvalidStateError(FockVortexError):
 
 class InvariantError(FockVortexError):
     """A cross-checked mathematical invariant failed."""
-
-
-class CoefficientMismatchError(InvariantError):
-    """Closed-form state disagrees with the direct-unitary oracle.
-
-    Signals a transcription error in the closed form, not a runtime fault.
-    """
-
-    def __init__(self, max_deviation: float, pair=None):
-        self.max_deviation = max_deviation
-        self.pair = pair
-        where = f" at pair {pair}" if pair is not None else ""
-        super().__init__(
-            f"closed form deviates from operator-expansion oracle by "
-            f"{max_deviation:.3e}{where}"
-        )
-

@@ -2,6 +2,11 @@
 
 Only ``fockvortex.selftest`` and the tests import this module; the package
 and ``fockvortex.cli`` do not, so no other command compiles or loads it.
+It re-exports the production names that only these paths take:
+``DensityMatrix`` and ``state_to_density`` (from ``states``),
+``partial_transpose`` (from ``entanglement``) and ``build_wigner_grid``
+(from ``wigner``).  The splitter's reference, ``_closed_form_dense``, shares
+no code with ``apply_beam_splitter``; the checks compare the two.
 """
 from __future__ import annotations
 
@@ -11,13 +16,14 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from . import wigner
-from .beamsplitter import apply_beam_splitter
 from .config import GH_ORDER, MAX_REFINEMENTS, TOL
 from .entanglement import EntanglementReport, _as_density, _report, partial_transpose
-from .errors import CoefficientMismatchError, EigensolverError, InvariantError, check_count
-from .quadrature import hermite_basis
-from .states import SqueezeParams, TwoModeState, _total_photons, make_tmss
-from .wigner import _SQRT2, _TWO_OVER_PI, _checked_real, _kernel_polys, _laguerre_rows, _require_finite
+from .errors import EigensolverError, InvariantError, check_count
+from .states import (DensityMatrix, SqueezeParams, TwoModeState, _total_photons, make_tmss,
+                     state_to_density)
+# the paths below call wigner.build_wigner_grid, so a test that patches the rule reaches them
+from .wigner import (_SQRT2, _TWO_OVER_PI, _checked_real, _kernel_polys, _laguerre_rows,
+                     _require_finite, build_wigner_grid)
 
 _MARGINAL_ORDER = 32  # Gauss-Hermite nodes per momentum axis in position_marginal
 
@@ -138,7 +144,7 @@ def tensor_negativity_volume(state_or_rho, order: int = GH_ORDER, tol: float = T
 
 
 # ---------------------------------------------------------------------------
-# Closed-form vortex state
+# Closed-form splitter image
 # ---------------------------------------------------------------------------
 
 def _central_binomial_roots(n: int) -> np.ndarray:
@@ -152,7 +158,8 @@ def _closed_form_dense(params: SqueezeParams, fault: bool = False) -> np.ndarray
     grid: a+b+ -> (i/2)(a+^2 + b+^2) sends |j, j> to i^j sum_{k+l=j} h_k h_l
     |2k, 2l>, so A'[2k, 2l] = i^(k+l) c_(k+l) h_k h_l, with c_j the input's
     amplitudes, and 0 elsewhere: one term per amplitude, of unit norm with the
-    input.  ``fault``, the selftest's mutation check, makes the phase -i."""
+    input.  The selftest and the tests hold ``apply_beam_splitter`` to it;
+    ``fault``, the selftest's mutation check, makes the phase -i."""
     n = params.n_max
     j = np.add.outer(np.arange(n + 1), np.arange(n + 1))
     c = np.diagonal(make_tmss(params).amplitudes)  # c_j, 0 for N < j <= 2N
@@ -161,18 +168,6 @@ def _closed_form_dense(params: SqueezeParams, fault: bool = False) -> np.ndarray
     out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     out[::2, ::2] = phase[j % 4] * c[j] * np.outer(h, h)
     return out
-
-
-def closed_form_vortex_state(params: SqueezeParams, fault: bool = False) -> TwoModeState:
-    """Vortex state from the closed form (``fault`` as in
-    ``_closed_form_dense``), validated against ``apply_beam_splitter`` of the input."""
-    dense = _closed_form_dense(params, fault)
-    dev = np.abs(dense - apply_beam_splitter(make_tmss(params)).amplitudes)
-    worst = float(dev.max())
-    if worst > TOL.oracle:
-        na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise CoefficientMismatchError(worst, pair=(int(na), int(nb)))
-    return TwoModeState(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +213,6 @@ def total_photon_distribution(state: TwoModeState) -> Dict[int, float]:
     totals = _total_photons(state.cutoff + 1)[occupied]
     sums = np.bincount(totals, weights=np.abs(state.amplitudes[occupied]) ** 2)
     return {int(k): float(sums[k]) for k in np.unique(totals)}
-
-
-def hermite_function(n: int, x: Union[float, np.ndarray]):
-    """psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x)."""
-    check_count("order", n, 0)
-    scalar = np.isscalar(x)
-    out = hermite_basis(n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
-    return float(out[0]) if scalar else out
 
 
 def hard_cases() -> np.ndarray:

@@ -20,15 +20,15 @@ from . import quadrature, wigner
 from .beamsplitter import apply_beam_splitter
 from .cli import FIG4_N_VALUES, FIG4_R_VALUES, SLICE_GRID, SLICE_PLANES
 from .config import TOL
-from .entanglement import log_negativity, partial_transpose
+from .entanglement import log_negativity
 from .floatrepr import REPR_WIDTH, repr_table
-from .oracles import (_box_rule, _central_binomial_roots, closed_form_vortex_state, hard_cases,
-                      hermite_function, log_negativity_eigh, position_marginal, random_state,
-                      tensor_negativity_volume, total_photon_distribution, wigner_fock_diagonal,
-                      wigner_state)
-from .quadrature import QuadratureField, QuadratureGrid, count_vortices, evaluate_field
-from .states import SqueezeParams, TwoModeState, make_tmss, state_to_density
-from .wigner import build_wigner_grid, negativity_volume, plane_points, wigner_slice
+from .oracles import (_box_rule, _central_binomial_roots, _closed_form_dense, build_wigner_grid,
+                      hard_cases, log_negativity_eigh, partial_transpose, position_marginal,
+                      random_state, state_to_density, tensor_negativity_volume,
+                      total_photon_distribution, wigner_fock_diagonal, wigner_state)
+from .quadrature import QuadratureField, QuadratureGrid, count_vortices, evaluate_field, hermite_basis
+from .states import SqueezeParams, TwoModeState, make_tmss
+from .wigner import negativity_volume, plane_points, wigner_slice
 
 
 def _tmss(r: float, n: int) -> TwoModeState:
@@ -36,7 +36,8 @@ def _tmss(r: float, n: int) -> TwoModeState:
 
 
 def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
-    """(name, check) in run order; ``closed-form-oracle`` runs the closed form with ``fault``."""
+    """(name, check) in run order; ``closed-form-oracle`` holds the splitter to the
+    closed form built with ``fault``."""
     def tmss_normalization():
         for r in (0.0, 0.3, 1.0, 2.0):
             for n in range(7):
@@ -72,7 +73,13 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         assert all(abs(a * a - b) <= 1e-14 * b for a, b in zip(h, exact)), "h_k^2 off"
         for r in (0.1, 0.5, 1.0):
             for n in range(1, 5):
-                closed_form_vortex_state(SqueezeParams(r=r, n_max=n), fault)
+                params = SqueezeParams(r=r, n_max=n)
+                dev = np.abs(_closed_form_dense(params, fault)
+                             - apply_beam_splitter(make_tmss(params)).amplitudes)
+                pair = tuple(int(i) for i in np.unravel_index(int(dev.argmax()), dev.shape))
+                assert dev.max() <= TOL.oracle, (
+                    f"splitter deviates from the closed form by {dev.max():.3e} at pair {pair}, "
+                    f"r={r}, N={n}")
 
     def field_norm():
         state = apply_beam_splitter(_tmss(0.5, 3))
@@ -174,8 +181,8 @@ def checks(fault: bool) -> List[Tuple[str, Callable[[], None]]]:
         assert abs(got - (-0.11010127013979758)) < 1e-12, f"got {got}"
 
     def hermite_spot_values():
-        assert abs(hermite_function(50, 3.7) - (-0.05168667850813707)) < 1e-10
-        assert abs(hermite_function(7, -1.3) - (-0.40609866425190538)) < 1e-10
+        assert abs(hermite_basis(50, 3.7)[50] - (-0.05168667850813707)) < 1e-10
+        assert abs(hermite_basis(7, -1.3)[7] - (-0.40609866425190538)) < 1e-10
 
     def transpose_involution():
         rng = np.random.default_rng(7)

@@ -70,7 +70,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import lgamma
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -115,7 +114,7 @@ def _laguerre_rows(n_max: int, alphas: np.ndarray, u: np.ndarray):
 @lru_cache(maxsize=None)
 def _kernel_prefactors(dim: int) -> np.ndarray:
     """pref[m, a] = (2/pi) (-1)^m sqrt(m!/(m+a)!) for m + a < dim, else 0."""
-    lg = [lgamma(k + 1) for k in range(dim)]
+    lg = _lgamma_table(dim - 1).tolist()
     pref = np.zeros((dim, dim))
     for m in range(dim):
         pref[m, :dim - m] = [_TWO_OVER_PI * (-1.0) ** m * math.exp(0.5 * (lg[m] - lg[m + a]))

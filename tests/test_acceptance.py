@@ -28,7 +28,6 @@ from fockvortex.entanglement import log_negativity
 from fockvortex.quadrature import QuadratureGrid, count_vortices, evaluate_field
 from fockvortex.oracles import (
     _closed_form_dense,
-    closed_form_vortex_state,
     position_marginal,
     random_state,
     total_photon_distribution,
@@ -136,8 +135,7 @@ def test_criterion_2_closed_form_oracle():
         for n in range(1, 7):
             params = SqueezeParams(r=r, n_max=n)
             reference = apply_beam_splitter(make_tmss(params))
-            closed = closed_form_vortex_state(params)
-            dev = float(np.max(np.abs(reference.amplitudes - closed.amplitudes)))
+            dev = float(np.max(np.abs(reference.amplitudes - _closed_form_dense(params))))
             if dev > worst:
                 worst, worst_at = dev, (r, n)
     ok = worst <= 1e-10

@@ -26,6 +26,7 @@ import fockvortex.selftest as selftest
 import fockvortex.wigner as wigner
 from fockvortex.cli import main
 from fockvortex.entanglement import log_negativity
+from fockvortex.oracles import _closed_form_dense
 from fockvortex.states import SqueezeParams, make_tmss
 from fockvortex.beamsplitter import apply_beam_splitter
 from fockvortex.wigner import NegativityResult
@@ -175,12 +176,9 @@ def test_memory_error_exits_invariant_with_one_line(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
-def _run_cli(argv, cwd):
-    """The CLI in a fresh interpreter, under a timeout and a 2 GiB address
-    space, so code that built a list of N items would fail, not swap."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+def _run_cli(env, argv, cwd):
+    """The CLI in a fresh interpreter with ``env``, under a timeout and a 2 GiB
+    address space, so code that built a list of N items would fail, not swap."""
     return subprocess.run([sys.executable, "-m", "fockvortex.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 31,) * 2))
@@ -191,9 +189,9 @@ def _run_cli(argv, cwd):
     pytest.param(["nv", "--n", str(10 ** 9)], id="nv"),
     pytest.param(["nv", "--fock-input", "--n", str(10 ** 9)], id="nv-fock-input"),
 ])
-def test_cutoff_past_numpys_largest_array_exits_usage_at_once(tmp_path, argv):
+def test_cutoff_past_numpys_largest_array_exits_usage_at_once(tmp_path, child_env, argv):
     # numpy refuses these shapes outright, before allocating anything
-    proc = _run_cli([*argv, "--r", "0.5"], tmp_path)
+    proc = _run_cli(child_env, [*argv, "--r", "0.5"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cutoff "), err
@@ -201,10 +199,10 @@ def test_cutoff_past_numpys_largest_array_exits_usage_at_once(tmp_path, argv):
     assert os.listdir(tmp_path) == []
 
 
-def test_sweep_point_past_numpys_largest_array_fails_its_task_at_once(tmp_path):
+def test_sweep_point_past_numpys_largest_array_fails_its_task_at_once(tmp_path, child_env):
     # make_tmss used to build an (N + 1)-element list before it allocated
     cfg = write_config(tmp_path, r_values=[0.5], n_values=[10 ** 20])
-    proc = _run_cli(["sweep", "--config", str(cfg)], tmp_path)
+    proc = _run_cli(child_env, ["sweep", "--config", str(cfg)], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == ["1/1 tasks failed"]
     [task] = json.loads((tmp_path / "sweep-out" / "manifest.json").read_text())["tasks"]
@@ -397,6 +395,20 @@ def test_selftest_fault_injection_bites_then_resets(capsys, tmp_path):
     assert json.loads(report.read_text())["failures"] == ["closed-form-oracle"]  # and no other
     # the fault is always unwound: a plain rerun is clean again
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fault_report_names_the_worst_deviation_and_pair(tmp_path):
+    # the check stops at its first (r, N), r = 0.1 and N = 1, and its detail
+    # gives the worst |delta| there and the pair it sits at
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--inject-fault", "--out", str(report)]) == 4
+    (record,) = [c for c in json.loads(report.read_text())["checks"] if c["status"] == "failed"]
+    params = SqueezeParams(r=0.1, n_max=1)
+    dev = np.abs(_closed_form_dense(params, fault=True)
+                 - apply_beam_splitter(make_tmss(params)).amplitudes)
+    na, nb = np.unravel_index(int(dev.argmax()), dev.shape)
+    assert record["name"] == "closed-form-oracle"
+    assert f"by {dev.max():.3e} at pair ({na}, {nb}), r=0.1, N=1" in record["detail"]
 
 
 def test_selftest_catches_a_faulty_schmidt_path(monkeypatch, tmp_path):
@@ -681,6 +693,19 @@ def test_field_pre_splitter_never_applies_the_splitter(tmp_path, monkeypatch):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flags,source", [
+    ([], "tmss"), (["--fock-input"], "fock"),
+    (["--pre-bs"], "tmss, no splitter"), (["--pre-bs", "--fock-input"], "fock, no splitter"),
+], ids=["tmss", "fock", "tmss-pre-bs", "fock-pre-bs"])
+def test_vortex_report_says_whether_the_splitter_ran(tmp_path, flags, source):
+    out = tmp_path / "v.json"
+    assert main(["field", "--r", "0.8", "--n", "2", *flags, "--grid=-3:3:31",
+                 "-o", str(tmp_path / "f.csv"), "--vortices", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["input"] == source
+    assert sorted(doc) == ["count", "grid", "input", "n_max", "r", "total_charge", "vortices"]
+
+
 def test_nv_past_the_splitter_norm_wall_integrates_the_input(tmp_path):
     # the splitter image misses TOL.norm at this N (exit 4 when nv applied the
     # splitter); NV is splitter-invariant, so nv integrates the input
@@ -761,20 +786,17 @@ print(json.dumps({"codes": codes, "seen": seen,
 """
 
 
-def _run_child(script, *args):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+def _run_child(env, script, *args):
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_cli_loads_no_scipy(tmp_path):
+def test_cli_loads_no_scipy(tmp_path, child_env):
     # scipy is a test oracle only: the CLI import, the NV Gauss rules and the
     # vortex labeler must not reach it, not even through a deferred import;
     # the selftest's checks load only when the selftest runs
-    doc = _run_child(_NO_SCIPY_SCRIPT, str(tmp_path))
+    doc = _run_child(child_env, _NO_SCIPY_SCRIPT, str(tmp_path))
     assert doc["codes"] == [0, 0, 0]
     assert doc["seen"] == {"import": {"scipy": [], "selftest": False},
                            "nv": {"scipy": [], "selftest": False},
@@ -813,12 +835,12 @@ print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_cli_loads_no_openssl(tmp_path):
+def test_cli_loads_no_openssl(tmp_path, child_env):
     # the config fingerprint takes the interpreter's built-in SHA-256, so no
     # command but the selftest loads OpenSSL; the selftest is exempt because
     # its splitter_unitarity check calls np.random.default_rng, and
     # numpy.random imports secrets -> hmac -> _hashlib
-    doc = _run_child(_NO_OPENSSL_SCRIPT, str(tmp_path))
+    doc = _run_child(child_env, _NO_OPENSSL_SCRIPT, str(tmp_path))
     assert doc["codes"] == [0] * 5
     assert doc["seen"] == {name: [] for name in
                            ("import", "figure 4", "sweep", "nv", "field", "wigner-slice")}
@@ -846,8 +868,8 @@ print(json.dumps({"fallback": cli._sha256 is hashlib.sha256, "hash": cli._config
 """
 
 
-def test_config_hash_falls_back_to_hashlib_without_builtin_sha256():
-    doc = _run_child(_HASHLIB_FALLBACK_SCRIPT)
+def test_config_hash_falls_back_to_hashlib_without_builtin_sha256(child_env):
+    doc = _run_child(child_env, _HASHLIB_FALLBACK_SCRIPT)
     assert doc == {"fallback": True, "hash": _hashlib_config_hash({"a": 1})}
 
 

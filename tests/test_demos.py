@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import fockvortex
-
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -18,11 +16,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("vortex_field_tour.py", [f"{kind}_n{n}.{ext}" for n in (2, 4, 6)
                               for kind, ext in (("field", "csv"), ("vortices", "json"))]),
 ])
-def test_demo_runs_and_writes_its_files(tmp_path, demo, outputs):
-    src = os.path.dirname(os.path.dirname(fockvortex.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, str(DEMOS / demo), str(tmp_path / "out")], env=env,
+def test_demo_runs_and_writes_its_files(tmp_path, child_env, demo, outputs):
+    proc = subprocess.run([sys.executable, str(DEMOS / demo), str(tmp_path / "out")], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(os.listdir(tmp_path / "out")) == sorted(outputs)

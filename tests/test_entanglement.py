@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockvortex import (
-    DensityMatrix,
     EigensolverError,
     InvalidStateError,
     SqueezeParams,
@@ -14,10 +13,15 @@ from fockvortex import (
     apply_beam_splitter,
     log_negativity,
     make_tmss,
+)
+from fockvortex.oracles import (
+    DensityMatrix,
+    _eigvals_checked,
+    log_negativity_eigh,
     partial_transpose,
+    random_state,
     state_to_density,
 )
-from fockvortex.oracles import _eigvals_checked, log_negativity_eigh, random_state
 
 # mpmath: 2 r / ln 2 at r = 0.3
 UNTRUNCATED_LOGNEG_R03 = 0.86561702453337804442

@@ -3,14 +3,12 @@ and ``wigner_slice`` take a pure ``TwoModeState`` and refuse anything else by
 naming the general path in ``fockvortex.oracles``, which only the selftest
 and the tests load."""
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import fockvortex.cli as cli
 from fockvortex import (
     InvalidParameterError,
     QuadratureGrid,
@@ -19,11 +17,10 @@ from fockvortex import (
     log_negativity,
     make_tmss,
     negativity_volume,
-    state_to_density,
     wigner_slice,
 )
 from fockvortex.config import TOL
-from fockvortex.oracles import log_negativity_eigh, random_state, wigner_state
+from fockvortex.oracles import log_negativity_eigh, random_state, state_to_density, wigner_state
 from fockvortex.wigner import plane_points
 
 _INPUT = make_tmss(SqueezeParams(r=0.5, n_max=2))
@@ -86,11 +83,8 @@ print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_cli_loads_the_oracles_only_for_the_selftest(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)], env=env,
+def test_cli_loads_the_oracles_only_for_the_selftest(tmp_path, child_env):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)], env=child_env,
                           capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["codes"] == [0, 0, 0]

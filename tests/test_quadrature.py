@@ -22,7 +22,6 @@ from fockvortex import (
     make_tmss,
 )
 from fockvortex.config import TOL
-from fockvortex.oracles import hermite_function
 import fockvortex.quadrature as quadrature
 
 # mpmath, 40 digits
@@ -32,20 +31,21 @@ PI_QUARTER_INV = 0.75112554446494248286
 
 
 def test_hermite_frozen_values():
-    assert hermite_function(50, 3.7) == pytest.approx(HERMITE_50_AT_3P7, abs=1e-14)
-    assert hermite_function(7, -1.3) == pytest.approx(HERMITE_7_AT_M1P3, abs=1e-14)
+    assert hermite_basis(50, 3.7)[50] == pytest.approx(HERMITE_50_AT_3P7, abs=1e-14)
+    assert hermite_basis(7, -1.3)[7] == pytest.approx(HERMITE_7_AT_M1P3, abs=1e-14)
 
 
 def test_hermite_vacuum_peak():
-    assert hermite_function(0, 0.0) == pytest.approx(PI_QUARTER_INV, abs=1e-15)
+    assert hermite_basis(0, 0.0)[0] == pytest.approx(PI_QUARTER_INV, abs=1e-15)
 
 
 def test_hermite_against_scipy():
     x = np.linspace(-4.0, 4.0, 41)
+    table = hermite_basis(11, x)
     for n in range(12):
         norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
         ref = eval_hermite(n, x) * np.exp(-0.5 * x * x) / norm
-        assert np.max(np.abs(hermite_function(n, x) - ref)) < 1e-12
+        assert np.max(np.abs(table[n] - ref)) < 1e-12
 
 
 def test_hermite_orthonormal_riemann():
@@ -54,11 +54,6 @@ def test_hermite_orthonormal_riemann():
     table = hermite_basis(5, x)
     gram = table @ table.T * dx
     assert np.max(np.abs(gram - np.eye(6))) < 1e-9
-
-
-def test_hermite_rejects_negative_order():
-    with pytest.raises(InvalidParameterError):
-        hermite_function(-1, 0.0)
 
 
 def test_grid_from_spec():

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from fockvortex import (
-    DensityMatrix,
     InvalidParameterError,
     InvalidStateError,
     SqueezeParams,
     TwoModeState,
     make_tmss,
-    state_to_density,
 )
-from fockvortex.oracles import random_state, total_photon_distribution
+from fockvortex.oracles import DensityMatrix, random_state, state_to_density, total_photon_distribution
 
 # mpmath, 40 digits: normalized pair amplitudes for r = 0.5, N = 1
 TMSS_R05_N1_C0 = 0.90775940470586296195

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -20,18 +19,18 @@ from fockvortex import (
     SqueezeParams,
     TwoModeState,
     apply_beam_splitter,
-    build_wigner_grid,
     evaluate_field,
     make_tmss,
     negativity_volume,
-    state_to_density,
     wigner_diagonal_form,
     wigner_slice,
 )
 from fockvortex.oracles import (
     _box_rule,
+    build_wigner_grid,
     position_marginal,
     random_state,
+    state_to_density,
     tensor_negativity_volume,
     wigner_fock_diagonal,
     wigner_state,
@@ -1186,10 +1185,8 @@ print(json.dumps(failed))
 """
 
 
-def test_slab_contraction_is_bit_identical_to_the_whole_pair_matrix():
-    src = os.path.dirname(os.path.dirname(wigner_module.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+def test_slab_contraction_is_bit_identical_to_the_whole_pair_matrix(child_env):
+    env = {**child_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _SLAB_IDENTITY_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
